@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from datetime import datetime, timezone
+from time import perf_counter
 
 from .errors import CapacityError, InputError, StageError
 from .fca import DEFAULT_CONCEPT_CAP, lattice_to_dot
@@ -179,14 +180,24 @@ def cmd_context(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    timings: dict[str, float] = {}
+    total_start = perf_counter()
     structure = read_interval_csv(args.context)
+
+    start = perf_counter()
     lattice = build_pattern_lattice(structure, concept_cap=args.concept_cap)
+    timings["lattice"] = perf_counter() - start
+
+    start = perf_counter()
     scores = score_lattice(
         lattice,
         args.stability,
         structure=structure,
         attribute_count=max(2 * len(structure.attributes), 1),
     )
+    timings["stability"] = perf_counter() - start
+
+    start = perf_counter()
     kept = filter_concepts(
         lattice,
         scores,
@@ -194,6 +205,10 @@ def cmd_mine(args) -> int:
         min_lstab=args.min_lstab,
         bound_policy=args.bound_policy,
     )
+    timings["filter"] = perf_counter() - start
+
+    patterns = tuple(pattern_entry(lattice, scores, structure, i) for i in kept)
+    timings["total"] = perf_counter() - total_start
     report = PatternReport(
         config={
             "context": args.context,
@@ -211,8 +226,8 @@ def cmd_mine(args) -> int:
         },
         selection={},
         attributes=structure.attributes,
-        patterns=tuple(pattern_entry(lattice, scores, structure, i) for i in kept),
-        generated={"timestamp": datetime.now(timezone.utc).isoformat(), "timings_s": {}},
+        patterns=patterns,
+        generated={"timestamp": datetime.now(timezone.utc).isoformat(), "timings_s": timings},
     )
     json_path, _ = export_report(report, args.output, json_name="patterns.json")
     if args.dot:

@@ -20,6 +20,15 @@ are enumerated with the same Close-by-One machinery as the binary case
 (:func:`spindlemine.fca.enumerate_closed_extents`), since only the
 closure operator differs.
 
+Lower covers come from each concept's elementary refinements: for every
+attribute ``t``, drop from the extent ``A`` the objects that attain the
+hull's low end of ``t`` (or its high end).  The result is closed, every
+closed proper subset of ``A`` lies inside one of these at most ``2m``
+sets, and the maximal ones are the lower covers
+(:func:`spindlemine.fca.assemble_lattice`).  One value-to-object-mask
+table per attribute and end, built once per structure, makes each
+refinement one lookup and one mask operation.
+
 The lattice always includes a distinguished bottom concept with empty
 extent whose intent is a formal "most specific" description (represented
 as ``None``): it is the identity of the meet and keeps the concept set a
@@ -197,7 +206,30 @@ def build_pattern_lattice(
         intent = _hull_of_mask(ps, mask) if mask else None
         return PatternConcept(extent=_indices_from_mask(mask), intent=intent)
 
-    return assemble_lattice(ps.objects, masks, make)
+    # per attribute and end: value -> mask of the objects attaining it
+    lows: list[dict[float, int]] = [{} for _ in ps.attributes]
+    highs: list[dict[float, int]] = [{} for _ in ps.attributes]
+    for g, desc in enumerate(ps.descriptions):
+        bit = 1 << g
+        for low, high, (lo, hi) in zip(lows, highs, desc.intervals):
+            low[lo] = low.get(lo, 0) | bit
+            high[hi] = high.get(hi, 0) | bit
+
+    def refine(mask: int, concept: PatternConcept) -> list[int]:
+        # Dropping the objects S_t that attain one end of the hull on one
+        # attribute tightens that end, so A \ S_t is closed; any closed
+        # B ⊊ A has a tighter end somewhere and so lies inside one A \ S_t.
+        if concept.intent is None:
+            return []
+        out = []
+        for low, high, (lo, hi) in zip(lows, highs, concept.intent.intervals):
+            out.append(mask & ~low[lo])
+            out.append(mask & ~high[hi])
+        # with no attributes every non-empty set closes to the top, whose
+        # only lower cover is the bottom
+        return out or [0]
+
+    return assemble_lattice(ps.objects, masks, make, refine)
 
 
 # ---------------------------------------------------------------------------

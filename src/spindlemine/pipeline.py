@@ -28,7 +28,7 @@ from typing import Any, Callable, Mapping, TypeVar
 
 from .errors import InputError, SpindlemineError, StageError
 from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot
-from .intervals import build_pattern_lattice, format_interval
+from .intervals import IntervalPatternStructure, build_pattern_lattice, format_interval
 from .selection import (
     NumericContext,
     build_numeric_context,
@@ -316,9 +316,11 @@ def _echo_config(config: PipelineConfig) -> dict[str, Any]:
 def pattern_entry(
     lattice: ConceptLattice,
     scores: Mapping[int, StabilityScore],
-    context: NumericContext,
+    context: NumericContext | IntervalPatternStructure,
     index: int,
 ) -> dict[str, Any]:
+    """One report entry for concept ``index``; ``context`` supplies only
+    the attribute names of the intent."""
     concept = lattice.concepts[index]
     size = lattice.extent_masks[index].bit_count()
     n = lattice.n_objects

@@ -142,6 +142,13 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
         except ValueError as exc:
             raise InputError(f"{path}: non-numeric cell in row {i + 2}") from exc
     matrix = np.asarray(values, dtype=float)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise InputError(
+            f"{path}: non-finite value {rows[r + 1][c].strip()!r} in row {r + 2}, "
+            f"column {header[c].strip()!r}"
+        )
 
     if sample_rate is None:
         if not has_time:
@@ -159,7 +166,12 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
 
 
 def read_annotations_json(path: str) -> list[SpindleAnnotation]:
-    """Read annotations: a JSON array of {id, start_s, end_s, channel}."""
+    """Read annotations: a JSON array of {id, start_s, end_s, channel}
+    objects.
+
+    Each annotation gives its end either as ``end_s`` or as ``duration_s``
+    (seconds after ``start_s``), never both.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -174,18 +186,29 @@ def read_annotations_json(path: str) -> list[SpindleAnnotation]:
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise InputError(f"{path}: annotation {i} is not an object")
-        missing = {"id", "start_s", "end_s", "channel"} - item.keys()
+        missing = {"id", "start_s", "channel"} - item.keys()
         if missing:
             raise InputError(f"{path}: annotation {i} missing keys {sorted(missing)}")
+        end_keys = [k for k in ("end_s", "duration_s") if k in item]
+        if len(end_keys) != 1:
+            raise InputError(
+                f"{path}: annotation {i} needs exactly one of the keys "
+                f"['end_s', 'duration_s'], got {end_keys}"
+            )
         ann_id = str(item["id"])
         if ann_id in seen:
             raise InputError(f"{path}: duplicate annotation id {ann_id!r}")
         seen.add(ann_id)
+        start_s = float(item["start_s"])
+        if "end_s" in item:
+            end_s = float(item["end_s"])
+        else:
+            end_s = start_s + float(item["duration_s"])
         out.append(
             SpindleAnnotation(
                 id=ann_id,
-                start_s=float(item["start_s"]),
-                end_s=float(item["end_s"]),
+                start_s=start_s,
+                end_s=end_s,
                 channel=str(item["channel"]),
             )
         )

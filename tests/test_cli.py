@@ -51,6 +51,7 @@ def test_stage_chain_matches_single_run(two_cluster_files, tmp_path):
 
     chained = json.loads((d / "patterns.json").read_text())
     single = json.loads((e / "report.json").read_text())
+    assert set(chained["generated"]["timings_s"]) == {"lattice", "stability", "filter", "total"}
     # feature CSV cells round-trip bit-exactly, so the mined patterns
     # (extents, interval intents, exact stability) must agree completely
     assert chained["patterns"] == single["patterns"]

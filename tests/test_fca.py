@@ -198,6 +198,7 @@ def test_covers_are_transitive_reduction():
                 if not between:
                     expected.add((i, j))
         assert set(lat.covers) == expected
+        assert list(lat.covers) == sorted(lat.covers)
 
 
 def test_every_concept_pair_has_meet_and_join():
@@ -241,6 +242,20 @@ def test_concept_cap_enforced():
     assert len(build_lattice(ctx)) == 2 ** n
     with pytest.raises(CapacityError):
         build_lattice(ctx, concept_cap=10)
+
+
+def test_contranominal_covers_at_scale():
+    # every object set is closed and covers the sets one object smaller:
+    # 2^n concepts and n * 2^(n-1) cover edges.  Covers are found locally,
+    # so this stays fast where a scan over all concept pairs would not.
+    n = 13
+    rows = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    ctx = FormalContext.from_rows(
+        [f"g{i}" for i in range(n)], [f"m{j}" for j in range(n)], rows
+    )
+    lat = build_lattice(ctx)
+    assert len(lat) == 2 ** n
+    assert len(lat.covers) == n * 2 ** (n - 1)
 
 
 # ---------------------------------------------------------------------------

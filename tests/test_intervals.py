@@ -248,6 +248,57 @@ def test_five_point_lattice_frozen():
     assert lat.direct_descendants(lat.bottom_index) == ()
 
 
+def _oracle_covers(closed: set[frozenset[int]]) -> set[tuple[frozenset, frozenset]]:
+    """Transitive reduction of extent inclusion, by trying every triple."""
+    return {
+        (big, small)
+        for big in closed
+        for small in closed
+        if small < big and not any(small < mid < big for mid in closed)
+    }
+
+
+def test_covers_are_transitive_reduction():
+    rng = random.Random(31337)
+    structures = []
+    for _ in range(15):
+        # integer points on a narrow range: ties and duplicate descriptions
+        structures.append(random_interval_structure(rng, max_objects=7, max_attributes=3, hi=2))
+        structures.append(random_interval_structure(rng, max_objects=7, max_attributes=3,
+                                                    integers=False))
+        ps = random_interval_structure(rng, max_objects=6, max_attributes=3)
+        copied = ps.descriptions + (ps.descriptions[0],)
+        structures.append(IntervalPatternStructure(
+            ps.objects + ("dup",), ps.attributes, copied))
+        structures.append(random_interval_structure(rng, max_objects=1, max_attributes=3,
+                                                    integers=False))
+    structures.append(IntervalPatternStructure(
+        ("g0", "g1"), (), (IntervalDescription(()), IntervalDescription(()))))
+    for ps in structures:
+        lat = build_pattern_lattice(ps)
+        got = {(lat.concepts[i].extent, lat.concepts[j].extent) for i, j in lat.covers}
+        assert got == _oracle_covers(oracle_interval_closed_extents(ps))
+        assert len(got) == len(lat.covers)
+        assert list(lat.covers) == sorted(lat.covers)
+
+
+def test_one_hot_covers_at_scale():
+    # one-hot points: every object set is closed and covers the sets one
+    # object smaller, so 2^n concepts and n * 2^(n-1) cover edges
+    n = 13
+    ps = IntervalPatternStructure(
+        objects=tuple(f"g{i}" for i in range(n)),
+        attributes=tuple(f"a{j}" for j in range(n)),
+        descriptions=tuple(
+            IntervalDescription.from_point([1.0 if i == j else 0.0 for j in range(n)])
+            for i in range(n)
+        ),
+    )
+    lat = build_pattern_lattice(ps)
+    assert len(lat) == 2 ** n
+    assert len(lat.covers) == n * 2 ** (n - 1)
+
+
 def test_pattern_concept_cap():
     rng = random.Random(3)
     ps = random_interval_structure(rng, max_objects=7, max_attributes=3, integers=False)

@@ -132,6 +132,17 @@ def test_read_recording_rejects_garbage(tmp_path):
         read_recording_csv(str(tmp_path / "missing.csv"))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_read_recording_rejects_non_finite(tmp_path, cell):
+    path = tmp_path / "rec.csv"
+    path.write_text(f"time,C3,C4\n0.0,1.0,2.0\n0.5,3.0,{cell}\n1.0,5.0,6.0\n")
+    with pytest.raises(InputError) as err:
+        read_recording_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message
+    assert "row 3" in message and "'C4'" in message and repr(cell) in message
+
+
 # ---------------------------------------------------------------------------
 # annotations JSON
 # ---------------------------------------------------------------------------
@@ -146,6 +157,30 @@ def test_read_annotations(tmp_path):
     anns = read_annotations_json(str(path))
     assert [a.id for a in anns] == ["s1", "s2"]
     assert anns[1].start_s == 3.0 and isinstance(anns[1].start_s, float)
+
+
+def test_read_annotations_accepts_duration(tmp_path):
+    path = tmp_path / "anns.json"
+    path.write_text(json.dumps([
+        {"id": "s1", "channel": "C3", "start_s": 0.5, "duration_s": 1.0},
+        {"id": "s2", "channel": "C3", "start_s": 3.0, "end_s": 4.25},
+    ]))
+    anns = read_annotations_json(str(path))
+    assert [(a.start_s, a.end_s) for a in anns] == [(0.5, 1.5), (3.0, 4.25)]
+
+
+@pytest.mark.parametrize("ends", [{}, {"end_s": 2.0, "duration_s": 1.0}])
+def test_read_annotations_needs_exactly_one_end_key(tmp_path, ends):
+    path = tmp_path / "anns.json"
+    path.write_text(json.dumps([
+        {"id": "s1", "channel": "C3", "start_s": 0.0, "end_s": 1.0},
+        {"id": "s2", "channel": "C3", "start_s": 1.0, **ends},
+    ]))
+    with pytest.raises(InputError) as err:
+        read_annotations_json(str(path))
+    message = str(err.value)
+    assert str(path) in message and "annotation 1" in message
+    assert "end_s" in message and "duration_s" in message
 
 
 def test_read_annotations_errors(tmp_path):
