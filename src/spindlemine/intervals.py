@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 import csv
+import math
 
 from .errors import InputError
 from .fca import (
@@ -245,7 +246,8 @@ def format_interval(lo: float, hi: float) -> str:
 
 
 def parse_interval_cell(cell: str) -> tuple[float, float]:
-    """Parse a CSV cell: either a real (degenerate interval) or ``lo..hi``."""
+    """Parse a CSV cell: either a real (degenerate interval) or ``lo..hi``,
+    with finite ends."""
     text = cell.strip()
     try:
         if ".." in text:
@@ -255,6 +257,8 @@ def parse_interval_cell(cell: str) -> tuple[float, float]:
             lo = hi = float(text)
     except ValueError as exc:
         raise InputError(f"unparseable interval cell {cell!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"non-finite interval cell {cell!r}")
     if lo > hi:
         raise InputError(f"interval cell {cell!r} has low > high")
     return lo, hi
@@ -262,7 +266,9 @@ def parse_interval_cell(cell: str) -> tuple[float, float]:
 
 def read_interval_csv(path: str) -> IntervalPatternStructure:
     """Read a numeric context: header ``id,<attributes...>``, one row per
-    object, cells either reals or ``lo..hi`` intervals."""
+    object, cells either finite reals or ``lo..hi`` intervals.  A bad cell
+    raises :class:`InputError` naming the file, the row (file line) and
+    the column."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -280,7 +286,13 @@ def read_interval_csv(path: str) -> IntervalPatternStructure:
         if len(row) != len(header):
             raise InputError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
         objects.append(row[0])
-        descriptions.append(IntervalDescription(tuple(parse_interval_cell(c) for c in row[1:])))
+        cells = []
+        for attribute, cell in zip(attributes, row[1:]):
+            try:
+                cells.append(parse_interval_cell(cell))
+            except InputError as exc:
+                raise InputError(f"{path}: row {i + 2}, column {attribute!r}: {exc}") from exc
+        descriptions.append(IntervalDescription(tuple(cells)))
     return IntervalPatternStructure(tuple(objects), attributes, tuple(descriptions))
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -199,11 +200,11 @@ def read_annotations_json(path: str) -> list[SpindleAnnotation]:
         if ann_id in seen:
             raise InputError(f"{path}: duplicate annotation id {ann_id!r}")
         seen.add(ann_id)
-        start_s = float(item["start_s"])
+        start_s = _annotation_number(path, i, item, "start_s")
         if "end_s" in item:
-            end_s = float(item["end_s"])
+            end_s = _annotation_number(path, i, item, "end_s")
         else:
-            end_s = start_s + float(item["duration_s"])
+            end_s = start_s + _annotation_number(path, i, item, "duration_s")
         out.append(
             SpindleAnnotation(
                 id=ann_id,
@@ -213,6 +214,19 @@ def read_annotations_json(path: str) -> list[SpindleAnnotation]:
             )
         )
     return out
+
+
+def _annotation_number(path: str, index: int, item: dict, key: str) -> float:
+    """One annotation time as a float: a finite JSON number, else InputError."""
+    value = item[key]
+    # bool is an int subclass, but JSON true/false is not a time; the bound
+    # also rejects nan, inf and integers beyond the float range
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise InputError(
+        f"{path}: annotation {index} key {key!r} must be a finite number, got {value!r}"
+    )
 
 
 def extract_segments(
@@ -330,8 +344,10 @@ def _cell_energies(x: np.ndarray, sample_rate: float, detrend: bool):
 
 def mean_amplitude(segment) -> float:
     """Mean of the absolute amplitude, in microvolts."""
-    x = _as_segment(segment)
-    return float(np.mean(np.abs(x)))
+    a = np.abs(_as_segment(segment))
+    # the rounded mean of equal values can exceed them by one ulp; the
+    # exact mean never exceeds the maximum
+    return float(min(np.mean(a), np.max(a)))
 
 
 def max_amplitude(segment) -> float:

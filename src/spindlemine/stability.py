@@ -15,12 +15,18 @@ Exact computation is available two ways, which agree everywhere:
 
 * :func:`stability_bruteforce` enumerates subsets of one concept's extent
   (capped, since the count is ``2^|A|``);
-* :func:`stability_lattice_dp` uses the whole lattice: every subset of
-  ``A`` closes to exactly one concept with extent inside ``A``, so the
-  qualifying-subset counts ``q`` satisfy
-  ``q(c) = 2^|A| - sum of q(e) over concepts e with extent strictly
-  inside A``.  Counts are kept as arbitrary-precision integers, so the
-  identity ``sum of q over all concepts = 2^|G|`` is exact at any size.
+* :func:`stability_lattice_dp` reads each concept's lower covers: a
+  subset of ``A`` closes to ``A`` exactly when it lies inside no lower
+  cover, i.e. when it meets every gap ``A \\ child``.  When the
+  one-object gaps already meet every gap, the count is the closed form
+  ``q = 2^(|A| - |F|)``, with ``F`` the union of the one-object gaps;
+  with continuous features every gap is one object, so this is the
+  common case.  Otherwise every subset of ``A`` closes to exactly one
+  concept with extent inside ``A``, so
+  ``q(c) = 2^|A| - sum of q(e) over the strict down-set of c``, found by
+  walking the cover relation.  Counts are kept as arbitrary-precision
+  integers, so the identity ``sum of q over all concepts = 2^|G|`` is
+  exact at any size.
 
 When the lattice is too large for exact work, :func:`lstab_bounds`
 derives the chain
@@ -42,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import CapacityError, InputError
@@ -102,7 +107,7 @@ class StabilityScore:
         total = 1 << extent_size
         if not 0 <= count <= total:
             raise InputError(f"count {count} outside [0, 2^{extent_size}]")
-        stab = float(Fraction(count, total))
+        stab = count / total  # int true division rounds correctly at any size
         if count == total:
             lstab = math.inf
         else:
@@ -212,26 +217,47 @@ def stability_bruteforce(
 
 
 def stability_lattice_dp(lattice: ConceptLattice) -> dict[int, StabilityScore]:
-    """Exact stability for every concept via the subset-partition identity.
+    """Exact stability for every concept from its lower covers.
 
-    Processes extents in increasing size; each concept's qualifying count
-    subtracts the counts of all concepts with strictly smaller extents
-    contained in it.  Integer arithmetic throughout, so results are exact
-    for any lattice size.
+    A subset ``C`` of an extent ``A`` closes to ``A`` exactly when it lies
+    inside no lower cover, i.e. when it meets every gap ``A \\ child``.
+    One-object gaps force their object into ``C``; when every gap meets
+    the union ``F`` of those objects, forcing ``F`` suffices and
+    ``q = 2^(|A| - |F|)``.  Otherwise ``q`` follows from the
+    subset-partition identity ``q = 2^|A| - sum of q(d)`` over the
+    concept's strict down-set, found by walking ``children``.  Concepts
+    are scored from the bottom up (children have larger indices), with
+    integer arithmetic throughout, so results are exact for any lattice
+    size.
+
+    The closed form costs a few mask operations per cover edge; only the
+    concepts it does not settle pay for a walk over their down-set.
     """
-    order = sorted(range(len(lattice)), key=lambda i: lattice.extent_masks[i].bit_count())
-    counts: dict[int, int] = {}
-    for i in order:
-        mask = lattice.extent_masks[i]
-        q = 1 << mask.bit_count()
-        for j, qj in counts.items():
-            sub = lattice.extent_masks[j]
-            if sub != mask and (sub & ~mask) == 0:
-                q -= qj
-        counts[i] = q
+    masks = lattice.extent_masks
+    children = lattice.children
+    counts = [0] * len(masks)
+    for i in range(len(masks) - 1, -1, -1):
+        mask = masks[i]
+        size = mask.bit_count()
+        gaps = [mask & ~masks[j] for j in children[i]]
+        forced = 0
+        for gap in gaps:
+            if gap & (gap - 1) == 0:  # gaps are non-empty: one object
+                forced |= gap
+        if all(gap & forced for gap in gaps):
+            counts[i] = 1 << (size - forced.bit_count())
+            continue
+        seen = set(children[i])
+        stack = list(seen)
+        while stack:
+            for d in children[stack.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        counts[i] = (1 << size) - sum(counts[d] for d in seen)
     return {
-        i: StabilityScore.from_exact_count("lattice-dp", lattice.extent_masks[i].bit_count(), q)
-        for i, q in counts.items()
+        i: StabilityScore.from_exact_count("lattice-dp", masks[i].bit_count(), q)
+        for i, q in enumerate(counts)
     }
 
 
@@ -289,9 +315,10 @@ def score_lattice(
 ) -> dict[int, StabilityScore]:
     """Score every concept with the chosen method.
 
-    ``method`` is one of ``exact-dp`` (lattice dynamic program),
-    ``bounds`` (needs ``attribute_count``) or ``brute-force`` (needs the
-    originating ``structure``).
+    ``method`` is one of ``exact-dp`` (exact counts from each concept's
+    lower covers, see :func:`stability_lattice_dp`), ``bounds`` (needs
+    ``attribute_count``) or ``brute-force`` (needs the originating
+    ``structure``).
     """
     if method == "exact-dp":
         return stability_lattice_dp(lattice)

@@ -89,6 +89,27 @@ def oracle_stability(extent: frozenset[int], close) -> Fraction:
     return Fraction(hits, 1 << len(members))
 
 
+def oracle_subset_counts(lattice) -> dict[int, int]:
+    """Qualifying-subset counts ``q`` by the subset-partition identity.
+
+    Every subset of an extent closes to exactly one concept with extent
+    inside it, so ``q(c) = 2^|A| - sum of q(e)`` over every concept ``e``
+    whose extent lies strictly inside ``A``.  Compares all concept pairs
+    (quadratic), straight from the definition.
+    """
+    order = sorted(range(len(lattice)), key=lambda i: lattice.extent_masks[i].bit_count())
+    counts: dict[int, int] = {}
+    for i in order:
+        mask = lattice.extent_masks[i]
+        q = 1 << mask.bit_count()
+        for j, qj in counts.items():
+            sub = lattice.extent_masks[j]
+            if sub != mask and (sub & ~mask) == 0:
+                q -= qj
+        counts[i] = q
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # random instance generators
 # ---------------------------------------------------------------------------

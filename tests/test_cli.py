@@ -162,3 +162,28 @@ def test_argparse_usage_errors():
     with pytest.raises(SystemExit) as err:
         run(["mine", "--context", "x.csv", "--output", "out"])  # thresholds required
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "abc"])
+def test_mine_bad_context_cell_exits_2(tmp_path, capsys, cell):
+    context = tmp_path / "context.csv"
+    context.write_text(f"id,a,b\ns1,1.0,2.0\ns2,{cell},3.0\n")
+    out = tmp_path / "out"
+    code = run(["mine", "--context", context, "--min-support", 0,
+                "--min-lstab", 0, "--output", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(context) in err and "row 3" in err and "'a'" in err
+    assert not (out / "patterns.json").exists()
+
+
+def test_extract_bad_annotation_number_exits_2(two_cluster_files, tmp_path, capsys):
+    anns = tmp_path / "anns.json"
+    anns.write_text(json.dumps(
+        [{"id": "x", "start_s": "soon", "end_s": 2.0, "channel": "C3"}]
+    ))
+    code = run(["extract", "--recording", two_cluster_files["recording"],
+                "--annotations", anns, "--output", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "annotation 0" in err and "'start_s'" in err

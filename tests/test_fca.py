@@ -17,6 +17,7 @@ from spindlemine.fca import (
     read_context_csv,
     write_context_csv,
 )
+from spindlemine.stability import stability_lattice_dp
 
 from conftest import oracle_binary_closed_extents, oracle_binary_closure, random_context
 
@@ -256,6 +257,19 @@ def test_contranominal_covers_at_scale():
     lat = build_lattice(ctx)
     assert len(lat) == 2 ** n
     assert len(lat.covers) == n * 2 ** (n - 1)
+
+
+def test_contranominal_stability_at_scale():
+    # with every object set closed, only the extent itself closes onto a
+    # concept: every count is 1, and the 2^n counts partition 2^G
+    n = 13
+    rows = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    ctx = FormalContext.from_rows(
+        [f"g{i}" for i in range(n)], [f"m{j}" for j in range(n)], rows
+    )
+    scores = stability_lattice_dp(build_lattice(ctx))
+    assert {s.exact_count for s in scores.values()} == {1}
+    assert sum(s.exact_count for s in scores.values()) == 2 ** n
 
 
 # ---------------------------------------------------------------------------

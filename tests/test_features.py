@@ -59,6 +59,12 @@ def test_max_amplitude_dominates_mean(xs):
     assert max_amplitude(xs) >= mean_amplitude(xs)
 
 
+def test_mean_amplitude_of_equal_values_is_not_above_max():
+    # np.mean of these three equal values rounds one ulp above them
+    xs = [349526.00326510717] * 3
+    assert mean_amplitude(xs) == max_amplitude(xs) == xs[0]
+
+
 def test_amplitudes_reject_bad_segments():
     with pytest.raises(InputError):
         mean_amplitude([])

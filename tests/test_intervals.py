@@ -19,6 +19,7 @@ from spindlemine.intervals import (
     subsumes,
     write_interval_csv,
 )
+from spindlemine.stability import stability_lattice_dp
 
 from conftest import (
     oracle_interval_closed_extents,
@@ -299,6 +300,23 @@ def test_one_hot_covers_at_scale():
     assert len(lat.covers) == n * 2 ** (n - 1)
 
 
+def test_one_hot_stability_at_scale():
+    # with every object set closed, only the extent itself closes onto a
+    # concept: every count is 1, and the 2^n counts partition 2^G
+    n = 13
+    ps = IntervalPatternStructure(
+        objects=tuple(f"g{i}" for i in range(n)),
+        attributes=tuple(f"a{j}" for j in range(n)),
+        descriptions=tuple(
+            IntervalDescription.from_point([1.0 if i == j else 0.0 for j in range(n)])
+            for i in range(n)
+        ),
+    )
+    scores = stability_lattice_dp(build_pattern_lattice(ps))
+    assert {s.exact_count for s in scores.values()} == {1}
+    assert sum(s.exact_count for s in scores.values()) == 2 ** n
+
+
 def test_pattern_concept_cap():
     rng = random.Random(3)
     ps = random_interval_structure(rng, max_objects=7, max_attributes=3, integers=False)
@@ -344,3 +362,14 @@ def test_interval_csv_errors(tmp_path):
         read_interval_csv(str(ragged))
     with pytest.raises(InputError):
         read_interval_csv(str(tmp_path / "nope.csv"))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1..inf", "nan..2", "abc", "1..x"])
+def test_interval_csv_names_the_bad_cell(tmp_path, cell):
+    path = tmp_path / "ctx.csv"
+    path.write_text(f"id,width,height\ng1,1.0,2.0\ng2,0.5,{cell}\n")
+    with pytest.raises(InputError) as err:
+        read_interval_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message
+    assert "row 3" in message and "'height'" in message and repr(cell) in message

@@ -183,6 +183,32 @@ def test_read_annotations_needs_exactly_one_end_key(tmp_path, ends):
     assert "end_s" in message and "duration_s" in message
 
 
+@pytest.mark.parametrize("key, value", [
+    ("start_s", "soon"),
+    ("start_s", None),
+    ("start_s", True),
+    ("start_s", [0.5]),
+    ("end_s", "2.0"),
+    ("end_s", float("inf")),
+    ("duration_s", float("nan")),
+    ("duration_s", 10 ** 400),
+])
+def test_read_annotations_rejects_bad_numbers(tmp_path, key, value):
+    bad = {"id": "s1", "channel": "C3", "start_s": 1.0}
+    bad["duration_s" if key == "duration_s" else "end_s"] = 2.0
+    bad[key] = value
+    path = tmp_path / "anns.json"
+    # json.dumps writes NaN and Infinity literals, which json.load accepts
+    path.write_text(json.dumps([
+        {"id": "s0", "channel": "C3", "start_s": 0.0, "end_s": 1.0},
+        bad,
+    ]))
+    with pytest.raises(InputError) as err:
+        read_annotations_json(str(path))
+    message = str(err.value)
+    assert str(path) in message and "annotation 1" in message and repr(key) in message
+
+
 def test_read_annotations_errors(tmp_path):
     def check(payload):
         p = tmp_path / "bad.json"

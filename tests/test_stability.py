@@ -29,6 +29,7 @@ from conftest import (
     oracle_binary_closure,
     oracle_interval_closure,
     oracle_stability,
+    oracle_subset_counts,
     random_context,
     random_interval_structure,
 )
@@ -166,6 +167,50 @@ def test_counts_partition_the_powerset():
         lat = build_pattern_lattice(ps)
         counts = stability_lattice_dp(lat)
         assert sum(s.exact_count for s in counts.values()) == 1 << ps.n_objects
+
+
+def _needs_down_set(lattice, index):
+    """True when some gap to a lower cover misses every one-object gap,
+    so the closed form ``2^(|A| - |F|)`` does not apply."""
+    mask = lattice.extent_masks[index]
+    gaps = [mask & ~lattice.extent_masks[j] for j in lattice.children[index]]
+    forced = 0
+    for gap in gaps:
+        if gap.bit_count() == 1:
+            forced |= gap
+    return any(gap & forced == 0 for gap in gaps)
+
+
+def _assert_dp_matches_oracle(lattice):
+    dp = stability_lattice_dp(lattice)
+    assert {i: s.exact_count for i, s in dp.items()} == oracle_subset_counts(lattice)
+    walked = sum(_needs_down_set(lattice, i) for i in range(len(lattice)))
+    # both the closed form and the down-set walk must be exercised
+    assert 0 < walked < len(lattice)
+
+
+def test_dp_matches_pair_oracle_on_binary_context_with_duplicate_rows():
+    rng = random.Random(2024)
+    rows = [[int(rng.random() < 0.5) for _ in range(18)] for _ in range(40)]
+    rows += [list(rows[rng.randrange(40)]) for _ in range(10)]
+    ctx = FormalContext.from_rows(
+        [f"g{i}" for i in range(50)], [f"m{j}" for j in range(18)], rows
+    )
+    _assert_dp_matches_oracle(build_lattice(ctx))
+
+
+def test_dp_matches_pair_oracle_on_integer_ties():
+    rng = random.Random(2024)
+    n = 14
+    ps = IntervalPatternStructure(
+        tuple(f"g{i}" for i in range(n)),
+        ("a", "b", "c"),
+        tuple(
+            IntervalDescription.from_point([rng.randint(0, 3) for _ in range(3)])
+            for _ in range(n)
+        ),
+    )
+    _assert_dp_matches_oracle(build_pattern_lattice(ps))
 
 
 def test_bruteforce_capacity():
