@@ -120,36 +120,29 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
     The ``time`` column is optional when ``sample_rate`` is given; when
     both are present the explicit ``sample_rate`` wins.  With only a time
     column, the rate is inferred from the (required uniform) spacing.
+
+    Every line after the header is one sample: one cell per header
+    column, each a finite decimal number, optionally in double quotes.
+    A blank line, a ragged row, a non-numeric or a non-finite cell
+    raises :class:`InputError` naming the file line.
     """
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+        with open(path) as fh:
+            header = next(csv.reader([fh.readline()]), [])
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read recording {path}: {exc}") from exc
-    if not rows or len(rows) < 2:
+    if lines[-1] == "":
+        lines.pop()  # the last line terminator ends a line and opens none
+    if not lines:
         raise InputError(f"{path}: recording needs a header and at least one sample row")
-    header = rows[0]
     has_time = bool(header) and header[0].strip().lower() == "time"
     channel_names = tuple(h.strip() for h in (header[1:] if has_time else header))
     if not channel_names:
         raise InputError(f"{path}: no channel columns")
-    width = len(header)
-    values = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != width:
-            raise InputError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
-        try:
-            values.append([float(c) for c in row])
-        except ValueError as exc:
-            raise InputError(f"{path}: non-numeric cell in row {i + 2}") from exc
-    matrix = np.asarray(values, dtype=float)
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise InputError(
-            f"{path}: non-finite value {rows[r + 1][c].strip()!r} in row {r + 2}, "
-            f"column {header[c].strip()!r}"
-        )
+    matrix = _parse_rows(lines, len(header))
+    if matrix is None:
+        raise _bad_row_error(path, header, lines)
 
     if sample_rate is None:
         if not has_time:
@@ -164,6 +157,61 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
 
     data = matrix[:, 1:].T if has_time else matrix.T
     return Recording(sample_rate=float(sample_rate), channels=channel_names, data=data)
+
+
+#: ``np.loadtxt`` arguments for the sample rows: comma-separated cells,
+#: optionally double-quoted, no comment syntax, always a 2-D result.
+_ROW_FORMAT = dict(delimiter=",", dtype=float, comments=None, ndmin=2, quotechar='"')
+
+#: Lines per ``np.loadtxt`` call while looking for the first bad row.
+_LOCATE_BLOCK = 4096
+
+
+def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
+    """``lines`` as a ``(len(lines), width)`` matrix of finite values.
+
+    Returns None when any line is blank, ragged, non-numeric or
+    non-finite.  ``np.loadtxt`` skips blank lines, which the row count
+    then shows; they are checked first so that a body of blank lines
+    never reaches ``np.loadtxt``, which warns that it holds no data.
+    """
+    if "" in lines:
+        return None
+    try:
+        matrix = np.loadtxt(lines, **_ROW_FORMAT)
+    except ValueError:
+        return None
+    if matrix.shape != (len(lines), width) or not np.isfinite(matrix).all():
+        return None
+    return matrix
+
+
+def _bad_row_error(path: str, header: list[str], lines: list[str]) -> InputError:
+    """The error naming the first of ``lines`` (file line 2 on) that
+    :func:`_parse_rows` rejects: its cell count, a non-numeric cell or a
+    non-finite value and its column."""
+    width = len(header)
+    for start in range(0, len(lines), _LOCATE_BLOCK):
+        block = lines[start:start + _LOCATE_BLOCK]
+        if _parse_rows(block, width) is None:
+            break
+    for row, line in enumerate(block, start=start + 2):
+        cells = next(csv.reader([line]), [])
+        if len(cells) != width:
+            return InputError(f"{path}: row {row} has {len(cells)} cells, expected {width}")
+        try:
+            [values] = np.loadtxt([line], **_ROW_FORMAT)
+        except ValueError:
+            return InputError(f"{path}: non-numeric cell in row {row}")
+        for cell, name, value in zip(cells, header, values):
+            if not math.isfinite(value):
+                return InputError(
+                    f"{path}: non-finite value {cell.strip()!r} in row {row}, "
+                    f"column {name.strip()!r}"
+                )
+    # only a row that parses alone but not beside its neighbours gets here
+    return InputError(f"{path}: rows {start + 2} to {start + len(block) + 1} are not "
+                      f"{width} finite numbers each")
 
 
 def read_annotations_json(path: str) -> list[SpindleAnnotation]:
@@ -281,7 +329,12 @@ def write_segments_json(
 
 
 def read_segments_json(path: str) -> list[tuple[SpindleAnnotation, float, np.ndarray]]:
-    """Read extracted segments: (annotation, sample_rate, samples) triples."""
+    """Read extracted segments: (annotation, sample_rate, samples) triples.
+
+    Each segment's ``sample_rate`` must be finite and positive and its
+    ``samples`` a non-empty list of finite numbers; otherwise
+    :class:`InputError` names the file, the segment index and its id.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -304,6 +357,13 @@ def read_segments_json(path: str) -> list[tuple[SpindleAnnotation, float, np.nda
             samples = np.asarray(item["samples"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path}: malformed segment {i}: {exc}") from exc
+        where = f"{path}: segment {i} (id {ann.id!r})"
+        if not (math.isfinite(fs) and fs > 0):
+            raise InputError(f"{where}: sample_rate must be finite and positive, got {fs}")
+        if samples.ndim != 1 or samples.size == 0:
+            raise InputError(f"{where}: samples must be a non-empty list of numbers")
+        if not np.isfinite(samples).all():
+            raise InputError(f"{where}: samples must be finite")
         out.append((ann, fs, samples))
     return out
 
@@ -366,10 +426,15 @@ def mean_frequency(segment, sample_rate: float, detrend: bool = False) -> float:
     if sample_rate <= 0:
         raise InputError(f"sample_rate must be positive, got {sample_rate}")
     freqs, energy, _, _ = _cell_energies(x, sample_rate, detrend)
+    return _centroid(freqs, energy)
+
+
+def _centroid(freqs: np.ndarray, energy: np.ndarray) -> float:
+    """Energy-weighted mean of ``freqs``; 0.0 and a warning at zero energy."""
     total = float(np.sum(energy))
     if total == 0.0:
         warnings.warn("zero-power segment: mean frequency undefined, returning 0.0",
-                      ZeroPowerWarning, stacklevel=2)
+                      ZeroPowerWarning, stacklevel=3)
         return 0.0
     return float(np.sum(freqs * energy) / total)
 
@@ -511,7 +576,7 @@ def feature_row(
         raise InputError("dominant frequency is 0 Hz; amp/freq ratio undefined "
                          "(search band must exclude DC)")
     mean_amp = mean_amplitude(x)
-    _, energy, cell_lo, cell_hi = _cell_energies(x, sample_rate, detrend)
+    freqs, energy, cell_lo, cell_hi = _cell_energies(x, sample_rate, detrend)
     powers = []
     for lo, hi in bands:
         if not (0.0 <= lo < hi <= sample_rate / 2.0):
@@ -520,7 +585,7 @@ def feature_row(
     return FeatureRow(
         mean_amplitude=mean_amp,
         max_amplitude=max_amplitude(x),
-        mean_frequency=mean_frequency(x, sample_rate, detrend=detrend),
+        mean_frequency=_centroid(freqs, energy),
         dominant_frequency=dom,
         amp_freq_ratio=mean_amp / dom,
         bandpowers=tuple(powers),

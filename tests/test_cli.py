@@ -187,3 +187,33 @@ def test_extract_bad_annotation_number_exits_2(two_cluster_files, tmp_path, caps
     assert code == 2
     err = capsys.readouterr().err
     assert "annotation 0" in err and "'start_s'" in err
+
+
+def test_extract_ragged_recording_exits_2(tmp_path, capsys):
+    rec = tmp_path / "rec.csv"
+    rec.write_text("time,C3\n0.0,1.0\n0.1,2.0,3.0\n0.2,3.0\n")
+    anns = tmp_path / "anns.json"
+    anns.write_text(json.dumps(
+        [{"id": "x", "start_s": 0.0, "end_s": 0.2, "channel": "C3"}]
+    ))
+    out = tmp_path / "out"
+    code = run(["extract", "--recording", rec, "--annotations", anns, "--output", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(rec) in err and "row 3 has 3 cells, expected 2" in err
+    assert not (out / "segments.json").exists()
+
+
+def test_features_infinite_sample_rate_exits_2(tmp_path, capsys):
+    segments = tmp_path / "segments.json"
+    # json.dumps writes the Infinity literal, which json.load accepts
+    segments.write_text(json.dumps([{
+        "id": "x", "channel": "C3", "start_s": 0.0, "end_s": 1.0,
+        "sample_rate": float("inf"), "samples": [float(i % 5) for i in range(64)],
+    }]))
+    out = tmp_path / "out"
+    code = run(["features", "--segments", segments, "--output", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(segments) in err and "segment 0" in err and "'x'" in err
+    assert not (out / "features.csv").exists()

@@ -1,10 +1,17 @@
 """Recording / annotation IO and segment extraction."""
 
+import csv
 import json
+import os
+import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spindlemine.cli import main
 from spindlemine.errors import InputError
 from spindlemine.signals import (
     Recording,
@@ -143,6 +150,156 @@ def test_read_recording_rejects_non_finite(tmp_path, cell):
     assert "row 3" in message and "'C4'" in message and repr(cell) in message
 
 
+def oracle_recording_matrix(path):
+    """Header and sample matrix by ``csv.reader`` and ``float()``, cell by cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e300, -123456789.125,
+]
+
+CELLS = st.tuples(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES)),
+    st.sampled_from([repr, "{:.17g}".format]),
+    st.booleans(),  # quoted
+)
+
+
+@st.composite
+def recording_texts(draw):
+    """CSV text of a random finite recording, and whether it has a time column."""
+    n_channels = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(2, 10))
+    has_time = draw(st.booleans())
+    dt = draw(st.sampled_from([1 / 256, 0.004, 0.5]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = ["time"] * has_time + [f"C{k}" for k in range(n_channels)]
+    lines = [",".join(header)]
+    for i in range(n_rows):
+        cells = [repr(i * dt)] * has_time
+        for value, fmt, quoted in draw(st.lists(CELLS, min_size=n_channels,
+                                                max_size=n_channels)):
+            cells.append(f'"{fmt(value)}"' if quoted else fmt(value))
+        lines.append(",".join(cells))
+    return newline.join(lines) + newline, has_time
+
+
+@settings(deadline=None, max_examples=200)
+@given(recording_texts())
+def test_read_recording_matches_float_oracle(drawn):
+    text, has_time = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rec.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        rec = read_recording_csv(path, sample_rate=None if has_time else 256.0)
+        header, matrix = oracle_recording_matrix(path)
+    want = matrix[:, 1:].T if has_time else matrix.T
+    assert rec.channels == tuple(header[1:] if has_time else header)
+    # bit-identical: equal values, and -0.0 kept apart from 0.0
+    assert np.array_equal(rec.data, want)
+    assert np.array_equal(np.signbit(rec.data), np.signbit(want))
+    if has_time:
+        t = matrix[:, 0]
+        assert rec.sample_rate == (len(t) - 1) / (t[-1] - t[0])
+
+
+@pytest.mark.parametrize("bad, problem, column", [
+    ("", "has 0 cells, expected 3", None),  # blank line
+    ("0.5,1.0", "has 2 cells, expected 3", None),
+    ("0.5,1.0,2.0,3.0", "has 4 cells, expected 3", None),
+    ("0.5,high,2.0", "non-numeric cell", None),
+    ("0.5,1.0,", "non-numeric cell", None),  # empty cell
+    ("0.5,1_000,2.0", "non-numeric cell", None),  # float() accepts it, the grammar not
+    ("0.5,1.0,nan", "non-finite value 'nan'", "C4"),
+    ("0.5,inf,2.0", "non-finite value 'inf'", "C3"),
+], ids=["blank", "short", "long", "text", "empty-cell", "underscore", "nan", "inf"])
+@pytest.mark.parametrize("row", [2, 4, 6000])  # 6000: past the first locating block
+def test_read_recording_locates_the_bad_row(tmp_path, bad, problem, column, row):
+    lines = ["time,C3,C4"] + [f"{i / 4},1.0,2.0" for i in range(6001)]
+    lines[row - 1] = bad
+    path = tmp_path / "rec.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError) as err:
+        read_recording_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message and problem in message
+    assert re.search(rf"\brow {row}\b", message)
+    if column is not None:
+        assert f"column {column!r}" in message
+
+
+@pytest.mark.parametrize("body, row", [
+    ("0.0,1.0\n0.5,2.0\n\n", 4),
+    ("0.0,1.0\n0.5,2.0\n\n\n", 4),
+    ("0.0,1.0\r\n0.5,2.0\r\n\r\n", 4),
+    ("\n", 2),  # nothing but a blank line
+    ("\n\n\n", 2),
+])
+def test_read_recording_rejects_trailing_blank_lines(tmp_path, body, row):
+    path = tmp_path / "rec.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("time,C3\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no "input contained no data" warning
+        with pytest.raises(InputError) as err:
+            read_recording_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message and f"row {row} has 0 cells, expected 2" in message
+
+
+def test_read_recording_rejects_rows_wider_than_the_header(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text("time,C3\n0.0,1.0,7.0\n0.5,2.0,7.0\n")
+    with pytest.raises(InputError) as err:
+        read_recording_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message and "row 2 has 3 cells, expected 2" in message
+
+
+def test_read_recording_at_scale_then_extract_and_features(tmp_path):
+    """A 200,000-row, 4-channel recording through read, extract and features.
+
+    No timing assert: a per-cell Python parser makes this test slow,
+    which is the point of reading it at this size.
+    """
+    fs, n, channels = 256.0, 200_000, ["F3", "F4", "C3", "C4"]
+    rng = np.random.default_rng(7)
+    signal = rng.normal(0.0, 3.0, size=(len(channels), n))
+    k = np.arange(int(fs))
+    annotations = []
+    for i in range(40):
+        i0 = 1000 + i * 4800
+        signal[i % 4, i0:i0 + k.size] += 30.0 * np.sin(2 * np.pi * 11.0 * k / fs)
+        annotations.append({"id": f"s{i:02d}", "channel": channels[i % 4],
+                            "start_s": (i0 + 0.5) / fs, "end_s": (i0 + k.size + 0.5) / fs})
+    rec_path = tmp_path / "rec.csv"
+    np.savetxt(rec_path, np.column_stack([np.arange(n) / fs, signal.T]), fmt="%.17g",
+               delimiter=",", header="time," + ",".join(channels), comments="")
+    anns_path = tmp_path / "anns.json"
+    anns_path.write_text(json.dumps(annotations))
+
+    rec = read_recording_csv(str(rec_path))
+    assert rec.data.shape == (4, n)
+    assert rec.channels == tuple(channels)
+    assert rec.sample_rate == fs
+    assert np.array_equal(rec.data, signal)
+
+    out = tmp_path / "out"
+    assert main(["extract", "--recording", str(rec_path), "--annotations", str(anns_path),
+                 "--output", str(out / "a")]) == 0
+    assert main(["features", "--segments", str(out / "a" / "segments.json"),
+                 "--output", str(out / "b")]) == 0
+    with open(out / "b" / "features.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["id"] for r in rows] == [a["id"] for a in annotations]
+    assert all(abs(float(r["dominant_frequency_Hz"]) - 11.0) < 0.25 for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # annotations JSON
 # ---------------------------------------------------------------------------
@@ -260,3 +417,27 @@ def test_read_segments_errors(tmp_path):
         read_segments_json(str(p))
     with pytest.raises(InputError):
         read_segments_json(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("patch, problem", [
+    ({"samples": [1.0, float("nan"), 2.0]}, "samples must be finite"),
+    ({"samples": [1.0, float("inf")]}, "samples must be finite"),
+    ({"samples": [[1.0, 2.0], [3.0, 4.0]]}, "non-empty list"),
+    ({"samples": []}, "non-empty list"),
+    ({"samples": 3.0}, "non-empty list"),
+    ({"sample_rate": float("inf")}, "sample_rate must be finite and positive"),
+    ({"sample_rate": float("nan")}, "sample_rate must be finite and positive"),
+    ({"sample_rate": 0.0}, "sample_rate must be finite and positive"),
+    ({"sample_rate": -10.0}, "sample_rate must be finite and positive"),
+], ids=["nan", "inf", "nested", "empty", "scalar", "rate-inf", "rate-nan", "rate-0", "rate-neg"])
+def test_read_segments_rejects_bad_samples_and_rates(tmp_path, patch, problem):
+    good = {"id": "s0", "channel": "C3", "start_s": 0.0, "end_s": 1.0,
+            "sample_rate": 10.0, "samples": [float(i) for i in range(10)]}
+    path = tmp_path / "seg.json"
+    # json.dumps writes NaN and Infinity literals, which json.load accepts
+    path.write_text(json.dumps([good, {**good, "id": "s1", **patch}]))
+    with pytest.raises(InputError) as err:
+        read_segments_json(str(path))
+    message = str(err.value)
+    assert str(path) in message and "segment 1" in message and "'s1'" in message
+    assert problem in message
