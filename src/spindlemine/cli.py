@@ -21,18 +21,18 @@ from datetime import datetime, timezone
 from time import perf_counter
 
 from .errors import CapacityError, InputError, StageError
-from .fca import DEFAULT_CONCEPT_CAP, lattice_to_dot
-from .intervals import build_pattern_lattice, read_interval_csv
+from .fca import DEFAULT_CONCEPT_CAP
+from .intervals import read_interval_csv
 from .pipeline import (
     PatternReport,
     PipelineConfig,
     STABILITY_METHODS,
     export_report,
-    pattern_entry,
+    feature_rows,
+    mine,
     run_pipeline,
 )
 from .selection import (
-    NumericContext,
     build_numeric_context,
     read_labels_csv,
     read_numeric_csv,
@@ -41,14 +41,15 @@ from .selection import (
     write_selection_json,
 )
 from .signals import (
+    DEFAULT_BANDS,
+    DEFAULT_DOMINANT_BAND,
     extract_segments,
-    feature_row,
     read_annotations_json,
     read_recording_csv,
     read_segments_json,
     write_segments_json,
 )
-from .stability import BOUND_POLICIES, filter_concepts, score_lattice
+from .stability import BOUND_POLICIES
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -137,12 +138,7 @@ def cmd_features(args) -> int:
     triples = read_segments_json(args.segments)
     if not triples:
         raise InputError("no segments in input")
-    rows = []
-    for ann, fs, samples in triples:
-        try:
-            rows.append((ann.id, feature_row(samples, fs, detrend=bool(args.detrend))))
-        except (InputError, CapacityError) as exc:
-            raise InputError(f"annotation {ann.id!r}: {exc}") from exc
+    rows = feature_rows(triples, DEFAULT_BANDS, DEFAULT_DOMINANT_BAND, bool(args.detrend))
     ctx = build_numeric_context(rows)
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "features.csv")
@@ -154,16 +150,7 @@ def cmd_features(args) -> int:
 def cmd_context(args) -> int:
     ctx = read_numeric_csv(args.features)
     if args.labels:
-        mapping = read_labels_csv(args.labels)
-        missing = [o for o in ctx.objects if o not in mapping]
-        if missing:
-            raise InputError(f"labels missing for ids {missing}")
-        ctx = NumericContext(
-            objects=ctx.objects,
-            attributes=ctx.attributes,
-            values=ctx.values,
-            labels=tuple(mapping[o] for o in ctx.objects),
-        )
+        ctx = ctx.with_labels(read_labels_csv(args.labels))
     selected, report = select_attributes(
         ctx,
         corr_threshold=args.corr_threshold,
@@ -183,31 +170,10 @@ def cmd_mine(args) -> int:
     timings: dict[str, float] = {}
     total_start = perf_counter()
     structure = read_interval_csv(args.context)
-
-    start = perf_counter()
-    lattice = build_pattern_lattice(structure, concept_cap=args.concept_cap)
-    timings["lattice"] = perf_counter() - start
-
-    start = perf_counter()
-    scores = score_lattice(
-        lattice,
-        args.stability,
-        structure=structure,
-        attribute_count=max(2 * len(structure.attributes), 1),
-    )
-    timings["stability"] = perf_counter() - start
-
-    start = perf_counter()
-    kept = filter_concepts(
-        lattice,
-        scores,
-        min_support=args.min_support,
-        min_lstab=args.min_lstab,
-        bound_policy=args.bound_policy,
-    )
-    timings["filter"] = perf_counter() - start
-
-    patterns = tuple(pattern_entry(lattice, scores, structure, i) for i in kept)
+    lattice, patterns = mine(
+        structure, timings, min_support=args.min_support, min_lstab=args.min_lstab,
+        stability_method=args.stability, bound_policy=args.bound_policy,
+        concept_cap=args.concept_cap, dot=args.dot)
     timings["total"] = perf_counter() - total_start
     report = PatternReport(
         config={
@@ -222,7 +188,7 @@ def cmd_mine(args) -> int:
             "context_objects": structure.n_objects,
             "context_attributes": len(structure.attributes),
             "concepts": len(lattice),
-            "patterns_kept": len(kept),
+            "patterns_kept": len(patterns),
         },
         selection={},
         attributes=structure.attributes,
@@ -230,11 +196,7 @@ def cmd_mine(args) -> int:
         generated={"timestamp": datetime.now(timezone.utc).isoformat(), "timings_s": timings},
     )
     json_path, _ = export_report(report, args.output, json_name="patterns.json")
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(lattice_to_dot(lattice))
-            fh.write("\n")
-    print(f"kept {len(kept)}/{len(lattice)} concepts -> {json_path}")
+    print(f"kept {len(patterns)}/{len(lattice)} concepts -> {json_path}")
     return 0
 
 

@@ -38,7 +38,7 @@ complete lattice without inventing numeric values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 import csv
 import math
 
@@ -52,6 +52,8 @@ from .fca import (
     assemble_lattice,
     enumerate_closed_extents,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -264,11 +266,14 @@ def parse_interval_cell(cell: str) -> tuple[float, float]:
     return lo, hi
 
 
-def read_interval_csv(path: str) -> IntervalPatternStructure:
-    """Read a numeric context: header ``id,<attributes...>``, one row per
-    object, cells either finite reals or ``lo..hi`` intervals.  A bad cell
-    raises :class:`InputError` naming the file, the row (file line) and
-    the column."""
+def read_object_table(
+    path: str, parse: Callable[[str], T]
+) -> tuple[tuple[str, ...], tuple[str, ...], list[list[T]]]:
+    """Read a CSV with header ``id,<attributes...>`` and one row per
+    object: the object ids, the attribute names and each row's cells passed
+    through ``parse``.  A ragged row, a repeated id or a cell ``parse``
+    rejects raises :class:`InputError` naming the file and the rows (file
+    lines), and for a cell its column."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -280,20 +285,31 @@ def read_interval_csv(path: str) -> IntervalPatternStructure:
     if not header or header[0] != "id":
         raise InputError(f"{path}: first header cell must be 'id'")
     attributes = tuple(header[1:])
-    objects: list[str] = []
-    descriptions: list[IntervalDescription] = []
-    for i, row in enumerate(rows[1:]):
+    lines: dict[str, int] = {}  # id -> file line, in row order
+    table: list[list[T]] = []
+    for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise InputError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        objects.append(row[0])
+            raise InputError(f"{path}: row {line} has {len(row)} cells, expected {len(header)}")
+        if row[0] in lines:
+            raise InputError(f"{path}: id {row[0]!r} repeated in rows {lines[row[0]]} and {line}")
+        lines[row[0]] = line
         cells = []
         for attribute, cell in zip(attributes, row[1:]):
             try:
-                cells.append(parse_interval_cell(cell))
+                cells.append(parse(cell))
             except InputError as exc:
-                raise InputError(f"{path}: row {i + 2}, column {attribute!r}: {exc}") from exc
-        descriptions.append(IntervalDescription(tuple(cells)))
-    return IntervalPatternStructure(tuple(objects), attributes, tuple(descriptions))
+                raise InputError(f"{path}: row {line}, column {attribute!r}: {exc}") from exc
+        table.append(cells)
+    return tuple(lines), attributes, table
+
+
+def read_interval_csv(path: str) -> IntervalPatternStructure:
+    """Read a numeric context whose cells are finite reals or ``lo..hi``
+    intervals (see :func:`read_object_table` for the layout and errors)."""
+    objects, attributes, table = read_object_table(path, parse_interval_cell)
+    return IntervalPatternStructure(
+        objects, attributes, tuple(IntervalDescription(tuple(cells)) for cells in table)
+    )
 
 
 def write_interval_csv(ps: IntervalPatternStructure, path: str) -> None:

@@ -24,13 +24,12 @@ import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from time import perf_counter
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InputError, SpindlemineError, StageError
 from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot
 from .intervals import IntervalPatternStructure, build_pattern_lattice, format_interval
 from .selection import (
-    NumericContext,
     build_numeric_context,
     read_labels_csv,
     select_attributes,
@@ -39,6 +38,8 @@ from .selection import (
 from .signals import (
     DEFAULT_BANDS,
     DEFAULT_DOMINANT_BAND,
+    FeatureRow,
+    SpindleAnnotation,
     extract_segments,
     feature_row,
     read_annotations_json,
@@ -187,6 +188,60 @@ def _run_stage(name: str, timings: dict[str, float], fn: Callable[[], T]) -> T:
     return result
 
 
+def feature_rows(
+    triples: Iterable[tuple[SpindleAnnotation, float, Any]],
+    bands: Sequence[tuple[float, float]],
+    dominant_band: tuple[float, float],
+    detrend: bool,
+) -> list[tuple[str, FeatureRow]]:
+    """``(id, feature row)`` per ``(annotation, sample_rate, samples)``
+    triple; a failing segment raises :class:`InputError` naming its
+    annotation."""
+    rows = []
+    for ann, sample_rate, samples in triples:
+        try:
+            rows.append((ann.id, feature_row(samples, sample_rate, bands=bands,
+                                             dominant_band=dominant_band, detrend=detrend)))
+        except SpindlemineError as exc:
+            raise InputError(f"annotation {ann.id!r}: {exc}") from exc
+    return rows
+
+
+def mine(
+    structure: IntervalPatternStructure,
+    timings: dict[str, float],
+    *,
+    min_support: float,
+    min_lstab: float,
+    stability_method: str,
+    bound_policy: str,
+    concept_cap: int,
+    dot: str | None,
+) -> tuple[ConceptLattice, tuple[dict[str, Any], ...]]:
+    """Run the ``lattice``, ``stability`` and ``filter`` stages on
+    ``structure``, each timed into ``timings``; return the lattice and the
+    kept pattern entries.  With ``dot`` set, the cover relation is written
+    there, parent directories included, once every stage has succeeded."""
+    lattice = _run_stage("lattice", timings, lambda: build_pattern_lattice(
+        structure, concept_cap=concept_cap))
+    # Each interval attribute can be refined at its lower or upper end, so
+    # 2 * m is the count of elementary refinement directions that the
+    # bounds' lower term divides by.
+    attribute_count = max(2 * len(structure.attributes), 1)
+    scores = _run_stage("stability", timings, lambda: score_lattice(
+        lattice, stability_method, structure=structure, attribute_count=attribute_count))
+    kept = _run_stage("filter", timings, lambda: filter_concepts(
+        lattice, scores, min_support=min_support, min_lstab=min_lstab,
+        bound_policy=bound_policy))
+    patterns = tuple(pattern_entry(lattice, scores, structure.attributes, i) for i in kept)
+    if dot:
+        os.makedirs(os.path.dirname(dot) or ".", exist_ok=True)
+        with open(dot, "w") as fh:
+            fh.write(lattice_to_dot(lattice))
+            fh.write("\n")
+    return lattice, patterns
+
+
 def run_pipeline(config: PipelineConfig) -> PatternReport:
     """Execute all stages and assemble the report.
 
@@ -206,80 +261,25 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
 
     recording, segments = _run_stage("extract", timings, _extract)
 
-    def _features():
-        rows = []
-        for ann, samples in segments:
-            try:
-                rows.append(
-                    (
-                        ann.id,
-                        feature_row(
-                            samples,
-                            recording.sample_rate,
-                            bands=config.bands,
-                            dominant_band=config.dominant_band,
-                            detrend=config.detrend,
-                        ),
-                    )
-                )
-            except SpindlemineError as exc:
-                raise InputError(f"annotation {ann.id!r}: {exc}") from exc
-        return rows
-
-    rows = _run_stage("features", timings, _features)
+    rows = _run_stage("features", timings, lambda: feature_rows(
+        ((ann, recording.sample_rate, samples) for ann, samples in segments),
+        config.bands, config.dominant_band, config.detrend))
 
     def _context():
         labels = read_labels_csv(config.labels) if config.labels else None
         return build_numeric_context(rows, labels=labels)
 
     context = _run_stage("context", timings, _context)
-
-    def _selection():
-        return select_attributes(
-            context,
-            corr_threshold=config.corr_threshold,
-            ig_bins=config.ig_bins,
-            ig_top_k=config.ig_top_k,
-        )
-
-    selected, selection_report = _run_stage("selection", timings, _selection)
-
-    def _lattice():
-        structure = to_pattern_structure(selected)
-        return structure, build_pattern_lattice(structure, concept_cap=config.concept_cap)
-
-    structure, lattice = _run_stage("lattice", timings, _lattice)
-
-    def _stability():
-        # Each interval attribute can be refined at its lower or upper
-        # end, so 2 * m is the count of elementary refinement directions
-        # that the bounds' lower term divides by.
-        return score_lattice(
-            lattice,
-            config.stability_method,
-            structure=structure,
-            attribute_count=max(2 * len(selected.attributes), 1),
-        )
-
-    scores = _run_stage("stability", timings, _stability)
-
-    def _filter():
-        return filter_concepts(
-            lattice,
-            scores,
-            min_support=config.min_support,
-            min_lstab=config.min_lstab,
-            bound_policy=config.bound_policy,
-        )
-
-    kept = _run_stage("filter", timings, _filter)
-
-    patterns = tuple(
-        pattern_entry(lattice, scores, selected, i) for i in kept
-    )
+    selected, selection_report = _run_stage("selection", timings, lambda: select_attributes(
+        context, corr_threshold=config.corr_threshold, ig_bins=config.ig_bins,
+        ig_top_k=config.ig_top_k))
+    lattice, patterns = mine(
+        to_pattern_structure(selected), timings,
+        min_support=config.min_support, min_lstab=config.min_lstab,
+        stability_method=config.stability_method, bound_policy=config.bound_policy,
+        concept_cap=config.concept_cap, dot=config.dot)
     timings["total"] = perf_counter() - total_start
-
-    report = PatternReport(
+    return PatternReport(
         config=_echo_config(config),
         stages={
             "annotations": len(segments),
@@ -288,7 +288,7 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
             "context_attributes": context.n_attributes,
             "selected_attributes": selected.n_attributes,
             "concepts": len(lattice),
-            "patterns_kept": len(kept),
+            "patterns_kept": len(patterns),
         },
         selection=selection_report,
         attributes=selected.attributes,
@@ -298,12 +298,6 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
             "timings_s": timings,
         },
     )
-
-    if config.dot:
-        with open(config.dot, "w") as fh:
-            fh.write(lattice_to_dot(lattice))
-            fh.write("\n")
-    return report
 
 
 def _echo_config(config: PipelineConfig) -> dict[str, Any]:
@@ -316,11 +310,11 @@ def _echo_config(config: PipelineConfig) -> dict[str, Any]:
 def pattern_entry(
     lattice: ConceptLattice,
     scores: Mapping[int, StabilityScore],
-    context: NumericContext | IntervalPatternStructure,
+    attributes: Sequence[str],
     index: int,
 ) -> dict[str, Any]:
-    """One report entry for concept ``index``; ``context`` supplies only
-    the attribute names of the intent."""
+    """One report entry for concept ``index``; ``attributes`` names the
+    intervals of its intent."""
     concept = lattice.concepts[index]
     size = lattice.extent_masks[index].bit_count()
     n = lattice.n_objects
@@ -328,7 +322,7 @@ def pattern_entry(
     if concept.intent is not None:
         intent = {
             name: [lo, hi]
-            for name, (lo, hi) in zip(context.attributes, concept.intent.intervals)
+            for name, (lo, hi) in zip(attributes, concept.intent.intervals)
         }
     stability_fields = {
         k: v

@@ -30,7 +30,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .intervals import IntervalDescription, IntervalPatternStructure
+from .intervals import IntervalDescription, IntervalPatternStructure, read_object_table
 from .signals import FeatureRow
 
 
@@ -72,6 +72,14 @@ class NumericContext:
         except ValueError:
             raise InputError(f"unknown attribute {name!r}") from None
 
+    def with_labels(self, labels: Mapping[str, str]) -> "NumericContext":
+        """This context with each object's class taken from ``labels``,
+        which must cover every object."""
+        missing = [o for o in self.objects if o not in labels]
+        if missing:
+            raise InputError(f"labels missing for ids {missing}")
+        return replace(self, labels=tuple(labels[o] for o in self.objects))
+
     def restrict(self, keep: Sequence[int]) -> "NumericContext":
         """Context restricted to the given attribute indices (order kept)."""
         return replace(
@@ -101,18 +109,12 @@ def build_numeric_context(
             raise InputError(f"row {obj_id!r} has a different band layout")
         ids.append(obj_id)
         matrix.append(row.values())
-    label_tuple = None
-    if labels is not None:
-        missing = [i for i in ids if i not in labels]
-        if missing:
-            raise InputError(f"labels missing for ids {missing}")
-        label_tuple = tuple(labels[i] for i in ids)
-    return NumericContext(
+    ctx = NumericContext(
         objects=tuple(ids),
         attributes=columns,
         values=np.asarray(matrix, dtype=float),
-        labels=label_tuple,
     )
+    return ctx if labels is None else ctx.with_labels(labels)
 
 
 def _pairwise_abs_r(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
@@ -285,30 +287,23 @@ def write_numeric_csv(ctx: NumericContext, path: str) -> None:
             writer.writerow([name] + [repr(float(v)) for v in row])
 
 
-def read_numeric_csv(path: str) -> NumericContext:
+def _real_cell(cell: str) -> float:
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"{path}: empty file")
-    header = rows[0]
-    if not header or header[0] != "id":
-        raise InputError(f"{path}: first header cell must be 'id'")
-    attributes = tuple(header[1:])
-    ids = []
-    values = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise InputError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        ids.append(row[0])
-        try:
-            values.append([float(c) for c in row[1:]])
-        except ValueError as exc:
-            raise InputError(f"{path}: non-numeric cell in row {i + 2}") from exc
-    matrix = np.asarray(values, dtype=float) if values else np.empty((0, len(attributes)))
-    return NumericContext(objects=tuple(ids), attributes=attributes, values=matrix)
+        value = float(cell)
+    except ValueError as exc:
+        raise InputError(f"non-numeric cell {cell!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"non-finite cell {cell!r}")
+    return value
+
+
+def read_numeric_csv(path: str) -> NumericContext:
+    """Read a context written by :func:`write_numeric_csv`; cells must be
+    finite reals.  Errors name the file and the rows (file lines), and a
+    bad cell its column."""
+    objects, attributes, table = read_object_table(path, _real_cell)
+    values = np.asarray(table, dtype=float).reshape(len(objects), len(attributes))
+    return NumericContext(objects=objects, attributes=attributes, values=values)
 
 
 def write_selection_json(report: Mapping[str, Any], path: str) -> None:

@@ -33,7 +33,7 @@ def test_pipeline_command(two_cluster_files, tmp_path, capsys):
 def test_stage_chain_matches_single_run(two_cluster_files, tmp_path):
     rec, anns, labels = (two_cluster_files[k] for k in
                          ("recording", "annotations", "labels"))
-    a, b, c, d, e = (tmp_path / x for x in "abcde")
+    a, b, c = (tmp_path / x for x in "abc")
 
     assert run(["extract", "--recording", rec, "--annotations", anns,
                 "--output", a]) == 0
@@ -42,21 +42,30 @@ def test_stage_chain_matches_single_run(two_cluster_files, tmp_path):
     assert run(["context", "--features", b / "features.csv",
                 "--labels", labels, "--corr-threshold", 1.0,
                 "--output", c]) == 0
-    assert run(["mine", "--context", c / "context.csv",
-                "--min-support", 0.4, "--min-lstab", 1,
-                "--output", d]) == 0
-    assert run(["pipeline", "--recording", rec, "--annotations", anns,
-                "--labels", labels, "--min-support", 0.4, "--min-lstab", 1,
-                "--corr-threshold", 1.0, "--output", e]) == 0
-
-    chained = json.loads((d / "patterns.json").read_text())
-    single = json.loads((e / "report.json").read_text())
-    assert set(chained["generated"]["timings_s"]) == {"lattice", "stability", "filter", "total"}
-    # feature CSV cells round-trip bit-exactly, so the mined patterns
-    # (extents, interval intents, exact stability) must agree completely
-    assert chained["patterns"] == single["patterns"]
     selection = json.loads((c / "selection.json").read_text())
-    assert selection["retained"] == single["attributes"]
+
+    for method in ("exact-dp", "bounds"):
+        # each DOT file lies inside an output directory that does not exist
+        # yet, so both commands must create it before writing the DOT file
+        d, e = tmp_path / f"mine-{method}", tmp_path / f"pipeline-{method}"
+        assert run(["mine", "--context", c / "context.csv",
+                    "--min-support", 0.4, "--min-lstab", 1, "--stability", method,
+                    "--dot", d / "lattice.dot", "--output", d]) == 0
+        assert run(["pipeline", "--recording", rec, "--annotations", anns,
+                    "--labels", labels, "--min-support", 0.4, "--min-lstab", 1,
+                    "--corr-threshold", 1.0, "--stability", method,
+                    "--dot", e / "lattice.dot", "--output", e]) == 0
+
+        chained = json.loads((d / "patterns.json").read_text())
+        single = json.loads((e / "report.json").read_text())
+        mine_stages = set(chained["generated"]["timings_s"])
+        assert mine_stages == {"lattice", "stability", "filter", "total"}
+        assert mine_stages <= set(single["generated"]["timings_s"])
+        # feature CSV cells round-trip bit-exactly, so the mined patterns
+        # (extents, interval intents, stability) must agree completely
+        assert chained["patterns"] == single["patterns"]
+        assert (d / "lattice.dot").read_bytes() == (e / "lattice.dot").read_bytes()
+        assert selection["retained"] == single["attributes"]
 
 
 def test_extract_with_explicit_rate(tmp_path):
@@ -140,7 +149,7 @@ def test_concept_cap_exits_3(two_cluster_files, tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
-def test_mine_concept_cap_exits_3(two_cluster_files, tmp_path):
+def test_mine_concept_cap_exits_3(two_cluster_files, tmp_path, capsys):
     rec, anns = two_cluster_files["recording"], two_cluster_files["annotations"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["extract", "--recording", rec, "--annotations", anns,
@@ -150,6 +159,7 @@ def test_mine_concept_cap_exits_3(two_cluster_files, tmp_path):
                 "--min-support", 0, "--min-lstab", 0,
                 "--concept-cap", 1, "--output", tmp_path / "out"])
     assert code == 3
+    assert "error: stage 'lattice': " in capsys.readouterr().err
 
 
 def test_argparse_usage_errors():
@@ -175,6 +185,21 @@ def test_mine_bad_context_cell_exits_2(tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert str(context) in err and "row 3" in err and "'a'" in err
     assert not (out / "patterns.json").exists()
+
+
+@pytest.mark.parametrize("body, where", [
+    ("s1,1.0,2.0\ns2,nan,3.0\n", ["row 3", "column 'a'", "'nan'"]),
+    ("s1,1.0,2.0\ns1,2.0,3.0\n", ["'s1'", "rows 2 and 3"]),
+], ids=["nan", "repeated-id"])
+def test_context_bad_features_exits_2(tmp_path, capsys, body, where):
+    features = tmp_path / "features.csv"
+    features.write_text("id,a,b\n" + body)
+    out = tmp_path / "out"
+    code = run(["context", "--features", features, "--output", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(features) in err and all(w in err for w in where)
+    assert not out.exists()
 
 
 def test_extract_bad_annotation_number_exits_2(two_cluster_files, tmp_path, capsys):

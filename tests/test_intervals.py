@@ -373,3 +373,12 @@ def test_interval_csv_names_the_bad_cell(tmp_path, cell):
     message = str(err.value)
     assert str(path) in message
     assert "row 3" in message and "'height'" in message and repr(cell) in message
+
+
+def test_interval_csv_names_both_rows_of_a_repeated_id(tmp_path):
+    path = tmp_path / "ctx.csv"
+    path.write_text("id,a\ng1,1.0\ng1,0..2\n")
+    with pytest.raises(InputError) as err:
+        read_interval_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message and "'g1'" in message and "rows 2 and 3" in message

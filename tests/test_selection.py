@@ -81,6 +81,15 @@ def test_build_with_labels():
         build_numeric_context([("s1", row), ("s2", row)], labels={"s1": "alpha"})
 
 
+def test_with_labels_follows_object_order():
+    ctx = NumericContext(("s2", "s1"), ("a",), np.zeros((2, 1)))
+    labelled = ctx.with_labels({"s1": "alpha", "s2": "beta", "s9": "gamma"})
+    assert labelled.labels == ("beta", "alpha")
+    assert labelled.objects == ctx.objects and labelled.values is ctx.values
+    with pytest.raises(InputError, match=r"labels missing for ids \['s1'\]"):
+        ctx.with_labels({"s2": "beta"})
+
+
 def test_numeric_context_validation():
     with pytest.raises(InputError):
         ctx_from_columns({"a": [1.0, math.nan]})
@@ -325,6 +334,26 @@ def test_numeric_csv_errors(tmp_path):
         read_numeric_csv(str(nonnum))
     with pytest.raises(InputError):
         read_numeric_csv(str(tmp_path / "gone.csv"))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc", ""])
+def test_numeric_csv_names_the_bad_cell(tmp_path, cell):
+    path = tmp_path / "features.csv"
+    path.write_text(f"id,width,height\ns1,1.0,2.0\ns2,0.5,{cell}\n")
+    with pytest.raises(InputError) as err:
+        read_numeric_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message
+    assert "row 3" in message and "'height'" in message and repr(cell) in message
+
+
+def test_numeric_csv_names_both_rows_of_a_repeated_id(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("id,a\ns1,1.0\ns2,2.0\ns1,3.0\n")
+    with pytest.raises(InputError) as err:
+        read_numeric_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message and "'s1'" in message and "rows 2 and 4" in message
 
 
 def test_labels_csv(tmp_path):
