@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 import csv
 
 from .errors import CapacityError, InputError
@@ -46,6 +46,8 @@ from .errors import CapacityError, InputError
 #: Default ceiling on the number of concepts a single enumeration may
 #: produce before aborting with :class:`CapacityError`.
 DEFAULT_CONCEPT_CAP = 10_000_000
+
+T = TypeVar("T")
 
 
 def _mask_from_indices(indices: Iterable[int], size: int, kind: str) -> int:
@@ -142,9 +144,10 @@ class FormalContext:
     # -- mask-level derivation (internal fast path) ---------------------
 
     def derive_attr_mask(self, extent_mask: int) -> int:
-        result = (1 << self.n_attributes) - 1
-        for g in _iter_bits(extent_mask):
-            result &= self.row_masks[g]
+        result = 0
+        for m, col in enumerate(self.column_masks):
+            if not extent_mask & ~col:
+                result |= 1 << m
         return result
 
     def derive_object_mask(self, intent_mask: int) -> int:
@@ -154,7 +157,13 @@ class FormalContext:
         return result
 
     def closure_mask(self, extent_mask: int) -> int:
-        return self.derive_object_mask(self.derive_attr_mask(extent_mask))
+        # A'' is the AND of the columns that contain A: one subset test per
+        # attribute, with no intent mask built in between
+        result = (1 << self.n_objects) - 1
+        for col in self.column_masks:
+            if not extent_mask & ~col:
+                result &= col
+        return result
 
 
 def derive_attributes(context: FormalContext, objects: Iterable[int]) -> frozenset[int]:
@@ -363,36 +372,65 @@ def lattice_to_dot(lattice: ConceptLattice, label: Callable[[int], str] | None =
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-_TRUE_CELLS = {"1", "x", "X"}
-_FALSE_CELLS = {"0", ""}
-
-
-def read_context_csv(path: str) -> FormalContext:
-    """Read a binary context: first row attribute names, first column object
-    names, cells ``1``/``0`` (or ``x``/empty)."""
+def read_object_table(
+    path: str, parse: Callable[[str], T], id_header: str | None = "id"
+) -> tuple[tuple[str, ...], tuple[str, ...], list[list[T]]]:
+    """Read a CSV with header ``<id_header>,<attributes...>`` and one row
+    per object: the object ids, the attribute names and each row's cells
+    passed through ``parse``.  ``id_header=None`` accepts any first header
+    cell.  A ragged row, a repeated id or a cell ``parse`` rejects raises
+    :class:`InputError` naming the file and the rows (file lines), and for
+    a cell its column."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read context {path}: {exc}") from exc
     if not rows:
-        raise InputError(f"{path}: empty context file")
+        raise InputError(f"{path}: empty file")
     header = rows[0]
+    if not header:
+        raise InputError(f"{path}: empty header row")
+    if id_header is not None and header[0] != id_header:
+        raise InputError(f"{path}: first header cell must be {id_header!r}")
     attributes = tuple(header[1:])
-    width = len(header)
-    objects: list[str] = []
-    incidence = set()
-    for g, row in enumerate(rows[1:]):
-        if len(row) != width:
-            raise InputError(f"{path}: row {g + 2} has {len(row)} cells, expected {width}")
-        objects.append(row[0])
-        for m, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell in _TRUE_CELLS:
-                incidence.add((g, m))
-            elif cell not in _FALSE_CELLS:
-                raise InputError(f"{path}: unrecognised cell {cell!r} at row {g + 2}")
-    return FormalContext(tuple(objects), attributes, frozenset(incidence))
+    lines: dict[str, int] = {}  # id -> file line, in row order
+    table: list[list[T]] = []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise InputError(f"{path}: row {line} has {len(row)} cells, expected {len(header)}")
+        if row[0] in lines:
+            raise InputError(f"{path}: id {row[0]!r} repeated in rows {lines[row[0]]} and {line}")
+        lines[row[0]] = line
+        cells = []
+        for attribute, cell in zip(attributes, row[1:]):
+            try:
+                cells.append(parse(cell))
+            except InputError as exc:
+                raise InputError(f"{path}: row {line}, column {attribute!r}: {exc}") from exc
+        table.append(cells)
+    return tuple(lines), attributes, table
+
+
+_TRUE_CELLS = {"1", "x", "X"}
+_FALSE_CELLS = {"0", ""}
+
+
+def _binary_cell(cell: str) -> bool:
+    text = cell.strip()
+    if text in _TRUE_CELLS:
+        return True
+    if text in _FALSE_CELLS:
+        return False
+    raise InputError(f"unrecognised cell {cell!r}")
+
+
+def read_context_csv(path: str) -> FormalContext:
+    """Read a binary context: first row attribute names (after any corner
+    cell), first column object names, cells ``1``/``0`` (or ``x``/empty).
+    Errors are located as in :func:`read_object_table`."""
+    objects, attributes, table = read_object_table(path, _binary_cell, id_header=None)
+    return FormalContext.from_rows(objects, attributes, table)
 
 
 def write_context_csv(context: FormalContext, path: str) -> None:

@@ -20,14 +20,22 @@ are enumerated with the same Close-by-One machinery as the binary case
 (:func:`spindlemine.fca.enumerate_closed_extents`), since only the
 closure operator differs.
 
+Lattice construction never folds member descriptions into a hull.  The
+``2m`` attribute ends (the low and the high end of each attribute) each
+get a rank table, built once per structure: the end's distinct values
+ranked from the outside inward, with the mask of the objects at each
+rank and of those inside it.  The hull of ``A`` is fixed by the rank of
+``A``'s outermost member at every end, so the closure of ``A`` is the
+AND of the ``2m`` matching inside-masks.  Those ranks are kept per closed
+extent, and the intent is read off them once.
+
 Lower covers come from each concept's elementary refinements: for every
 attribute ``t``, drop from the extent ``A`` the objects that attain the
 hull's low end of ``t`` (or its high end).  The result is closed, every
 closed proper subset of ``A`` lies inside one of these at most ``2m``
 sets, and the maximal ones are the lower covers
-(:func:`spindlemine.fca.assemble_lattice`).  One value-to-object-mask
-table per attribute and end, built once per structure, makes each
-refinement one lookup and one mask operation.
+(:func:`spindlemine.fca.assemble_lattice`).  With the ranks of ``A``
+known, each refinement is one mask operation on the rank tables.
 
 The lattice always includes a distinguished bottom concept with empty
 extent whose intent is a formal "most specific" description (represented
@@ -38,7 +46,7 @@ complete lattice without inventing numeric values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable
 import csv
 import math
 
@@ -51,9 +59,8 @@ from .fca import (
     _mask_from_indices,
     assemble_lattice,
     enumerate_closed_extents,
+    read_object_table,
 )
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -194,45 +201,90 @@ def build_pattern_lattice(
 
     Equals the deduplicated closures of every non-empty subset of objects,
     plus the bottom concept ``(empty, None)``.
+
+    The closure works on the structure's rank tables (see
+    :func:`_rank_tables`): for every attribute end it finds the rank of
+    the object set's outermost member and intersects the objects inside
+    those ranks.  The ranks found for each closed extent are kept, so each
+    hull is computed once: the intent and the elementary refinements are
+    read from them without another pass over the members.
     """
     if ps.n_objects == 0:
         raise InputError("pattern structure has no objects")
+    ends = _rank_tables(ps)
+    full = (1 << ps.n_objects) - 1
+    ranks: dict[int, list[int]] = {}  # closed extent -> rank per end
 
     def close(mask: int) -> int:
         if mask == 0:
             return 0  # the formal bottom: no real object matches it
-        return _extent_mask(ps, _hull_of_mask(ps, mask))
+        extent = full
+        found = []
+        for at, inside, _ in ends:
+            k = 0
+            while not at[k] & mask:
+                k += 1
+            found.append(k)
+            extent &= inside[k]
+        ranks[extent] = found
+        return extent
 
     masks = enumerate_closed_extents(ps.n_objects, close, concept_cap)
 
     def make(mask: int) -> PatternConcept:
-        intent = _hull_of_mask(ps, mask) if mask else None
-        return PatternConcept(extent=_indices_from_mask(mask), intent=intent)
-
-    # per attribute and end: value -> mask of the objects attaining it
-    lows: list[dict[float, int]] = [{} for _ in ps.attributes]
-    highs: list[dict[float, int]] = [{} for _ in ps.attributes]
-    for g, desc in enumerate(ps.descriptions):
-        bit = 1 << g
-        for low, high, (lo, hi) in zip(lows, highs, desc.intervals):
-            low[lo] = low.get(lo, 0) | bit
-            high[hi] = high.get(hi, 0) | bit
+        if not mask:
+            return PatternConcept(extent=frozenset(), intent=None)
+        # each end's value from the lowest-index member at its rank, as the
+        # member-by-member hull takes it (so -0.0 and 0.0 tie the same way)
+        values = []
+        for (at, _, value), k in zip(ends, ranks[mask]):
+            hit = mask & at[k]
+            values.append(value[(hit & -hit).bit_length() - 1])
+        return PatternConcept(
+            extent=_indices_from_mask(mask),
+            intent=IntervalDescription(tuple(zip(values[::2], values[1::2]))),
+        )
 
     def refine(mask: int, concept: PatternConcept) -> list[int]:
-        # Dropping the objects S_t that attain one end of the hull on one
-        # attribute tightens that end, so A \ S_t is closed; any closed
-        # B ⊊ A has a tighter end somewhere and so lies inside one A \ S_t.
-        if concept.intent is None:
+        # Dropping the objects that attain one end of the hull tightens that
+        # end, so A minus them is closed; any closed B ⊊ A has a tighter end
+        # somewhere and so lies inside one of these.
+        if not mask:
             return []
-        out = []
-        for low, high, (lo, hi) in zip(lows, highs, concept.intent.intervals):
-            out.append(mask & ~low[lo])
-            out.append(mask & ~high[hi])
         # with no attributes every non-empty set closes to the top, whose
         # only lower cover is the bottom
-        return out or [0]
+        return [mask & ~at[k] for (at, _, _), k in zip(ends, ranks[mask])] or [0]
 
     return assemble_lattice(ps.objects, masks, make, refine)
+
+
+def _rank_tables(
+    ps: IntervalPatternStructure,
+) -> list[tuple[list[int], list[int], tuple[float, ...]]]:
+    """Per attribute end (low then high of each attribute): ``at``,
+    ``inside`` and the objects' values at that end.
+
+    An end's distinct values are ranked from the outside inward: ascending
+    for a low end, descending for a high end.  ``at[k]`` is the mask of the
+    objects whose value has rank ``k``, and ``inside[k]`` the mask of those
+    whose value has rank ``k`` or further in, i.e. lies within the
+    rank-``k`` value.  An object set whose outermost member has rank
+    ``k_e`` at each end ``e`` therefore closes to the AND of the
+    ``inside_e[k_e]``.
+    """
+    tables = []
+    for j in range(len(ps.attributes)):
+        for side, descending in ((0, False), (1, True)):
+            value = tuple(d.intervals[j][side] for d in ps.descriptions)
+            by_value: dict[float, int] = {}  # -0.0 and 0.0 share one key
+            for g, v in enumerate(value):
+                by_value[v] = by_value.get(v, 0) | 1 << g
+            at = [by_value[v] for v in sorted(by_value, reverse=descending)]
+            inside = list(at)
+            for k in range(len(at) - 2, -1, -1):
+                inside[k] |= inside[k + 1]
+            tables.append((at, inside, value))
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -264,43 +316,6 @@ def parse_interval_cell(cell: str) -> tuple[float, float]:
     if lo > hi:
         raise InputError(f"interval cell {cell!r} has low > high")
     return lo, hi
-
-
-def read_object_table(
-    path: str, parse: Callable[[str], T]
-) -> tuple[tuple[str, ...], tuple[str, ...], list[list[T]]]:
-    """Read a CSV with header ``id,<attributes...>`` and one row per
-    object: the object ids, the attribute names and each row's cells passed
-    through ``parse``.  A ragged row, a repeated id or a cell ``parse``
-    rejects raises :class:`InputError` naming the file and the rows (file
-    lines), and for a cell its column."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read context {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"{path}: empty file")
-    header = rows[0]
-    if not header or header[0] != "id":
-        raise InputError(f"{path}: first header cell must be 'id'")
-    attributes = tuple(header[1:])
-    lines: dict[str, int] = {}  # id -> file line, in row order
-    table: list[list[T]] = []
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputError(f"{path}: row {line} has {len(row)} cells, expected {len(header)}")
-        if row[0] in lines:
-            raise InputError(f"{path}: id {row[0]!r} repeated in rows {lines[row[0]]} and {line}")
-        lines[row[0]] = line
-        cells = []
-        for attribute, cell in zip(attributes, row[1:]):
-            try:
-                cells.append(parse(cell))
-            except InputError as exc:
-                raise InputError(f"{path}: row {line}, column {attribute!r}: {exc}") from exc
-        table.append(cells)
-    return tuple(lines), attributes, table
 
 
 def read_interval_csv(path: str) -> IntervalPatternStructure:

@@ -30,7 +30,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .intervals import IntervalDescription, IntervalPatternStructure, read_object_table
+from .fca import read_object_table
+from .intervals import IntervalDescription, IntervalPatternStructure
 from .signals import FeatureRow
 
 

@@ -1,5 +1,6 @@
 """Binary contexts, derivation operators, and lattice construction."""
 
+import csv
 import random
 
 import pytest
@@ -75,7 +76,7 @@ def test_context_validation():
 @st.composite
 def contexts_and_subsets(draw):
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 5))
     rows = draw(
         st.lists(
             st.lists(st.integers(0, 1), min_size=m, max_size=m),
@@ -120,6 +121,9 @@ def test_derivation_galois_laws(data):
 def test_closure_matches_oracle(data):
     ctx, a, _ = data
     assert closure(ctx, a) == oracle_binary_closure(ctx, a)
+    mask = sum(1 << g for g in a)
+    assert ctx.closure_mask(mask) == ctx.derive_object_mask(ctx.derive_attr_mask(mask))
+    assert ctx.derive_attr_mask(0) == (1 << ctx.n_attributes) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +283,34 @@ def test_contranominal_stability_at_scale():
 
 def test_context_csv_round_trip(tmp_path):
     rng = random.Random(11)
-    ctx = random_context(rng, max_objects=6, max_attributes=5)
+    contexts = [random_context(rng, max_objects=6, max_attributes=5) for _ in range(5)]
+    contexts.append(FormalContext.from_rows(["g0", "g1"], [], [[], []]))
+    for k, ctx in enumerate(contexts):
+        path = tmp_path / f"ctx{k}.csv"
+        write_context_csv(ctx, str(path))
+        # the writer leaves the corner cell of the header empty
+        with path.open(newline="") as fh:
+            assert next(csv.reader(fh))[0] == ""
+        assert read_context_csv(str(path)) == ctx
+
+
+def test_context_csv_names_both_rows_of_a_repeated_id(tmp_path):
     path = tmp_path / "ctx.csv"
-    write_context_csv(ctx, str(path))
-    back = read_context_csv(str(path))
-    assert back == ctx
+    path.write_text(",a\ng1,1\ng2,0\ng1,0\n")
+    with pytest.raises(InputError) as err:
+        read_context_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message and "'g1'" in message and "rows 2 and 4" in message
+
+
+def test_context_csv_names_the_bad_cell(tmp_path):
+    path = tmp_path / "ctx.csv"
+    path.write_text("id,a,b\ng1,1,0\ng2,x,yes\n")
+    with pytest.raises(InputError) as err:
+        read_context_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message
+    assert "row 3" in message and "'b'" in message and "'yes'" in message
 
 
 def test_context_csv_accepts_x_cells(tmp_path):

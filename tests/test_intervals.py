@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spindlemine import fca, intervals
 from spindlemine.errors import CapacityError, InputError
+from spindlemine.fca import FormalContext, build_lattice, enumerate_closed_extents
 from spindlemine.intervals import (
     IntervalDescription,
     IntervalPatternStructure,
@@ -22,6 +24,7 @@ from spindlemine.intervals import (
 from spindlemine.stability import stability_lattice_dp
 
 from conftest import (
+    oracle_binary_closure,
     oracle_interval_closed_extents,
     oracle_interval_closure,
     random_interval_structure,
@@ -281,6 +284,131 @@ def test_covers_are_transitive_reduction():
         assert got == _oracle_covers(oracle_interval_closed_extents(ps))
         assert len(got) == len(lat.covers)
         assert list(lat.covers) == sorted(lat.covers)
+
+
+# values with exact ties, including -0.0 == 0.0, and unconstrained reals
+end_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3)
+
+
+@st.composite
+def tie_heavy_structures(draw):
+    """Point or real-interval descriptions over tied values, optionally with
+    a repeated description; one object and zero attributes included."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 3))
+    points = draw(st.booleans())
+    rows = []
+    for _ in range(n):
+        comps = []
+        for _ in range(m):
+            if points:
+                v = draw(end_values)
+                comps.append((v, v))
+            else:
+                # sorted() keeps a tied pair in draw order: (0.0, -0.0) stays
+                comps.append(tuple(sorted((draw(end_values), draw(end_values)))))
+        rows.append(IntervalDescription(tuple(comps)))
+    if draw(st.booleans()):
+        rows.append(rows[0])
+    return IntervalPatternStructure(
+        tuple(f"g{i}" for i in range(len(rows))),
+        tuple(f"a{j}" for j in range(m)),
+        tuple(rows),
+    )
+
+
+def _reprs(d):
+    return [(repr(lo), repr(hi)) for lo, hi in d.intervals]
+
+
+@settings(deadline=None, max_examples=300)
+@given(tie_heavy_structures())
+def test_lattice_matches_oracles_on_ties(ps):
+    lat = build_pattern_lattice(ps)
+    closed = oracle_interval_closed_extents(ps)
+    assert {c.extent for c in lat.concepts} == closed
+    assert len(lat) == len(closed)
+    for c in lat.concepts:
+        if c.extent:
+            # repr tells -0.0 from 0.0, which == does not
+            assert _reprs(c.intent) == _reprs(extent_to_description(ps, c.extent))
+        else:
+            assert c.intent is None
+    got = {(lat.concepts[i].extent, lat.concepts[j].extent) for i, j in lat.covers}
+    assert got == _oracle_covers(closed)
+    assert len(got) == len(lat.covers)
+
+
+def test_signed_zero_ends_print_as_the_member_hull():
+    # 0.0 and -0.0 tie on attribute a; each end keeps the value of the
+    # extent's lowest-index member at that end, as the member hull does
+    ps = IntervalPatternStructure(
+        ("g0", "g1", "g2"), ("a", "b"), (desc((0.0, 0.0), (5, 5)), desc((-0.0, -0.0), (1, 1)),
+                                         desc((1, 1), (1, 1))))
+    intents = {c.extent: c.intent for c in build_pattern_lattice(ps).concepts}
+    assert _reprs(intents[frozenset({1, 2})]) == [("-0.0", "1.0"), ("1.0", "1.0")]
+    assert _reprs(intents[frozenset({0, 1, 2})]) == [("0.0", "1.0"), ("1.0", "5.0")]
+    assert _reprs(intents[frozenset({1})]) == [("-0.0", "-0.0"), ("1.0", "1.0")]
+
+
+def _traced_enumeration(monkeypatch, module):
+    """Wrap ``module.enumerate_closed_extents`` as the benchmark's tracer
+    does: the closure is passed on as a one-argument ``counted_close``."""
+    calls = []
+
+    def traced(n_objects, close, *args, **kwargs):
+        def counted_close(mask):
+            calls.append(mask)
+            return close(mask)
+        return enumerate_closed_extents(n_objects, counted_close, *args, **kwargs)
+
+    monkeypatch.setattr(module, "enumerate_closed_extents", traced)
+    return calls
+
+
+def _oracle_closure_calls(n_objects, close_indices):
+    """Closure calls Close-by-One makes when driven by an oracle closure."""
+    calls = []
+
+    def close(mask):
+        calls.append(mask)
+        members = frozenset(g for g in range(n_objects) if mask >> g & 1)
+        return sum(1 << g for g in close_indices(members))
+
+    enumerate_closed_extents(n_objects, close)
+    return calls
+
+
+def test_builders_run_through_a_counting_closure(monkeypatch):
+    points = [(5.0, 7.0), (6.0, 8.0), (4.0, 8.0), (4.0, 9.0), (5.0, 8.0)]
+    five = IntervalPatternStructure(
+        tuple(f"g{i + 1}" for i in range(5)),
+        ("a1", "a2"),
+        tuple(IntervalDescription.from_point(p) for p in points),
+    )
+    ctx = FormalContext.from_rows(
+        [f"g{i}" for i in range(6)], ["a", "b", "c", "d"],
+        [[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]],
+    )
+    rng = random.Random(2024)
+    structures = [five] + [random_interval_structure(rng, max_objects=7, max_attributes=3, hi=3)
+                           for _ in range(20)]
+    plain = [build_pattern_lattice(ps) for ps in structures]
+    plain_binary = build_lattice(ctx)
+    pattern_calls = _traced_enumeration(monkeypatch, intervals)
+    binary_calls = _traced_enumeration(monkeypatch, fca)
+
+    assert build_lattice(ctx) == plain_binary
+    assert binary_calls == _oracle_closure_calls(
+        ctx.n_objects, lambda a: oracle_binary_closure(ctx, a))
+    for ps, lattice in zip(structures, plain):
+        pattern_calls.clear()
+        assert build_pattern_lattice(ps) == lattice
+        assert pattern_calls == _oracle_closure_calls(
+            ps.n_objects, lambda a: oracle_interval_closure(ps, a))
+        if ps is five:
+            # the closure counts the member-by-member closure gave
+            assert (len(pattern_calls), len(binary_calls)) == (22, 21)
 
 
 def test_one_hot_covers_at_scale():
