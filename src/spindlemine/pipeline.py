@@ -19,6 +19,7 @@ consumers must ignore when comparing reports.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -356,9 +357,7 @@ def export_report(
     with open(json_path, "w") as fh:
         fh.write(report_to_json(report))
     with open(csv_path, "w", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         header = [
             "pattern", "extent_size", "support", "stab", "lstab",
             "lower", "mid", "upper", "method", "extent",

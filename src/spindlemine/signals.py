@@ -24,10 +24,12 @@ Each segment is then summarized into a feature row:
 All spectra use a rectangular window and no detrending unless asked
 (``detrend=True`` removes the segment mean before spectral operations
 only), which keeps the band powers an exact partition of the signal's
-mean square power (Parseval).  Band power integrates the periodogram by
-rectangles: bin ``k`` owns the frequency cell ``f_k +- df/2`` clipped to
-``[0, Nyquist]``, and edge bins contribute fractionally when a band cuts
-through their cell.
+mean square power (Parseval).  The periodogram is one numpy ``rfft``,
+scaled as ``scipy.signal.periodogram`` scales a boxcar window, so it
+equals scipy's bit for bit without the dependency.  Band power
+integrates the periodogram by rectangles: bin ``k`` owns the frequency
+cell ``f_k +- df/2`` clipped to ``[0, Nyquist]``, and edge bins
+contribute fractionally when a band cuts through their cell.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.signal import periodogram
 
 from .errors import InputError
 
@@ -383,19 +384,27 @@ def _as_segment(segment) -> np.ndarray:
 def _cell_energies(x: np.ndarray, sample_rate: float, detrend: bool):
     """One-sided periodogram as per-bin energies plus each bin's cell.
 
+    The periodogram ``P`` is one numpy ``rfft`` of the segment (mean
+    removed with ``detrend``), scaled as ``scipy.signal.periodogram``
+    scales a boxcar window: the samples are multiplied by
+    ``1 / sqrt(n / (1 / fs))`` and the squared magnitudes of the bins
+    strictly between DC and Nyquist are doubled.  The scale is written
+    exactly so: the shorter ``1 / sqrt(n * fs)`` rounds differently for
+    some lengths and rates, and ``P`` would then differ from scipy's.
+
     Bin ``k`` at frequency ``f_k`` carries energy ``P_k * df`` and owns
     the cell ``[f_k - df/2, f_k + df/2]`` clipped to ``[0, fs/2]`` (half
     cells at DC and, for even lengths, at Nyquist).  Summed over all bins
     the energies equal the signal's mean square power exactly.
     """
-    freqs, psd = periodogram(
-        x,
-        fs=sample_rate,
-        window="boxcar",
-        detrend="constant" if detrend else False,
-        scaling="density",
-    )
-    df = sample_rate / len(x)
+    n = len(x)
+    if detrend:
+        x = x - np.mean(x)
+    spectrum = np.fft.rfft(x * (1 / np.sqrt(n / (1 / sample_rate))))
+    psd = spectrum.real**2 + spectrum.imag**2
+    psd[1:-1 if n % 2 == 0 else None] *= 2
+    freqs = np.fft.rfftfreq(n, 1 / sample_rate)
+    df = sample_rate / n
     energy = psd * df
     lo = np.clip(freqs - df / 2.0, 0.0, None)
     hi = np.clip(freqs + df / 2.0, None, sample_rate / 2.0)
@@ -492,21 +501,32 @@ def bandpower(
     x = _as_segment(segment)
     if sample_rate <= 0:
         raise InputError(f"sample_rate must be positive, got {sample_rate}")
-    lo, hi = band
-    if not (0.0 <= lo < hi <= sample_rate / 2.0):
-        raise InputError(
-            f"invalid band [{lo}, {hi}] for Nyquist {sample_rate / 2.0} Hz"
-        )
+    _check_bands([band], sample_rate)
     _, energy, cell_lo, cell_hi = _cell_energies(x, sample_rate, detrend)
-    return _integrate_cells(energy, cell_lo, cell_hi, lo, hi)
+    return float(_band_powers(energy, cell_lo, cell_hi, [band])[0])
 
 
-def _integrate_cells(energy, cell_lo, cell_hi, lo: float, hi: float) -> float:
+def _check_bands(bands: Iterable[tuple[float, float]], sample_rate: float) -> None:
+    """Reject any band outside ``0 <= lo < hi <= Nyquist``."""
+    for lo, hi in bands:
+        if not (0.0 <= lo < hi <= sample_rate / 2.0):
+            raise InputError(f"invalid band [{lo}, {hi}] for Nyquist {sample_rate / 2.0} Hz")
+
+
+def _band_powers(energy, cell_lo, cell_hi, bands) -> np.ndarray:
+    """Rectangle-rule power of every band at once.
+
+    Row ``b`` of a (bands x bins) array holds the fraction of each bin's
+    cell that band ``b`` covers; the powers are the row sums of
+    ``energy * fraction``.
+    """
+    edges = np.asarray(bands, dtype=float).reshape(-1, 2)
+    lo, hi = edges[:, :1], edges[:, 1:]
     width = cell_hi - cell_lo
     overlap = np.clip(np.minimum(cell_hi, hi) - np.maximum(cell_lo, lo), 0.0, None)
     with np.errstate(invalid="ignore", divide="ignore"):
         fraction = np.where(width > 0.0, overlap / np.where(width > 0.0, width, 1.0), 0.0)
-    return float(np.sum(energy * fraction))
+    return np.sum(energy * fraction, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -576,18 +596,14 @@ def feature_row(
         raise InputError("dominant frequency is 0 Hz; amp/freq ratio undefined "
                          "(search band must exclude DC)")
     mean_amp = mean_amplitude(x)
+    _check_bands(bands, sample_rate)
     freqs, energy, cell_lo, cell_hi = _cell_energies(x, sample_rate, detrend)
-    powers = []
-    for lo, hi in bands:
-        if not (0.0 <= lo < hi <= sample_rate / 2.0):
-            raise InputError(f"invalid band [{lo}, {hi}] for Nyquist {sample_rate / 2.0} Hz")
-        powers.append(_integrate_cells(energy, cell_lo, cell_hi, lo, hi))
     return FeatureRow(
         mean_amplitude=mean_amp,
         max_amplitude=max_amplitude(x),
         mean_frequency=_centroid(freqs, energy),
         dominant_frequency=dom,
         amp_freq_ratio=mean_amp / dom,
-        bandpowers=tuple(powers),
+        bandpowers=tuple(_band_powers(energy, cell_lo, cell_hi, bands).tolist()),
         bands=tuple((float(lo), float(hi)) for lo, hi in bands),
     )

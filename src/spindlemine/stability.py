@@ -40,8 +40,7 @@ supplied: the chain is guaranteed when ``attribute_count`` is at least
 the number of direct descendants, which holds for binary contexts with
 ``|M|`` attributes and for interval pattern structures with ``2 * m``
 refinement directions (each of ``m`` interval components can tighten at
-its lower or its upper end).  An auxiliary field reports the variant
-computed with ``log2(#descendants)`` directly.
+its lower or its upper end).
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ class StabilityScore:
     lower_bound: float | None = None
     mid_bound: float | None = None
     upper_bound: float | None = None
-    lower_bound_dd: float | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHOD_TAGS:
@@ -301,7 +299,6 @@ def lstab_bounds(
         lower_bound=dmin - math.log2(attribute_count) + 0.0,
         mid_bound=mid,
         upper_bound=float(dmin),
-        lower_bound_dd=dmin - math.log2(len(deltas)) + 0.0,
     )
 
 

@@ -110,6 +110,16 @@ def oracle_subset_counts(lattice) -> dict[int, int]:
     return counts
 
 
+def oracle_integrate_cells(energy, cell_lo, cell_hi, lo: float, hi: float) -> float:
+    """One band's rectangle-rule power: each bin weighted by the share of
+    its cell ``[cell_lo, cell_hi]`` inside ``[lo, hi]``, one band at a time."""
+    width = cell_hi - cell_lo
+    overlap = np.clip(np.minimum(cell_hi, hi) - np.maximum(cell_lo, lo), 0.0, None)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        fraction = np.where(width > 0.0, overlap / np.where(width > 0.0, width, 1.0), 0.0)
+    return float(np.sum(energy * fraction))
+
+
 # ---------------------------------------------------------------------------
 # random instance generators
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Command-line behavior: subcommands, chaining, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spindlemine
 from spindlemine.cli import main
 
 
@@ -242,3 +247,15 @@ def test_features_infinite_sample_rate_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(segments) in err and "segment 0" in err and "'x'" in err
     assert not (out / "features.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so that modules other tests imported do not count
+    src = str(Path(spindlemine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, spindlemine, spindlemine.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

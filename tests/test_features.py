@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spindlemine.errors import InputError
 from spindlemine.signals import (
@@ -18,6 +18,8 @@ from spindlemine.signals import (
     SCALAR_FEATURES,
     FeatureRow,
     ZeroPowerWarning,
+    _band_powers,
+    _cell_energies,
     band_column_name,
     bandpower,
     dominant_frequency,
@@ -28,7 +30,7 @@ from spindlemine.signals import (
     mean_frequency,
 )
 
-from conftest import sine
+from conftest import oracle_integrate_cells, sine
 
 FS = 200.0
 SPINDLE = sine(10.0, 20.0, 200, FS)  # one second of a clean 10 Hz, 20 uV spindle
@@ -200,6 +202,72 @@ def test_bandpower_validation():
         bandpower(SPINDLE, FS, (5.0, 150.0))  # beyond Nyquist
     with pytest.raises(InputError):
         bandpower([], FS, (1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# reference checks: the rfft periodogram and the all-bands integral
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 1024),
+    rate=st.sampled_from([128.0, 256.0, 173.61, 200.0, 1000.0 / 3.0]),
+    detrend=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, rate=128.0, detrend=False, seed=0)
+@example(n=1, rate=173.61, detrend=True, seed=0)
+@example(n=1023, rate=173.61, detrend=False, seed=1)
+@example(n=1024, rate=256.0, detrend=True, seed=2)
+def test_cell_energies_match_scipy_periodogram(n, rate, detrend, seed):
+    periodogram = pytest.importorskip("scipy.signal").periodogram
+    x = np.random.default_rng(seed).normal(scale=20.0, size=n) + 5.0
+    freqs, energy, _, _ = _cell_energies(x, rate, detrend)
+    ref_freqs, psd = periodogram(x, fs=rate, window="boxcar",
+                                 detrend="constant" if detrend else False,
+                                 scaling="density")
+    assert np.array_equal(freqs, ref_freqs)
+    assert np.array_equal(energy, psd * (rate / n))
+
+
+BAND_CASES = {
+    "aligned": [(8.5, 10.5)],
+    "cutting-cells": [(10.0, 10.5), (0.3, 7.77), (33.3, 33.4)],
+    "to-nyquist": [(61.2, FS / 2), (0.0, FS / 2)],
+    "default": list(DEFAULT_BANDS),
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 137, 200])
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_band_powers_match_per_band_integral(n, case):
+    bands = BAND_CASES[case]
+    x = np.random.default_rng(n).normal(scale=12.0, size=n) + 3.0
+    _, energy, cell_lo, cell_hi = _cell_energies(x, FS, False)
+    powers = _band_powers(energy, cell_lo, cell_hi, bands)
+    assert powers.shape == (len(bands),)
+    assert powers.tolist() == [
+        oracle_integrate_cells(energy, cell_lo, cell_hi, lo, hi) for lo, hi in bands
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    detrend=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=12, unique=True),
+)
+def test_band_powers_match_per_band_integral_on_random_bands(n, detrend, seed, cuts):
+    x = np.random.default_rng(seed).normal(scale=12.0, size=n)
+    _, energy, cell_lo, cell_hi = _cell_energies(x, FS, detrend)
+    edges = sorted(c * FS / 2 for c in cuts)
+    bands = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    assert _band_powers(energy, cell_lo, cell_hi, bands).tolist() == [
+        oracle_integrate_cells(energy, cell_lo, cell_hi, lo, hi) for lo, hi in bands
+    ]
 
 
 # ---------------------------------------------------------------------------

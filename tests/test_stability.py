@@ -244,7 +244,6 @@ def test_bounds_single_child(tiny_context):
     assert b.lower_bound == 0.0
     assert b.mid_bound == 1.0
     assert b.upper_bound == 1.0
-    assert b.lower_bound_dd == 1.0  # only 1 descendant
     assert b.stab is None and b.lstab is None
 
 
