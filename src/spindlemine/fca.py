@@ -23,7 +23,13 @@ once, without keeping a global "seen" set.  The same enumerator is reused
 by :mod:`spindlemine.intervals` for interval pattern structures — it only
 needs a closure callable on extent masks.
 
-Cover edges are computed locally, one concept at a time.  Every closed
+The lattice is built on demand.  Enumeration yields the closed extents,
+which are sorted once; a concept's payload (extent and intent as index
+sets) and its lower covers are computed the first time something reads
+them, so a run that keeps only the frequent concepts never builds the
+others.
+
+Lower covers are computed locally, one concept at a time.  Every closed
 proper subset of an extent ``A`` lies inside one of ``A``'s *elementary
 refinements*, each of which is itself a closed extent; for a binary
 context these are ``A ∩ column(m)`` for the attributes ``m`` outside the
@@ -36,7 +42,7 @@ pair of concepts would cost ``O(L²)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 import csv
@@ -195,53 +201,89 @@ class Concept:
     intent: frozenset[int]
 
 
-@dataclass(frozen=True)
-class ConceptLattice:
-    """All concepts of a context (or pattern structure), with cover edges.
+_UNSET: Any = object()
 
-    ``concepts`` is sorted by (extent size descending, extent indices
-    lexicographically ascending), so index 0 is the top.  ``covers`` holds
-    ``(parent_index, child_index)`` pairs sorted ascending and is the
-    transitive reduction of the extent-inclusion order.  Each parent's
-    children come from its own elementary refinements (see
-    :func:`assemble_lattice`), so the relation costs time linear in the
-    number of concepts.  The payload type of ``concepts`` is
-    :class:`Concept` for binary contexts and
-    :class:`spindlemine.intervals.PatternConcept` for pattern structures;
-    everything else in this class is payload-agnostic.
+
+class OnDemand(Sequence[T]):
+    """A read-only sequence whose item ``i`` is ``build(i)``, computed on
+    first access and kept."""
+
+    def __init__(self, length: int, build: Callable[[int], T]):
+        self._values: list[Any] = [_UNSET] * length
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, index: int) -> T:  # type: ignore[override]
+        value = self._values[index]
+        if value is _UNSET:
+            value = self._values[index] = self._build(index % len(self._values))
+        return value
+
+
+class ConceptLattice:
+    """All concepts of a context (or pattern structure), ordered by extent
+    inclusion, built on demand.
+
+    ``extent_masks`` is sorted by (extent size descending, extent indices
+    lexicographically ascending), so index 0 is the top; it is the only
+    part computed up front.  ``concepts[i]`` (the payload: :class:`Concept`
+    for binary contexts, :class:`spindlemine.intervals.PatternConcept` for
+    pattern structures) and ``children[i]`` (the lower covers, ascending)
+    are computed the first time they are read.  ``children[i]`` are the
+    maximal sets among ``refine(extent_masks[i])``, the concept's
+    elementary refinements (see :func:`assemble_lattice`).  ``covers``
+    holds every ``(parent_index, child_index)`` pair, sorted ascending,
+    i.e. the transitive reduction of the extent-inclusion order; reading
+    it computes the children of every concept.
     """
 
-    object_names: tuple[str, ...]
-    concepts: tuple[Any, ...]
-    extent_masks: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
-    top_index: int
-    bottom_index: int
+    def __init__(
+        self,
+        object_names: Sequence[str],
+        extent_masks: Sequence[int],
+        make_concept: Callable[[int], Any],
+        refine: Callable[[int], Iterable[int]],
+    ):
+        self.object_names = tuple(object_names)
+        self.extent_masks = masks = tuple(extent_masks)
+        index = {m: i for i, m in enumerate(masks)}
+        self.concepts: Sequence[Any] = OnDemand(len(masks), lambda i: make_concept(masks[i]))
+        self.children: Sequence[tuple[int, ...]] = OnDemand(len(masks), lambda i: tuple(
+            sorted(index[c] for c in _maximal_masks(refine(masks[i])))))
+        self.top_index = 0
+        self.bottom_index = len(masks) - 1
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for i, kids in enumerate(self.children) for j in kids)
+
+    def __eq__(self, other: object) -> bool:
+        """Same objects, extents, payloads and covers (reading them all)."""
+        if not isinstance(other, ConceptLattice):
+            return NotImplemented
+        return (self.object_names, self.extent_masks, tuple(self.concepts), self.covers) == (
+            other.object_names, other.extent_masks, tuple(other.concepts), other.covers)
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def n_objects(self) -> int:
         return len(self.object_names)
 
     def __len__(self) -> int:
-        return len(self.concepts)
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Direct descendants per concept index (adjacency of ``covers``)."""
-        kids: list[list[int]] = [[] for _ in self.concepts]
-        for parent, child in self.covers:
-            kids[parent].append(child)
-        return tuple(tuple(sorted(k)) for k in kids)
+        return len(self.extent_masks)
 
     def direct_descendants(self, index: int) -> tuple[int, ...]:
         """Children of a concept under the cover relation."""
-        if not 0 <= index < len(self.concepts):
+        if not 0 <= index < len(self):
             raise InputError(f"concept index {index} out of range")
         return self.children[index]
 
     def extent_names(self, index: int) -> tuple[str, ...]:
         """Object names of a concept's extent, in object order."""
-        if not 0 <= index < len(self.concepts):
+        if not 0 <= index < len(self):
             raise InputError(f"concept index {index} out of range")
         return tuple(self.object_names[g] for g in _iter_bits(self.extent_masks[index]))
 
@@ -284,36 +326,23 @@ def assemble_lattice(
     object_names: Sequence[str],
     extent_masks: Iterable[int],
     make_concept: Callable[[int], Any],
-    refine: Callable[[int, Any], Iterable[int]],
+    refine: Callable[[int], Iterable[int]],
 ) -> ConceptLattice:
-    """Order closed extents, attach payloads, and compute cover edges.
+    """Order closed extents into a lattice whose payloads and covers are
+    computed on demand.
 
     ``make_concept`` maps an extent mask to the concept payload.
-    ``refine`` maps an extent mask and its payload to the concept's
-    elementary refinements: closed extents strictly inside it such that
-    every closed proper subset of the extent lies inside at least one of
-    them (none for the bottom).  The lower covers of a concept are then
-    the maximal distinct refinements, so with ``k`` refinements per
-    concept the covers of ``L`` concepts cost ``O(L·k²)`` mask
-    operations plus one dictionary lookup per cover edge.
+    ``refine`` maps an extent mask to the concept's elementary
+    refinements: closed extents strictly inside it such that every closed
+    proper subset of the extent lies inside at least one of them (none for
+    the bottom).  The lower covers of a concept are then the maximal
+    distinct refinements, so with ``k`` refinements per concept the covers
+    of ``L`` concepts cost ``O(L·k²)`` mask operations plus one dictionary
+    lookup per cover edge.
     """
-    masks = sorted(set(extent_masks), key=lambda m: (-m.bit_count(), sorted(_iter_bits(m))))
-    concepts = tuple(make_concept(m) for m in masks)
-    index = {m: i for i, m in enumerate(masks)}
-
-    covers: list[tuple[int, int]] = []
-    for i, (mask, concept) in enumerate(zip(masks, concepts)):
-        children = sorted(index[c] for c in _maximal_masks(refine(mask, concept)))
-        covers.extend((i, j) for j in children)
-
-    return ConceptLattice(
-        object_names=tuple(object_names),
-        concepts=concepts,
-        extent_masks=tuple(masks),
-        covers=tuple(covers),
-        top_index=0,
-        bottom_index=len(masks) - 1,
-    )
+    # _iter_bits yields indices in ascending order
+    masks = sorted(set(extent_masks), key=lambda m: (-m.bit_count(), [*_iter_bits(m)]))
+    return ConceptLattice(object_names, masks, make_concept, refine)
 
 
 def _maximal_masks(candidates: Iterable[int]) -> list[int]:
@@ -321,7 +350,10 @@ def _maximal_masks(candidates: Iterable[int]) -> list[int]:
     kept: list[int] = []
     # a strict superset has more bits, so it is seen (or dominated) first
     for c in sorted(set(candidates), key=int.bit_count, reverse=True):
-        if all(c & ~k for k in kept):
+        for k in kept:
+            if not c & ~k:
+                break
+        else:
             kept.append(c)
     return kept
 
@@ -345,10 +377,11 @@ def build_lattice(
 
     columns = context.column_masks
 
-    def refine(mask: int, concept: Concept) -> list[int]:
+    def refine(mask: int) -> list[int]:
         # A ∩ column(m) is the extent of intent ∪ {m}; any closed B ⊊ A has
-        # some attribute m outside A's intent and so lies inside it
-        return [mask & col for m, col in enumerate(columns) if m not in concept.intent]
+        # some attribute m outside A's intent (a column not containing A)
+        # and so lies inside it
+        return [mask & col for col in columns if mask & ~col]
 
     return assemble_lattice(context.objects, masks, make, refine)
 

@@ -27,7 +27,8 @@ ranked from the outside inward, with the mask of the objects at each
 rank and of those inside it.  The hull of ``A`` is fixed by the rank of
 ``A``'s outermost member at every end, so the closure of ``A`` is the
 AND of the ``2m`` matching inside-masks.  Those ranks are kept per closed
-extent, and the intent is read off them once.
+extent; a concept's intent and its lower covers are read off them the
+first time the lattice is asked for them.
 
 Lower covers come from each concept's elementary refinements: for every
 attribute ``t``, drop from the extent ``A`` the objects that attain the
@@ -245,7 +246,7 @@ def build_pattern_lattice(
             intent=IntervalDescription(tuple(zip(values[::2], values[1::2]))),
         )
 
-    def refine(mask: int, concept: PatternConcept) -> list[int]:
+    def refine(mask: int) -> list[int]:
         # Dropping the objects that attain one end of the hull tightens that
         # end, so A minus them is closed; any closed B ⊊ A has a tighter end
         # somewhere and so lies inside one of these.

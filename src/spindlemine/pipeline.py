@@ -258,9 +258,9 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
         annotations = read_annotations_json(config.annotations)
         if not annotations:
             raise InputError("no segments: the annotation list is empty")
-        return recording, extract_segments(recording, annotations)
+        return recording, annotations, extract_segments(recording, annotations)
 
-    recording, segments = _run_stage("extract", timings, _extract)
+    recording, annotations, segments = _run_stage("extract", timings, _extract)
 
     rows = _run_stage("features", timings, lambda: feature_rows(
         ((ann, recording.sample_rate, samples) for ann, samples in segments),
@@ -283,7 +283,7 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
     return PatternReport(
         config=_echo_config(config),
         stages={
-            "annotations": len(segments),
+            "annotations": len(annotations),
             "segments": len(segments),
             "context_objects": context.n_objects,
             "context_attributes": context.n_attributes,

@@ -313,20 +313,33 @@ def write_segments_json(
     segments: Sequence[tuple[SpindleAnnotation, np.ndarray]],
     sample_rate: float,
 ) -> None:
-    payload = [
-        {
-            "id": ann.id,
-            "channel": ann.channel,
-            "start_s": ann.start_s,
-            "end_s": ann.end_s,
-            "sample_rate": sample_rate,
-            "samples": [float(v) for v in samples],
-        }
-        for ann, samples in segments
-    ]
+    """Write ``(annotation, samples)`` pairs as a JSON array of segments,
+    byte for byte as ``json.dump(..., indent=2, allow_nan=False)`` writes
+    it, plus a newline.
+
+    Segments are written one at a time.  The header fields go through
+    :func:`json.dumps`; the samples, one per line, are joined from
+    ``float.__repr__`` (as the encoder writes a float) instead of running
+    the pure-Python indenting encoder over every sample.  A non-finite
+    value raises :class:`ValueError`, as the encoder does.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        separator = "[\n  "
+        for ann, samples in segments:
+            fields = [f'"{key}": {json.dumps(value, allow_nan=False)}' for key, value in (
+                ("id", ann.id), ("channel", ann.channel), ("start_s", ann.start_s),
+                ("end_s", ann.end_s), ("sample_rate", sample_rate))]
+            values = np.asarray(samples, dtype=np.float64)
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad = float(values[~finite][0])
+                raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+            body = ",\n      ".join(map(float.__repr__, values.tolist()))
+            fields.append(f'"samples": [\n      {body}\n    ]' if body else '"samples": []')
+            fh.write(separator + "{\n    " + ",\n    ".join(fields) + "\n  }")
+            separator = ",\n  "
+        # the encoder writes an empty list as "[]"
+        fh.write("\n]\n" if separator != "[\n  " else "[]\n")
 
 
 def read_segments_json(path: str) -> list[tuple[SpindleAnnotation, float, np.ndarray]]:

@@ -28,6 +28,11 @@ Exact computation is available two ways, which agree everywhere:
   integers, so the identity ``sum of q over all concepts = 2^|G|`` is
   exact at any size.
 
+Every method returns a read-only mapping from concept index to score
+that scores a concept the first time it is read, so a caller that tests
+support first (:func:`filter_concepts`) scores only the frequent
+concepts.
+
 When the lattice is too large for exact work, :func:`lstab_bounds`
 derives the chain
 
@@ -47,10 +52,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, InputError
-from .fca import Concept, ConceptLattice, FormalContext, _iter_bits
+from .fca import Concept, ConceptLattice, FormalContext, OnDemand
 from .intervals import IntervalPatternStructure, PatternConcept, interval_meet
 
 METHOD_TAGS = ("brute-force", "lattice-dp", "bounds")
@@ -214,8 +219,31 @@ def stability_bruteforce(
     return StabilityScore.from_exact_count("brute-force", size, count)
 
 
-def stability_lattice_dp(lattice: ConceptLattice) -> dict[int, StabilityScore]:
-    """Exact stability for every concept from its lower covers.
+class _ScoreColumn(Mapping[int, StabilityScore]):
+    """Scores by concept index ``0..length-1``; ``score(i)`` runs on the
+    first read of ``i`` and its result is kept."""
+
+    def __init__(self, length: int, score: Callable[[int], StabilityScore]):
+        self._scores = OnDemand(length, score)
+
+    def __getitem__(self, index: int) -> StabilityScore:
+        if index not in self:
+            raise KeyError(index)
+        return self._scores[index]
+
+    def __contains__(self, index: object) -> bool:
+        return isinstance(index, int) and 0 <= index < len(self._scores)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._scores)))
+
+    def __len__(self) -> int:
+        return len(self._scores)
+
+
+def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore]:
+    """Exact stability of each concept from its lower covers, computed
+    when the concept's score is first read.
 
     A subset ``C`` of an extent ``A`` closes to ``A`` exactly when it lies
     inside no lower cover, i.e. when it meets every gap ``A \\ child``.
@@ -223,40 +251,49 @@ def stability_lattice_dp(lattice: ConceptLattice) -> dict[int, StabilityScore]:
     the union ``F`` of those objects, forcing ``F`` suffices and
     ``q = 2^(|A| - |F|)``.  Otherwise ``q`` follows from the
     subset-partition identity ``q = 2^|A| - sum of q(d)`` over the
-    concept's strict down-set, found by walking ``children``.  Concepts
-    are scored from the bottom up (children have larger indices), with
-    integer arithmetic throughout, so results are exact for any lattice
-    size.
+    concept's strict down-set, found by walking ``children``; the counts
+    of the down-set are computed from the bottom up (children have larger
+    indices) and kept.  Counts are integers throughout, so results are
+    exact for any lattice size.
 
     The closed form costs a few mask operations per cover edge; only the
     concepts it does not settle pay for a walk over their down-set.
     """
     masks = lattice.extent_masks
     children = lattice.children
-    counts = [0] * len(masks)
-    for i in range(len(masks) - 1, -1, -1):
+    counts: list[int | None] = [None] * len(masks)
+
+    def count(i: int) -> int:
+        q = counts[i]
+        if q is not None:
+            return q
         mask = masks[i]
-        size = mask.bit_count()
-        gaps = [mask & ~masks[j] for j in children[i]]
+        kids = children[i]
+        gaps = [mask & ~masks[j] for j in kids]
         forced = 0
         for gap in gaps:
             if gap & (gap - 1) == 0:  # gaps are non-empty: one object
                 forced |= gap
         if all(gap & forced for gap in gaps):
-            counts[i] = 1 << (size - forced.bit_count())
-            continue
-        seen = set(children[i])
-        stack = list(seen)
-        while stack:
-            for d in children[stack.pop()]:
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        counts[i] = (1 << size) - sum(counts[d] for d in seen)
-    return {
-        i: StabilityScore.from_exact_count("lattice-dp", masks[i].bit_count(), q)
-        for i, q in enumerate(counts)
-    }
+            q = 1 << (mask.bit_count() - forced.bit_count())
+        else:
+            seen = set(kids)
+            stack = list(seen)
+            while stack:
+                for d in children[stack.pop()]:
+                    if d not in seen:
+                        seen.add(d)
+                        stack.append(d)
+            # from the largest index down, every count that a member's own
+            # walk reads is already known, so the recursion stays shallow
+            for d in sorted((d for d in seen if counts[d] is None), reverse=True):
+                count(d)
+            q = (1 << mask.bit_count()) - sum(map(counts.__getitem__, seen))
+        counts[i] = q
+        return q
+
+    return _ScoreColumn(len(masks), lambda i: StabilityScore.from_exact_count(
+        "lattice-dp", masks[i].bit_count(), count(i)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +346,9 @@ def score_lattice(
     structure: Any = None,
     attribute_count: int | None = None,
     max_extent: int = DEFAULT_BRUTEFORCE_CAP,
-) -> dict[int, StabilityScore]:
-    """Score every concept with the chosen method.
+) -> Mapping[int, StabilityScore]:
+    """Scores of every concept with the chosen method, each computed when
+    it is first read.
 
     ``method`` is one of ``exact-dp`` (exact counts from each concept's
     lower covers, see :func:`stability_lattice_dp`), ``bounds`` (needs
@@ -322,15 +360,19 @@ def score_lattice(
     if method == "bounds":
         if attribute_count is None:
             raise InputError("bounds method requires attribute_count")
-        return {i: lstab_bounds(lattice, i, attribute_count) for i in range(len(lattice))}
-    if method == "brute-force":
+        scores = _ScoreColumn(len(lattice), lambda i: lstab_bounds(lattice, i, attribute_count))
+    elif method == "brute-force":
         if structure is None:
             raise InputError("brute-force method requires the originating structure")
-        return {
-            i: stability_bruteforce(structure, lattice.concepts[i], max_extent)
-            for i in range(len(lattice))
-        }
-    raise InputError(f"unknown stability method {method!r}")
+        scores = _ScoreColumn(len(lattice), lambda i: stability_bruteforce(
+            structure, lattice.concepts[i], max_extent))
+    else:
+        raise InputError(f"unknown stability method {method!r}")
+    # The top has the largest extent, so scoring it here raises any error a
+    # later read could (a bad attribute_count, an extent over the
+    # brute-force cap, a mismatched structure) while the caller is scoring.
+    scores[lattice.top_index]
+    return scores
 
 
 # ---------------------------------------------------------------------------

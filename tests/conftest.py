@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spindlemine.fca import FormalContext
 from spindlemine.intervals import (
@@ -110,6 +111,16 @@ def oracle_subset_counts(lattice) -> dict[int, int]:
     return counts
 
 
+def oracle_covers(closed: set[frozenset[int]]) -> set[tuple[frozenset, frozenset]]:
+    """Transitive reduction of extent inclusion, by trying every triple."""
+    return {
+        (big, small)
+        for big in closed
+        for small in closed
+        if small < big and not any(small < mid < big for mid in closed)
+    }
+
+
 def oracle_integrate_cells(energy, cell_lo, cell_hi, lo: float, hi: float) -> float:
     """One band's rectangle-rule power: each bin weighted by the share of
     its cell ``[cell_lo, cell_hi]`` inside ``[lo, hi]``, one band at a time."""
@@ -155,6 +166,37 @@ def random_interval_structure(rng: random.Random, max_objects: int = 8,
         objects=tuple(f"g{i}" for i in range(n)),
         attributes=tuple(f"a{j}" for j in range(m)),
         descriptions=tuple(descriptions),
+    )
+
+
+# values with exact ties, including -0.0 == 0.0, and unconstrained reals
+end_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3)
+
+
+@st.composite
+def tie_heavy_structures(draw):
+    """Point or real-interval descriptions over tied values, optionally with
+    a repeated description; one object and zero attributes included."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 3))
+    points = draw(st.booleans())
+    rows = []
+    for _ in range(n):
+        comps = []
+        for _ in range(m):
+            if points:
+                v = draw(end_values)
+                comps.append((v, v))
+            else:
+                # sorted() keeps a tied pair in draw order: (0.0, -0.0) stays
+                comps.append(tuple(sorted((draw(end_values), draw(end_values)))))
+        rows.append(IntervalDescription(tuple(comps)))
+    if draw(st.booleans()):
+        rows.append(rows[0])
+    return IntervalPatternStructure(
+        tuple(f"g{i}" for i in range(len(rows))),
+        tuple(f"a{j}" for j in range(m)),
+        tuple(rows),
     )
 
 

@@ -116,6 +116,29 @@ def test_mine_dot_export(two_cluster_files, tmp_path):
     assert dot.read_text().startswith("digraph lattice {")
 
 
+MINE_DOT = Path(__file__).parent / "fixtures" / "mine_dot"
+
+
+def test_mine_dot_matches_committed_outputs(tmp_path):
+    # a tie-heavy 16 x 3 point context (with -0.0 and 0.0 in one column);
+    # --dot reads the cover relation of every concept, so this pins the
+    # full cover order and the kept patterns byte for byte
+    (tmp_path / "context.csv").write_bytes((MINE_DOT / "context.csv").read_bytes())
+    src = str(Path(spindlemine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-m", "spindlemine", "mine", "--context", "context.csv",
+                    "--min-support", "0.5", "--min-lstab", "1", "--stability", "bounds",
+                    "--dot", "out/lattice.dot", "--output", "out"],
+                   cwd=tmp_path, env=env, capture_output=True, timeout=60, check=True)
+    out = tmp_path / "out"
+    assert (out / "lattice.dot").read_bytes() == (MINE_DOT / "lattice.dot").read_bytes()
+    # everything before the run's timestamp and timings
+    got, want = ((d / "patterns.json").read_bytes().split(b'"generated"')[0]
+                 for d in (out, MINE_DOT))
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

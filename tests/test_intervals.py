@@ -25,9 +25,11 @@ from spindlemine.stability import stability_lattice_dp
 
 from conftest import (
     oracle_binary_closure,
+    oracle_covers,
     oracle_interval_closed_extents,
     oracle_interval_closure,
     random_interval_structure,
+    tie_heavy_structures,
 )
 
 
@@ -252,16 +254,6 @@ def test_five_point_lattice_frozen():
     assert lat.direct_descendants(lat.bottom_index) == ()
 
 
-def _oracle_covers(closed: set[frozenset[int]]) -> set[tuple[frozenset, frozenset]]:
-    """Transitive reduction of extent inclusion, by trying every triple."""
-    return {
-        (big, small)
-        for big in closed
-        for small in closed
-        if small < big and not any(small < mid < big for mid in closed)
-    }
-
-
 def test_covers_are_transitive_reduction():
     rng = random.Random(31337)
     structures = []
@@ -281,40 +273,9 @@ def test_covers_are_transitive_reduction():
     for ps in structures:
         lat = build_pattern_lattice(ps)
         got = {(lat.concepts[i].extent, lat.concepts[j].extent) for i, j in lat.covers}
-        assert got == _oracle_covers(oracle_interval_closed_extents(ps))
+        assert got == oracle_covers(oracle_interval_closed_extents(ps))
         assert len(got) == len(lat.covers)
         assert list(lat.covers) == sorted(lat.covers)
-
-
-# values with exact ties, including -0.0 == 0.0, and unconstrained reals
-end_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3)
-
-
-@st.composite
-def tie_heavy_structures(draw):
-    """Point or real-interval descriptions over tied values, optionally with
-    a repeated description; one object and zero attributes included."""
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(0, 3))
-    points = draw(st.booleans())
-    rows = []
-    for _ in range(n):
-        comps = []
-        for _ in range(m):
-            if points:
-                v = draw(end_values)
-                comps.append((v, v))
-            else:
-                # sorted() keeps a tied pair in draw order: (0.0, -0.0) stays
-                comps.append(tuple(sorted((draw(end_values), draw(end_values)))))
-        rows.append(IntervalDescription(tuple(comps)))
-    if draw(st.booleans()):
-        rows.append(rows[0])
-    return IntervalPatternStructure(
-        tuple(f"g{i}" for i in range(len(rows))),
-        tuple(f"a{j}" for j in range(m)),
-        tuple(rows),
-    )
 
 
 def _reprs(d):
@@ -335,7 +296,7 @@ def test_lattice_matches_oracles_on_ties(ps):
         else:
             assert c.intent is None
     got = {(lat.concepts[i].extent, lat.concepts[j].extent) for i, j in lat.covers}
-    assert got == _oracle_covers(closed)
+    assert got == oracle_covers(closed)
     assert len(got) == len(lat.covers)
 
 

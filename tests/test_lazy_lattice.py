@@ -1,0 +1,202 @@
+"""On-demand lattices: payloads, lower covers and stability scores are
+computed when they are read, and equal the brute-force oracles whatever
+the order of reading."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spindlemine import intervals
+from spindlemine.errors import CapacityError, StageError
+from spindlemine.fca import Concept, FormalContext, build_lattice
+from spindlemine.intervals import (
+    IntervalDescription,
+    IntervalPatternStructure,
+    build_pattern_lattice,
+    extent_to_description,
+)
+from spindlemine.pipeline import mine
+from spindlemine.stability import score_lattice, stability_lattice_dp
+
+from conftest import (
+    oracle_binary_closed_extents,
+    oracle_covers,
+    oracle_interval_closed_extents,
+    oracle_subset_counts,
+    random_interval_structure,
+    tie_heavy_structures,
+)
+
+ORDERS = ("forward", "reverse", "random")
+
+
+def _read_order(order, n, rng):
+    indices = list(range(n))
+    if order == "reverse":
+        indices.reverse()
+    elif order == "random":
+        rng.shuffle(indices)
+    return indices
+
+
+@st.composite
+def binary_contexts(draw):
+    """Small binary contexts, some with repeated rows."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 4))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)) for _ in range(n)]
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, n - 1), max_size=2))]
+    return FormalContext.from_rows(
+        [f"g{i}" for i in range(len(rows))], [f"m{j}" for j in range(m)], rows)
+
+
+def _binary_payload(ctx, extent):
+    intent = frozenset(a for a in range(ctx.n_attributes)
+                       if all((g, a) in ctx.incidence for g in extent))
+    return Concept(extent=extent, intent=intent)
+
+
+def _reprs(intent):
+    return None if intent is None else [(repr(lo), repr(hi)) for lo, hi in intent.intervals]
+
+
+def _check_lazy_lattice(build, structure, closed, payload, same, order, rng):
+    """Read ``children[i]`` and ``concepts[i]`` in ``order`` on a fresh
+    lattice, then ``covers``; and ``covers`` first on another."""
+    lat = build(structure)
+    assert {frozenset(_bits(m)) for m in lat.extent_masks} == closed
+    n = len(lat)
+    extents = [frozenset(_bits(m)) for m in lat.extent_masks]
+    by_extent = {e: i for i, e in enumerate(extents)}
+    want_covers = {(by_extent[big], by_extent[small]) for big, small in oracle_covers(closed)}
+    for i in _read_order(order, n, rng):
+        kids = lat.children[i]
+        assert list(kids) == sorted(j for p, j in want_covers if p == i)
+        assert same(lat.concepts[i], payload(extents[i]))
+    assert lat.covers == tuple(sorted(want_covers))
+
+    fresh = build(structure)
+    assert fresh.covers == lat.covers
+    assert all(same(fresh.concepts[i], payload(extents[i])) for i in _read_order(order, n, rng))
+
+
+def _bits(mask):
+    return [g for g in range(mask.bit_length()) if mask >> g & 1]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@settings(deadline=None, max_examples=100)
+@given(ctx=binary_contexts(), seed=st.integers(0, 2**16))
+def test_binary_lattice_read_in_any_order_matches_oracles(order, ctx, seed):
+    _check_lazy_lattice(build_lattice, ctx, oracle_binary_closed_extents(ctx),
+                        lambda e: _binary_payload(ctx, e), lambda a, b: a == b,
+                        order, random.Random(seed))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@settings(deadline=None, max_examples=100)
+@given(ps=tie_heavy_structures(), seed=st.integers(0, 2**16))
+def test_pattern_lattice_read_in_any_order_matches_oracles(order, ps, seed):
+    def payload(extent):
+        intent = extent_to_description(ps, extent) if extent else None
+        return extent, _reprs(intent)
+
+    # repr tells -0.0 from 0.0, which == does not
+    _check_lazy_lattice(build_pattern_lattice, ps, oracle_interval_closed_extents(ps), payload,
+                        lambda c, want: (c.extent, _reprs(c.intent)) == want,
+                        order, random.Random(seed))
+
+
+def _needs_down_set(lattice, index):
+    """True when the closed form ``2^(|A| - |F|)`` does not settle the
+    concept, so its count comes from the down-set walk."""
+    mask = lattice.extent_masks[index]
+    gaps = [mask & ~lattice.extent_masks[j] for j in lattice.children[index]]
+    forced = 0
+    for gap in gaps:
+        if gap.bit_count() == 1:
+            forced |= gap
+    return any(gap & forced == 0 for gap in gaps)
+
+
+def _count_structures():
+    rng = random.Random(4096)
+    out = []
+    for _ in range(12):
+        rows = [[int(rng.random() < 0.5) for _ in range(5)] for _ in range(7)]
+        rows += [list(rows[rng.randrange(7)]) for _ in range(2)]
+        out.append((build_lattice, FormalContext.from_rows(
+            [f"g{i}" for i in range(9)], [f"m{j}" for j in range(5)], rows)))
+    for _ in range(12):
+        ps = random_interval_structure(rng, max_objects=8, max_attributes=3, hi=3)
+        out.append((build_pattern_lattice, IntervalPatternStructure(
+            ps.objects + ("dup",), ps.attributes, ps.descriptions + ps.descriptions[:1])))
+    return out
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_exact_dp_counts_read_in_any_order_match_the_oracle(order):
+    rng = random.Random(order)
+    closed_form = walked = 0
+    for build, structure in _count_structures():
+        lat = build(structure)
+        want = oracle_subset_counts(lat)  # reads extent masks only
+        scores = stability_lattice_dp(lat)
+        for i in _read_order(order, len(lat), rng):
+            assert scores[i].exact_count == want[i]
+        walks = sum(_needs_down_set(lat, i) for i in range(len(lat)))
+        walked += walks
+        closed_form += len(lat) - walks
+    # both the closed form and the down-set walk are exercised
+    assert closed_form > 0 and walked > 0
+
+
+def test_scores_are_a_read_only_column_over_concept_indices():
+    ctx = FormalContext.from_rows(["g1", "g2", "g3"], ["a", "b"], [[1, 0], [1, 1], [0, 1]])
+    lat = build_lattice(ctx)
+    for scores in (score_lattice(lat, "exact-dp"),
+                   score_lattice(lat, "bounds", attribute_count=2),
+                   score_lattice(lat, "brute-force", structure=ctx)):
+        assert list(scores) == list(range(len(lat))) and len(scores) == len(lat)
+        assert -1 not in scores and len(lat) not in scores and "0" not in scores
+        with pytest.raises(KeyError):
+            scores[len(lat)]
+        with pytest.raises(TypeError):
+            scores[0] = scores[1]  # type: ignore[index]
+
+
+def test_mine_builds_payloads_only_for_the_kept_concepts(monkeypatch):
+    # 11 random points; support 0.75 keeps only the concepts with at least
+    # 9 of the 11 objects, a small share of the lattice
+    rng = random.Random(11)
+    ps = IntervalPatternStructure(
+        tuple(f"g{i}" for i in range(11)), ("a", "b"),
+        tuple(IntervalDescription.from_point((rng.random(), rng.random())) for _ in range(11)))
+    made = []
+
+    class SpyConcept(intervals.PatternConcept):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self.extent)
+
+    monkeypatch.setattr(intervals, "PatternConcept", SpyConcept)
+    lattice, patterns = mine(ps, {}, min_support=0.75, min_lstab=0.0,
+                             stability_method="exact-dp", bound_policy="upper",
+                             concept_cap=10**6, dot=None)
+    kept = [frozenset(ps.objects.index(name) for name in p["extent"]) for p in patterns]
+    assert 0 < len(kept) < len(lattice) // 10
+    assert sorted(made, key=sorted) == sorted(kept, key=sorted)
+
+
+def test_brute_force_cap_fails_in_the_stability_stage():
+    # 21 objects: the top's extent is over the default cap of 20, and the
+    # error must come from scoring, not from a later read in the filter
+    ps = IntervalPatternStructure(
+        tuple(f"g{i}" for i in range(21)), ("a",),
+        tuple(IntervalDescription.from_point((float(i),)) for i in range(21)))
+    with pytest.raises(StageError) as err:
+        mine(ps, {}, min_support=0.0, min_lstab=0.0, stability_method="brute-force",
+             bound_policy="upper", concept_cap=10**6, dot=None)
+    assert err.value.stage == "stability"
+    assert isinstance(err.value.cause, CapacityError)

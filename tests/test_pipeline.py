@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from spindlemine import pipeline
 from spindlemine.errors import CapacityError, InputError, StageError
 from spindlemine.pipeline import (
     PatternReport,
@@ -81,6 +82,16 @@ def test_two_cluster_run(two_cluster_files, tmp_path):
 
     # every label stays with its population
     assert report.selection["ig_ranking"][0]["gain"] == 1.0
+
+
+def test_stages_count_the_input_annotations(two_cluster_files, tmp_path, monkeypatch):
+    # an extractor that cuts fewer segments than there are annotations
+    # shows that the two counts are read from different lists
+    cut = pipeline.extract_segments
+    monkeypatch.setattr(pipeline, "extract_segments", lambda rec, anns: cut(rec, anns)[:-1])
+    report = run_pipeline(fixture_config(two_cluster_files, tmp_path / "out"))
+    assert (report.stages["annotations"], report.stages["segments"]) == (12, 11)
+    assert report.stages["context_objects"] == 11
 
 
 def test_methods_agree_on_the_filtered_set(two_cluster_files, tmp_path):

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spindlemine.cli import main
 from spindlemine.errors import InputError
@@ -405,6 +405,40 @@ def test_segments_round_trip(tmp_path):
         assert got_ann == ann
         assert fs == 10.0
         assert np.array_equal(got_samples, samples)
+
+
+_names = st.text(st.sampled_from('a"\\/é€😀\n\t ') | st.characters(), max_size=6)
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_segments = st.lists(st.tuples(
+    st.builds(SpindleAnnotation, id=_names, start_s=_reals, end_s=_reals, channel=_names),
+    st.lists(_reals, min_size=1, max_size=12).map(np.array)), max_size=4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_segments, _reals)
+@example([], 256.0)
+@example([(SpindleAnnotation('q"\\é', -0.0, 5e-324, "C3€"), np.array([-0.0])),
+          (SpindleAnnotation("s1", 0.5, 1.5, "C4"), np.array([5e-324, -2.2250738585072014e-308, 0.1]))],
+         -0.0)
+def test_segments_json_bytes_match_the_json_encoder(segments, sample_rate):
+    payload = [{"id": ann.id, "channel": ann.channel, "start_s": ann.start_s,
+                "end_s": ann.end_s, "sample_rate": sample_rate,
+                "samples": [float(v) for v in samples]} for ann, samples in segments]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.json"), os.path.join(tmp, "want.json")
+        write_segments_json(got, segments, sample_rate)
+        with open(want, "w") as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+        with open(got, "rb") as g, open(want, "rb") as w:
+            assert g.read() == w.read()
+
+
+def test_segments_json_rejects_non_finite_samples(tmp_path):
+    ann = SpindleAnnotation("s0", 0.0, 1.0, "C3")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_segments_json(str(tmp_path / "s.json"), [(ann, np.array([1.0, bad]))], 10.0)
 
 
 def test_read_segments_errors(tmp_path):
