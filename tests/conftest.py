@@ -121,6 +121,26 @@ def oracle_covers(closed: set[frozenset[int]]) -> set[tuple[frozenset, frozenset
     }
 
 
+def reference_close_by_one(n_objects: int, close) -> list[int]:
+    """Plain Close-by-One (Kuznetsov 1993) over extent bitmasks: every
+    extension of every closed extent gets a closure call and a canonicity
+    test, with no pruning.  The reference for the pruned enumerator."""
+    root = close(0)
+    out = [root]
+    stack = [(root, 0)]
+    while stack:
+        extent, start = stack.pop()
+        for g in range(start, n_objects):
+            if (extent >> g) & 1:
+                continue
+            child = close(extent | (1 << g))
+            below = (1 << g) - 1
+            if (child & below) == (extent & below):
+                out.append(child)
+                stack.append((child, g + 1))
+    return out
+
+
 def oracle_integrate_cells(energy, cell_lo, cell_hi, lo: float, hi: float) -> float:
     """One band's rectangle-rule power: each bin weighted by the share of
     its cell ``[cell_lo, cell_hi]`` inside ``[lo, hi]``, one band at a time."""

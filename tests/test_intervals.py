@@ -368,8 +368,9 @@ def test_builders_run_through_a_counting_closure(monkeypatch):
         assert pattern_calls == _oracle_closure_calls(
             ps.n_objects, lambda a: oracle_interval_closure(ps, a))
         if ps is five:
-            # the closure counts the member-by-member closure gave
-            assert (len(pattern_calls), len(binary_calls)) == (22, 21)
+            # plain Close-by-One made (22, 21) calls; the inherited
+            # failures of Fast Close-by-One skip 1 and 6 of them
+            assert (len(pattern_calls), len(binary_calls)) == (21, 15)
 
 
 def test_one_hot_covers_at_scale():

@@ -1,16 +1,19 @@
 """Recording / annotation IO and segment extraction."""
 
 import csv
+import io
 import json
 import os
 import re
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spindlemine import signals
 from spindlemine.cli import main
 from spindlemine.errors import InputError
 from spindlemine.signals import (
@@ -250,6 +253,18 @@ def test_read_recording_rejects_trailing_blank_lines(tmp_path, body, row):
             read_recording_csv(str(path))
     message = str(err.value)
     assert str(path) in message and f"row {row} has 0 cells, expected 2" in message
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(alphabet="1\n", max_size=12), st.integers(1, 4))
+def test_line_count_holds_across_chunk_boundaries(text, chunk):
+    # the reader counts lines and looks for a blank one a chunk at a time;
+    # a blank line can straddle two chunks
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    with mock.patch.object(signals, "_COUNT_CHUNK", chunk):
+        assert signals._count_lines(io.StringIO(text)) == (len(lines), "" in lines)
 
 
 def test_read_recording_rejects_rows_wider_than_the_header(tmp_path):
