@@ -201,24 +201,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    overrides = {
-        "recording": args.recording,
-        "annotations": args.annotations,
-        "labels": args.labels,
-        "sample_rate": args.sample_rate,
-        "min_support": args.min_support,
-        "min_lstab": args.min_lstab,
-        "stability_method": args.stability_method,
-        "bound_policy": args.bound_policy,
-        "corr_threshold": args.corr_threshold,
-        "ig_bins": args.ig_bins,
-        "ig_top_k": args.ig_top_k,
-        "detrend": args.detrend,
-        "concept_cap": args.concept_cap,
-        "dot": args.dot,
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-    }
+    # the pipeline flags' destinations are the config field names
+    overrides = {k: v for k, v in vars(args).items() if k in PipelineConfig.__dataclass_fields__}
     if args.config:
         config = PipelineConfig.from_file(args.config, overrides)
     else:

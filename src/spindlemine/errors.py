@@ -7,6 +7,10 @@ with 3.
 
 from __future__ import annotations
 
+import json
+from contextlib import contextmanager
+from typing import Iterator, TextIO
+
 
 class SpindlemineError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,3 +31,23 @@ class StageError(SpindlemineError):
         super().__init__(f"stage '{stage}': {message}")
         self.stage = stage
         self.cause = cause
+
+
+@contextmanager
+def input_file(path: str, what: str, **open_args) -> Iterator[TextIO]:
+    """Open the input file ``path`` for reading, as ``open(path,
+    **open_args)`` does.
+
+    A file that cannot be opened, read or decoded inside the block raises
+    :class:`InputError` ("cannot read <what> <path>: ..."), and text that
+    ``json`` cannot parse one naming the file and the JSON error.  Every
+    reader of an input file opens it here, so every subcommand reports a
+    bad input file the same way.
+    """
+    try:
+        with open(path, **open_args) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc

@@ -52,7 +52,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 import csv
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, input_file
 
 #: Default ceiling on the number of concepts a single enumeration may
 #: produce before aborting with :class:`CapacityError`.
@@ -71,12 +71,7 @@ def _mask_from_indices(indices: Iterable[int], size: int, kind: str) -> int:
 
 
 def _indices_from_mask(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return frozenset(_iter_bits(mask))
 
 
 def _iter_bits(mask: int):
@@ -446,11 +441,8 @@ def read_object_table(
     cell.  A ragged row, a repeated id or a cell ``parse`` rejects raises
     :class:`InputError` naming the file and the rows (file lines), and for
     a cell its column."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read context {path}: {exc}") from exc
+    with input_file(path, "context", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise InputError(f"{path}: empty file")
     header = rows[0]

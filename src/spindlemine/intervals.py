@@ -47,6 +47,7 @@ complete lattice without inventing numeric values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 import csv
 import math
@@ -148,20 +149,11 @@ def extent_to_description(
     input is rejected here.
     """
     mask = _mask_from_indices(objects, ps.n_objects, "object")
-    return _hull_of_mask(ps, mask)
-
-
-def _hull_of_mask(ps: IntervalPatternStructure, mask: int) -> IntervalDescription:
     if mask == 0:
         raise InputError("cannot build a description for an empty object set")
-    members = list(_iter_bits(mask))
-    intervals = list(ps.descriptions[members[0]].intervals)
-    for g in members[1:]:
-        d = ps.descriptions[g].intervals
-        intervals = [
-            (min(a, c), max(b, h)) for (a, b), (c, h) in zip(intervals, d)
-        ]
-    return IntervalDescription(tuple(intervals))
+    # folded in ascending member order, as the lattice's intents break
+    # -0.0 / 0.0 ties
+    return reduce(interval_meet, (ps.descriptions[g] for g in _iter_bits(mask)))
 
 
 def description_to_extent(
@@ -172,18 +164,7 @@ def description_to_extent(
         raise InputError(
             f"description width {len(d)} does not match {len(ps.attributes)} attributes"
         )
-    return _indices_from_mask(_extent_mask(ps, d))
-
-
-def _extent_mask(ps: IntervalPatternStructure, d: IntervalDescription) -> int:
-    mask = 0
-    for g, desc in enumerate(ps.descriptions):
-        if all(
-            a <= lo and hi <= b
-            for (a, b), (lo, hi) in zip(d.intervals, desc.intervals)
-        ):
-            mask |= 1 << g
-    return mask
+    return frozenset(g for g, desc in enumerate(ps.descriptions) if subsumes(d, desc))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import InputError, SpindlemineError, StageError
+from .errors import InputError, SpindlemineError, StageError, input_file
 from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot
 from .intervals import IntervalPatternStructure, build_pattern_lattice, format_interval
 from .selection import (
@@ -59,6 +59,25 @@ STABILITY_METHODS = ("exact-dp", "bounds", "brute-force")
 T = TypeVar("T")
 
 
+def _check_mining_settings(min_support: float, min_lstab: float, stability_method: str,
+                          bound_policy: str, concept_cap: int) -> None:
+    """Raise :class:`InputError` for a mining setting outside its domain.
+    :class:`PipelineConfig` checks here before any file is read, and
+    :func:`mine` before the lattice is built."""
+    if not 0.0 <= min_support <= 1.0:
+        raise InputError(f"min_support {min_support} outside [0, 1]")
+    if min_lstab < 0.0:
+        raise InputError(f"min_lstab {min_lstab} must be non-negative")
+    if stability_method not in STABILITY_METHODS:
+        raise InputError(
+            f"stability_method must be one of {STABILITY_METHODS}, got {stability_method!r}"
+        )
+    if bound_policy not in BOUND_POLICIES:
+        raise InputError(f"bound_policy must be one of {BOUND_POLICIES}, got {bound_policy!r}")
+    if concept_cap < 1:
+        raise InputError(f"concept_cap must be >= 1, got {concept_cap}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a run needs; thresholds are deliberately mandatory.
@@ -88,25 +107,12 @@ class PipelineConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.min_support <= 1.0:
-            raise InputError(f"min_support {self.min_support} outside [0, 1]")
-        if self.min_lstab < 0.0:
-            raise InputError(f"min_lstab {self.min_lstab} must be non-negative")
-        if self.stability_method not in STABILITY_METHODS:
-            raise InputError(
-                f"stability_method must be one of {STABILITY_METHODS}, "
-                f"got {self.stability_method!r}"
-            )
-        if self.bound_policy not in BOUND_POLICIES:
-            raise InputError(
-                f"bound_policy must be one of {BOUND_POLICIES}, got {self.bound_policy!r}"
-            )
+        _check_mining_settings(self.min_support, self.min_lstab, self.stability_method,
+                              self.bound_policy, self.concept_cap)
         if not 0.0 < self.corr_threshold <= 1.0:
             raise InputError(f"corr_threshold {self.corr_threshold} outside (0, 1]")
         if self.ig_bins < 2:
             raise InputError(f"ig_bins must be >= 2, got {self.ig_bins}")
-        if self.concept_cap < 1:
-            raise InputError(f"concept_cap must be >= 1, got {self.concept_cap}")
         lo, hi = self.dominant_band
         if not 0.0 <= lo < hi:
             raise InputError(f"invalid dominant_band [{lo}, {hi}]")
@@ -139,13 +145,8 @@ class PipelineConfig:
         cls, path: str, overrides: Mapping[str, Any] | None = None
     ) -> "PipelineConfig":
         """Load a JSON config file; non-``None`` overrides win."""
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+        with input_file(path, "config") as fh:
+            data = json.load(fh)
         if not isinstance(data, dict):
             raise InputError(f"{path}: config must be a JSON object")
         merged = dict(data)
@@ -222,7 +223,10 @@ def mine(
     """Run the ``lattice``, ``stability`` and ``filter`` stages on
     ``structure``, each timed into ``timings``; return the lattice and the
     kept pattern entries.  With ``dot`` set, the cover relation is written
-    there, parent directories included, once every stage has succeeded."""
+    there, parent directories included, once every stage has succeeded.
+    A setting outside its domain raises :class:`InputError` before the
+    lattice is built."""
+    _check_mining_settings(min_support, min_lstab, stability_method, bound_policy, concept_cap)
     lattice = _run_stage("lattice", timings, lambda: build_pattern_lattice(
         structure, concept_cap=concept_cap))
     # Each interval attribute can be refined at its lower or upper end, so
@@ -403,8 +407,5 @@ def report_to_json(report: PatternReport) -> str:
 
 
 def read_report_json(path: str) -> dict[str, Any]:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    with input_file(path, "report") as fh:
+        return json.load(fh)

@@ -29,7 +29,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, input_file
 from .fca import read_object_table
 from .intervals import IntervalDescription, IntervalPatternStructure
 from .signals import FeatureRow
@@ -314,19 +314,20 @@ def write_selection_json(report: Mapping[str, Any], path: str) -> None:
 
 
 def read_labels_csv(path: str) -> dict[str, str]:
-    """Labels file: header ``id,class`` then one row per object."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read labels {path}: {exc}") from exc
+    """Labels file: header ``id,class`` then one row per object.  A row
+    without exactly 2 cells or a repeated id raises :class:`InputError`
+    naming the file and the rows (file lines)."""
+    with input_file(path, "labels", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["id", "class"]:
         raise InputError(f"{path}: expected header 'id,class'")
+    lines: dict[str, int] = {}  # id -> file line
     out: dict[str, str] = {}
-    for i, row in enumerate(rows[1:]):
+    for line, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
-            raise InputError(f"{path}: row {i + 2} must have exactly 2 cells")
-        if row[0] in out:
-            raise InputError(f"{path}: duplicate id {row[0]!r}")
+            raise InputError(f"{path}: row {line} must have exactly 2 cells")
+        if row[0] in lines:
+            raise InputError(f"{path}: id {row[0]!r} repeated in rows {lines[row[0]]} and {line}")
+        lines[row[0]] = line
         out[row[0]] = row[1]
     return out

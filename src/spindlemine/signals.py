@@ -40,11 +40,11 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, input_file
 
 #: The 15 contiguous 2 Hz analysis bands, 0.5-2.5 ... 28.5-30.5 Hz.
 DEFAULT_BANDS: tuple[tuple[float, float], ...] = tuple(
@@ -127,17 +127,10 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
     A blank line, a ragged row, a non-numeric or a non-finite cell
     raises :class:`InputError` naming the file line.
     """
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise InputError(f"cannot read recording {path}: {exc}") from exc
-    with fh:
-        try:
-            header = next(csv.reader([fh.readline()]), [])
-            body = fh.tell()
-            n_rows, blank = _count_lines(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read recording {path}: {exc}") from exc
+    with input_file(path, "recording") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        body = fh.tell()
+        n_rows, blank = _count_lines(fh)
         if not n_rows:
             raise InputError(f"{path}: recording needs a header and at least one sample row")
         has_time = bool(header) and header[0].strip().lower() == "time"
@@ -244,53 +237,51 @@ def read_annotations_json(path: str) -> list[SpindleAnnotation]:
     objects.
 
     Each annotation gives its end either as ``end_s`` or as ``duration_s``
-    (seconds after ``start_s``), never both.
+    (seconds after ``start_s``), never both.  The checks are those of
+    :func:`_annotations`.
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read annotations {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    with input_file(path, "annotations") as fh:
+        raw = json.load(fh)
+    return [ann for _, ann in _annotations(path, "annotation", raw)]
+
+
+def _annotations(path: str, kind: str, raw) -> Iterator[tuple[dict, SpindleAnnotation]]:
+    """Each record of the JSON array ``raw`` with its annotation fields
+    checked: an object with keys ``id``, ``start_s``, ``channel`` and one
+    of ``end_s`` / ``duration_s``, times that are finite JSON numbers and
+    an ``id`` no earlier record has.  Otherwise :class:`InputError` names
+    the file, the record (a ``kind`` and its index) and the key or id."""
     if not isinstance(raw, list):
-        raise InputError(f"{path}: expected a JSON array of annotations")
-    out = []
-    seen = set()
+        raise InputError(f"{path}: expected a JSON array of {kind}s")
+    seen: dict[str, int] = {}  # id -> index of its record
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
-            raise InputError(f"{path}: annotation {i} is not an object")
+            raise InputError(f"{path}: {kind} {i} is not an object")
         missing = {"id", "start_s", "channel"} - item.keys()
         if missing:
-            raise InputError(f"{path}: annotation {i} missing keys {sorted(missing)}")
+            raise InputError(f"{path}: {kind} {i} missing keys {sorted(missing)}")
         end_keys = [k for k in ("end_s", "duration_s") if k in item]
         if len(end_keys) != 1:
             raise InputError(
-                f"{path}: annotation {i} needs exactly one of the keys "
+                f"{path}: {kind} {i} needs exactly one of the keys "
                 f"['end_s', 'duration_s'], got {end_keys}"
             )
         ann_id = str(item["id"])
         if ann_id in seen:
-            raise InputError(f"{path}: duplicate annotation id {ann_id!r}")
-        seen.add(ann_id)
-        start_s = _annotation_number(path, i, item, "start_s")
+            raise InputError(
+                f"{path}: duplicate {kind} id {ann_id!r} in {kind}s {seen[ann_id]} and {i}")
+        seen[ann_id] = i
+        start_s = _annotation_number(path, kind, i, item, "start_s")
         if "end_s" in item:
-            end_s = _annotation_number(path, i, item, "end_s")
+            end_s = _annotation_number(path, kind, i, item, "end_s")
         else:
-            end_s = start_s + _annotation_number(path, i, item, "duration_s")
-        out.append(
-            SpindleAnnotation(
-                id=ann_id,
-                start_s=start_s,
-                end_s=end_s,
-                channel=str(item["channel"]),
-            )
-        )
-    return out
+            end_s = start_s + _annotation_number(path, kind, i, item, "duration_s")
+        yield item, SpindleAnnotation(
+            id=ann_id, start_s=start_s, end_s=end_s, channel=str(item["channel"]))
 
 
-def _annotation_number(path: str, index: int, item: dict, key: str) -> float:
-    """One annotation time as a float: a finite JSON number, else InputError."""
+def _annotation_number(path: str, kind: str, index: int, item: dict, key: str) -> float:
+    """One record's time as a float: a finite JSON number, else InputError."""
     value = item[key]
     # bool is an int subclass, but JSON true/false is not a time; the bound
     # also rejects nan, inf and integers beyond the float range
@@ -298,7 +289,7 @@ def _annotation_number(path: str, index: int, item: dict, key: str) -> float:
             and abs(value) <= sys.float_info.max):
         return float(value)
     raise InputError(
-        f"{path}: annotation {index} key {key!r} must be a finite number, got {value!r}"
+        f"{path}: {kind} {index} key {key!r} must be a finite number, got {value!r}"
     )
 
 
@@ -369,33 +360,22 @@ def write_segments_json(
 def read_segments_json(path: str) -> list[tuple[SpindleAnnotation, float, np.ndarray]]:
     """Read extracted segments: (annotation, sample_rate, samples) triples.
 
-    Each segment's ``sample_rate`` must be finite and positive and its
-    ``samples`` a non-empty list of finite numbers; otherwise
-    :class:`InputError` names the file, the segment index and its id.
+    Each segment's annotation fields are checked as an annotation's (see
+    :func:`_annotations`).  Its ``sample_rate`` must be finite and
+    positive and its ``samples`` a non-empty list of finite numbers;
+    otherwise :class:`InputError` names the file, the segment index and
+    its id.
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read segments {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise InputError(f"{path}: expected a JSON array of segments")
+    with input_file(path, "segments") as fh:
+        raw = json.load(fh)
     out = []
-    for i, item in enumerate(raw):
+    for i, (item, ann) in enumerate(_annotations(path, "segment", raw)):
+        where = f"{path}: segment {i} (id {ann.id!r})"
         try:
-            ann = SpindleAnnotation(
-                id=str(item["id"]),
-                start_s=float(item["start_s"]),
-                end_s=float(item["end_s"]),
-                channel=str(item["channel"]),
-            )
             fs = float(item["sample_rate"])
             samples = np.asarray(item["samples"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: malformed segment {i}: {exc}") from exc
-        where = f"{path}: segment {i} (id {ann.id!r})"
+            raise InputError(f"{where}: malformed sample_rate or samples: {exc}") from exc
         if not (math.isfinite(fs) and fs > 0):
             raise InputError(f"{where}: sample_rate must be finite and positive, got {fs}")
         if samples.ndim != 1 or samples.size == 0:

@@ -1,15 +1,21 @@
 """Command-line behavior: subcommands, chaining, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spindlemine
+from spindlemine import pipeline
 from spindlemine.cli import main
+from conftest import build_two_cluster_recording
 
 
 def run(argv):
@@ -270,6 +276,109 @@ def test_features_infinite_sample_rate_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(segments) in err and "segment 0" in err and "'x'" in err
     assert not (out / "features.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("extract", "--annotations"),
+    ("features", "--segments"),
+    ("context", "--features"),
+    ("mine", "--context"),
+    ("pipeline", "--config"),
+])
+def test_undecodable_input_exits_2(two_cluster_files, tmp_path, capsys, command, flag):
+    bad = tmp_path / "input"
+    bad.write_bytes(b'[{"id": "s\xff"}]\n')
+    extra = {"extract": ["--recording", two_cluster_files["recording"]],
+             "mine": ["--min-support", 0, "--min-lstab", 0]}.get(command, [])
+    code = run([command, flag, bad, *extra, "--output", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and str(bad) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--min-support", 2, "--min-lstab", 0], "min_support"),
+    (["--min-support", 0, "--min-lstab", -1], "min_lstab"),
+    (["--min-support", 0, "--min-lstab", 0, "--concept-cap", 0], "concept_cap"),
+], ids=["min-support", "min-lstab", "concept-cap"])
+def test_mine_rejects_bad_settings_before_building_the_lattice(
+        tmp_path, capsys, monkeypatch, flags, setting):
+    built = []
+    build = pipeline.build_pattern_lattice
+    monkeypatch.setattr(pipeline, "build_pattern_lattice",
+                        lambda *args, **kwargs: built.append(1) or build(*args, **kwargs))
+    context = tmp_path / "context.csv"
+    context.write_text("id,a,b\ns1,1.0,2.0\ns2,2.0,3.0\n")
+    out = tmp_path / "out"
+    assert run(["mine", "--context", context, "--min-support", 0, "--min-lstab", 0,
+                "--output", out]) == 0
+    assert built == [1]  # the counter sees a lattice being built
+    built.clear()
+    capsys.readouterr()
+    assert run(["mine", "--context", context, *flags, "--output", out]) == 2
+    assert built == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {setting} ")
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """A valid input file for every subcommand: the two-cluster recording
+    run through the stage chain, and a pipeline config naming it."""
+    root = tmp_path_factory.mktemp("stages")
+    files = build_two_cluster_recording(root, n_events=6)
+    for argv in (["extract", "--recording", files["recording"],
+                  "--annotations", files["annotations"]],
+                 ["features", "--segments", root / "segments.json"],
+                 ["context", "--features", root / "features.csv",
+                  "--corr-threshold", 1.0]):
+        assert run([*argv, "--output", root]) == 0
+    files["segments"] = root / "segments.json"
+    files["features"] = root / "features.csv"
+    files["context"] = root / "context.csv"
+    files["config"] = root / "config.json"
+    files["config"].write_text(json.dumps({
+        "recording": str(files["recording"]), "annotations": str(files["annotations"]),
+        "labels": str(files["labels"]), "output_dir": str(root / "unused"),
+        "min_support": 0.3, "min_lstab": 1.0}))
+    return files
+
+
+#: subcommand, the flag whose file gets the random bytes, the other
+#: arguments (keys of ``stage_inputs`` stand for their files)
+STAGE_INPUTS = [
+    ("extract", "--recording", ["--annotations", "annotations"]),
+    ("extract", "--annotations", ["--recording", "recording"]),
+    ("features", "--segments", []),
+    ("context", "--features", ["--labels", "labels"]),
+    ("context", "--labels", ["--features", "features"]),
+    ("mine", "--context", ["--min-support", "0.3", "--min-lstab", "1"]),
+    ("pipeline", "--config", []),
+    ("pipeline", "--recording", ["--config", "config"]),
+    ("pipeline", "--annotations", ["--config", "config"]),
+    ("pipeline", "--labels", ["--config", "config"]),
+]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(STAGE_INPUTS), data=st.data())
+def test_random_bytes_in_any_input_exit_0_2_or_3(stage_inputs, case, data):
+    command, flag, rest = case
+    valid = Path(stage_inputs[flag[2:]]).read_bytes()
+    # random bytes, or the valid file with a short run of bytes overwritten
+    start = data.draw(st.integers(0, len(valid)))
+    payload = data.draw(st.binary(max_size=300) | st.binary(max_size=8).map(
+        lambda b: valid[:start] + b + valid[start + len(b):]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(payload)
+        argv = [command, flag, path, *(stage_inputs.get(a, a) for a in rest),
+                "--output", Path(tmp) / "out"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert run(argv) in (0, 2, 3)
 
 
 def test_import_loads_no_scipy():

@@ -1,0 +1,53 @@
+"""Every reader of an input file reports a missing, undecodable or
+truncated file as an InputError naming the file."""
+
+import json
+
+import pytest
+
+from spindlemine.errors import InputError
+from spindlemine.fca import read_object_table
+from spindlemine.pipeline import PipelineConfig, read_report_json
+from spindlemine.selection import read_labels_csv
+from spindlemine.signals import read_annotations_json, read_recording_csv, read_segments_json
+
+_ANNOTATION = {"id": "s1", "start_s": 0.0, "end_s": 0.2, "channel": "C3"}
+
+#: reader name -> (reader, the bytes of a valid input, whether it is JSON)
+READERS = {
+    "recording": (read_recording_csv, b"time,C3\n0.0,1.0\n0.1,2.0\n0.2,3.0\n", False),
+    "annotations": (read_annotations_json, json.dumps([_ANNOTATION]).encode(), True),
+    "segments": (read_segments_json, json.dumps(
+        [{**_ANNOTATION, "sample_rate": 10.0, "samples": [1.0, 2.0]}]).encode(), True),
+    "object-table": (lambda path: read_object_table(path, float), b"id,a\ns1,1.0\n", False),
+    "labels": (read_labels_csv, b"id,class\ns1,alpha\n", False),
+    "config": (PipelineConfig.from_file, json.dumps({
+        "recording": "rec.csv", "annotations": "anns.json", "output_dir": "out",
+        "min_support": 0.5, "min_lstab": 1.0}).encode(), True),
+    "report": (read_report_json, b'{"patterns": []}', True),
+}
+
+CASES = [(name, fault) for name, (_, _, is_json) in READERS.items()
+         for fault in ("missing", "undecodable") + (("truncated",) if is_json else ())]
+
+
+@pytest.mark.parametrize("name, fault", CASES, ids=[f"{n}-{f}" for n, f in CASES])
+def test_bad_input_file_is_an_input_error_naming_it(tmp_path, name, fault):
+    reader, valid, _ = READERS[name]
+    path = tmp_path / "input"
+    path.write_bytes(valid)
+    reader(str(path))  # the valid file reads, so the fault below is the only one
+    if fault == "missing":
+        path.unlink()
+        expected = "cannot read"
+    elif fault == "undecodable":
+        middle = len(valid) // 2
+        path.write_bytes(valid[:middle] + b"\xff" + valid[middle:])
+        expected = "cannot read"
+    else:
+        path.write_bytes(valid[:len(valid) // 2])
+        expected = "invalid JSON"
+    with pytest.raises(InputError) as err:
+        reader(str(path))
+    message = str(err.value)
+    assert str(path) in message and expected in message

@@ -373,6 +373,15 @@ def test_labels_csv(tmp_path):
         read_labels_csv(str(tmp_path / "missing.csv"))
 
 
+def test_labels_csv_names_both_rows_of_a_repeated_id(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("id,class\ns1,alpha\ns2,beta\ns1,beta\n")
+    with pytest.raises(InputError) as err:
+        read_labels_csv(str(path))
+    message = str(err.value)
+    assert str(path) in message and "'s1'" in message and "rows 2 and 4" in message
+
+
 def test_write_selection_json(tmp_path):
     path = tmp_path / "sel.json"
     write_selection_json({"retained": ["a"], "dropped": []}, str(path))

@@ -490,3 +490,21 @@ def test_read_segments_rejects_bad_samples_and_rates(tmp_path, patch, problem):
     message = str(err.value)
     assert str(path) in message and "segment 1" in message and "'s1'" in message
     assert problem in message
+
+
+@pytest.mark.parametrize("patch, where", [
+    ({"id": "s0"}, ["duplicate segment id 's0'", "segments 0 and 1"]),
+    ({"start_s": True}, ["segment 1", "'start_s'", "True"]),
+    ({"end_s": float("nan")}, ["segment 1", "'end_s'", "nan"]),
+    ({"start_s": "0.5"}, ["segment 1", "'start_s'", "'0.5'"]),
+], ids=["repeated-id", "true", "nan", "string"])
+def test_read_segments_locates_bad_annotation_fields(tmp_path, patch, where):
+    good = {"id": "s0", "channel": "C3", "start_s": 0.0, "end_s": 1.0,
+            "sample_rate": 10.0, "samples": [float(i) for i in range(10)]}
+    path = tmp_path / "seg.json"
+    # json.dumps writes the NaN literal, which json.load accepts
+    path.write_text(json.dumps([good, {**good, "id": "s1", **patch}]))
+    with pytest.raises(InputError) as err:
+        read_segments_json(str(path))
+    message = str(err.value)
+    assert str(path) in message and all(w in message for w in where)
