@@ -14,24 +14,16 @@ from .fca import (
     ConceptLattice,
     FormalContext,
     build_lattice,
-    closure,
-    derive_attributes,
-    derive_objects,
     lattice_to_dot,
-    read_context_csv,
-    write_context_csv,
 )
 from .intervals import (
     IntervalDescription,
     IntervalPatternStructure,
     PatternConcept,
     build_pattern_lattice,
-    description_to_extent,
-    extent_to_description,
     interval_meet,
     read_interval_csv,
     subsumes,
-    write_interval_csv,
 )
 from .pipeline import (
     PatternReport,
@@ -76,7 +68,6 @@ from .stability import (
     lstab,
     lstab_bounds,
     score_lattice,
-    scores_to_json,
     stability_bruteforce,
     stability_lattice_dp,
 )
@@ -108,14 +99,9 @@ __all__ = [
     "build_lattice",
     "build_numeric_context",
     "build_pattern_lattice",
-    "closure",
     "correlation_prune",
-    "derive_attributes",
-    "derive_objects",
-    "description_to_extent",
     "dominant_frequency",
     "export_report",
-    "extent_to_description",
     "extract_segments",
     "feature_columns",
     "feature_row",
@@ -129,7 +115,6 @@ __all__ = [
     "mean_amplitude",
     "mean_frequency",
     "read_annotations_json",
-    "read_context_csv",
     "read_interval_csv",
     "read_labels_csv",
     "read_numeric_csv",
@@ -138,13 +123,10 @@ __all__ = [
     "report_to_json",
     "run_pipeline",
     "score_lattice",
-    "scores_to_json",
     "select_attributes",
     "stability_bruteforce",
     "stability_lattice_dp",
     "subsumes",
     "to_pattern_structure",
-    "write_context_csv",
-    "write_interval_csv",
     "write_numeric_csv",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Iterator, TextIO
+from typing import Any, Iterator, TextIO
 
 
 class SpindlemineError(Exception):
@@ -39,15 +39,28 @@ def input_file(path: str, what: str, **open_args) -> Iterator[TextIO]:
     **open_args)`` does.
 
     A file that cannot be opened, read or decoded inside the block raises
-    :class:`InputError` ("cannot read <what> <path>: ..."), and text that
-    ``json`` cannot parse one naming the file and the JSON error.  Every
-    reader of an input file opens it here, so every subcommand reports a
-    bad input file the same way.
+    :class:`InputError` ("cannot read <what> <path>: ...").  Every reader
+    of an input file opens it here, so every subcommand reports a bad
+    input file the same way.
     """
     try:
         with open(path, **open_args) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path: str, what: str) -> Any:
+    """The JSON value in the input file ``path``, opened with
+    :func:`input_file`.  Text ``json`` cannot parse, an integer literal
+    longer than ``int`` converts (``sys.get_int_max_str_digits``) and
+    nesting deeper than the parser recurses raise :class:`InputError`
+    naming the file.  Every JSON input is read here."""
+    with input_file(path, what) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # int()'s digit limit, deep nesting
+        raise InputError(f"{path}: JSON beyond the parser's limits: {exc}") from exc

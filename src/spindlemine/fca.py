@@ -14,8 +14,7 @@ complete lattice.
 Object and attribute sets are represented internally as Python integer
 bitmasks (bit ``i`` set means index ``i`` is a member), which keeps the
 closure operator — the hot loop of lattice construction — down to a few
-``&`` operations.  Public operations accept and return ``frozenset`` of
-indices.
+``&`` operations.  Concept payloads hold ``frozenset`` of indices.
 
 Enumeration uses Close-by-One: a depth-first walk over closures with a
 canonicity test that guarantees every closed extent is visited exactly
@@ -59,15 +58,6 @@ from .errors import CapacityError, InputError, input_file
 DEFAULT_CONCEPT_CAP = 10_000_000
 
 T = TypeVar("T")
-
-
-def _mask_from_indices(indices: Iterable[int], size: int, kind: str) -> int:
-    mask = 0
-    for i in indices:
-        if not 0 <= i < size:
-            raise InputError(f"{kind} index {i} out of range [0, {size})")
-        mask |= 1 << i
-    return mask
 
 
 def _indices_from_mask(mask: int) -> frozenset[int]:
@@ -152,19 +142,13 @@ class FormalContext:
             cols[m] |= 1 << g
         return tuple(cols)
 
-    # -- mask-level derivation (internal fast path) ---------------------
+    # -- mask-level derivation ------------------------------------------
 
     def derive_attr_mask(self, extent_mask: int) -> int:
         result = 0
         for m, col in enumerate(self.column_masks):
             if not extent_mask & ~col:
                 result |= 1 << m
-        return result
-
-    def derive_object_mask(self, intent_mask: int) -> int:
-        result = self.object_mask
-        for m in _iter_bits(intent_mask):
-            result &= self.column_masks[m]
         return result
 
     def closure_mask(self, extent_mask: int) -> int:
@@ -175,27 +159,6 @@ class FormalContext:
             if not extent_mask & ~col:
                 result &= col
         return result
-
-
-def derive_attributes(context: FormalContext, objects: Iterable[int]) -> frozenset[int]:
-    """Attributes shared by every object in ``objects``.
-
-    The empty set derives all of ``M``.
-    """
-    mask = _mask_from_indices(objects, context.n_objects, "object")
-    return _indices_from_mask(context.derive_attr_mask(mask))
-
-
-def derive_objects(context: FormalContext, attributes: Iterable[int]) -> frozenset[int]:
-    """Objects sharing every attribute in ``attributes`` (dual operator)."""
-    mask = _mask_from_indices(attributes, context.n_attributes, "attribute")
-    return _indices_from_mask(context.derive_object_mask(mask))
-
-
-def closure(context: FormalContext, objects: Iterable[int]) -> frozenset[int]:
-    """Double derivation ``A''``: the closure of an object set."""
-    mask = _mask_from_indices(objects, context.n_objects, "object")
-    return _indices_from_mask(context.closure_mask(mask))
 
 
 @dataclass(frozen=True)
@@ -279,12 +242,6 @@ class ConceptLattice:
 
     def __len__(self) -> int:
         return len(self.extent_masks)
-
-    def direct_descendants(self, index: int) -> tuple[int, ...]:
-        """Children of a concept under the cover relation."""
-        if not 0 <= index < len(self):
-            raise InputError(f"concept index {index} out of range")
-        return self.children[index]
 
     def extent_names(self, index: int) -> tuple[str, ...]:
         """Object names of a concept's extent, in object order."""
@@ -433,23 +390,20 @@ def lattice_to_dot(lattice: ConceptLattice, label: Callable[[int], str] | None =
 # ---------------------------------------------------------------------------
 
 def read_object_table(
-    path: str, parse: Callable[[str], T], id_header: str | None = "id"
+    path: str, parse: Callable[[str], T]
 ) -> tuple[tuple[str, ...], tuple[str, ...], list[list[T]]]:
-    """Read a CSV with header ``<id_header>,<attributes...>`` and one row
-    per object: the object ids, the attribute names and each row's cells
-    passed through ``parse``.  ``id_header=None`` accepts any first header
-    cell.  A ragged row, a repeated id or a cell ``parse`` rejects raises
-    :class:`InputError` naming the file and the rows (file lines), and for
-    a cell its column."""
+    """Read a CSV with header ``id,<attributes...>`` and one row per
+    object: the object ids, the attribute names and each row's cells
+    passed through ``parse``.  A ragged row, a repeated id or a cell
+    ``parse`` rejects raises :class:`InputError` naming the file and the
+    rows (file lines), and for a cell its column."""
     with input_file(path, "context", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise InputError(f"{path}: empty file")
     header = rows[0]
-    if not header:
-        raise InputError(f"{path}: empty header row")
-    if id_header is not None and header[0] != id_header:
-        raise InputError(f"{path}: first header cell must be {id_header!r}")
+    if header[:1] != ["id"]:
+        raise InputError(f"{path}: first header cell must be 'id'")
     attributes = tuple(header[1:])
     lines: dict[str, int] = {}  # id -> file line, in row order
     table: list[list[T]] = []
@@ -467,33 +421,3 @@ def read_object_table(
                 raise InputError(f"{path}: row {line}, column {attribute!r}: {exc}") from exc
         table.append(cells)
     return tuple(lines), attributes, table
-
-
-_TRUE_CELLS = {"1", "x", "X"}
-_FALSE_CELLS = {"0", ""}
-
-
-def _binary_cell(cell: str) -> bool:
-    text = cell.strip()
-    if text in _TRUE_CELLS:
-        return True
-    if text in _FALSE_CELLS:
-        return False
-    raise InputError(f"unrecognised cell {cell!r}")
-
-
-def read_context_csv(path: str) -> FormalContext:
-    """Read a binary context: first row attribute names (after any corner
-    cell), first column object names, cells ``1``/``0`` (or ``x``/empty).
-    Errors are located as in :func:`read_object_table`."""
-    objects, attributes, table = read_object_table(path, _binary_cell, id_header=None)
-    return FormalContext.from_rows(objects, attributes, table)
-
-
-def write_context_csv(context: FormalContext, path: str) -> None:
-    rows = context.row_masks
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(context.attributes))
-        for g, name in enumerate(context.objects):
-            writer.writerow([name] + [str((rows[g] >> m) & 1) for m in range(context.n_attributes)])

@@ -47,9 +47,7 @@ complete lattice without inventing numeric values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
-import csv
 import math
 
 from .errors import InputError
@@ -57,8 +55,6 @@ from .fca import (
     DEFAULT_CONCEPT_CAP,
     ConceptLattice,
     _indices_from_mask,
-    _iter_bits,
-    _mask_from_indices,
     assemble_lattice,
     enumerate_closed_extents,
     read_object_table,
@@ -137,34 +133,6 @@ class IntervalPatternStructure:
     def delta(self, index: int) -> IntervalDescription:
         """The description of one object."""
         return self.descriptions[index]
-
-
-def extent_to_description(
-    ps: IntervalPatternStructure, objects: Iterable[int]
-) -> IntervalDescription:
-    """Meet (convex hull) of the members' descriptions.
-
-    The empty set has no numeric description — its intent is the formal
-    bottom, represented as ``None`` on :class:`PatternConcept` — so empty
-    input is rejected here.
-    """
-    mask = _mask_from_indices(objects, ps.n_objects, "object")
-    if mask == 0:
-        raise InputError("cannot build a description for an empty object set")
-    # folded in ascending member order, as the lattice's intents break
-    # -0.0 / 0.0 ties
-    return reduce(interval_meet, (ps.descriptions[g] for g in _iter_bits(mask)))
-
-
-def description_to_extent(
-    ps: IntervalPatternStructure, d: IntervalDescription
-) -> frozenset[int]:
-    """All objects whose description lies inside ``d``."""
-    if len(d) != len(ps.attributes):
-        raise InputError(
-            f"description width {len(d)} does not match {len(ps.attributes)} attributes"
-        )
-    return frozenset(g for g, desc in enumerate(ps.descriptions) if subsumes(d, desc))
 
 
 @dataclass(frozen=True)
@@ -307,11 +275,3 @@ def read_interval_csv(path: str) -> IntervalPatternStructure:
     return IntervalPatternStructure(
         objects, attributes, tuple(IntervalDescription(tuple(cells)) for cells in table)
     )
-
-
-def write_interval_csv(ps: IntervalPatternStructure, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + list(ps.attributes))
-        for name, desc in zip(ps.objects, ps.descriptions):
-            writer.writerow([name] + [format_interval(lo, hi) for lo, hi in desc.intervals])

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import InputError, SpindlemineError, StageError, input_file
+from .errors import InputError, SpindlemineError, StageError, read_json
 from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot
 from .intervals import IntervalPatternStructure, build_pattern_lattice, format_interval
 from .selection import (
@@ -54,7 +54,7 @@ from .stability import (
     score_to_json,
 )
 
-STABILITY_METHODS = ("exact-dp", "bounds", "brute-force")
+STABILITY_METHODS = ("exact-dp", "bounds")
 
 T = TypeVar("T")
 
@@ -76,6 +76,46 @@ def _check_mining_settings(min_support: float, min_lstab: float, stability_metho
         raise InputError(f"bound_policy must be one of {BOUND_POLICIES}, got {bound_policy!r}")
     if concept_cap < 1:
         raise InputError(f"concept_cap must be >= 1, got {concept_cap}")
+
+
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool}
+#: The JSON type of each config value; ``dominant_band`` is a ``[low,
+#: high]`` pair of numbers and ``bands`` a list of such pairs.
+_CONFIG_TYPES = {
+    "recording": "string", "annotations": "string", "output_dir": "string",
+    "labels": "string", "dot": "string", "bound_policy": "string",
+    "stability_method": "string", "min_support": "number", "min_lstab": "number",
+    "sample_rate": "number", "corr_threshold": "number", "ig_bins": "integer",
+    "ig_top_k": "integer", "concept_cap": "integer", "seed": "integer", "detrend": "boolean",
+    "dominant_band": "band", "bands": "bands",
+}
+
+
+def _config_value(key: str, value: Any, nullable: bool) -> Any:
+    """``value`` as :class:`PipelineConfig` holds the config key ``key``
+    (bands become tuples); a value of another JSON type or shape raises
+    :class:`InputError` naming the key."""
+    kind = _CONFIG_TYPES[key]
+    try:
+        if value is None and nullable:
+            return None
+        if kind == "bands":
+            return tuple(map(_band, value))
+        return _band(value) if kind == "band" else _typed(value, kind)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"config key {key!r}: {exc}") from exc
+
+
+def _typed(value: Any, kind: str) -> Any:
+    # bool is an int subclass: true is no number and 1 no boolean
+    if isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "boolean"):
+        return value
+    raise TypeError(f"expected {kind}, got {value!r}")
+
+
+def _band(value: Any) -> tuple[Any, Any]:
+    lo, hi = value
+    return _typed(lo, "number"), _typed(hi, "number")
 
 
 @dataclass(frozen=True)
@@ -126,15 +166,13 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(data)
-        if "dominant_band" in coerced and coerced["dominant_band"] is not None:
-            coerced["dominant_band"] = tuple(coerced["dominant_band"])
-        if "bands" in coerced and coerced["bands"] is not None:
-            coerced["bands"] = tuple(tuple(b) for b in coerced["bands"])
+        # a field that defaults to None may be null
+        coerced = {key: _config_value(key, value, fields[key].default is None)
+                   for key, value in data.items()}
         try:
             return cls(**coerced)
         except TypeError as exc:
@@ -145,8 +183,7 @@ class PipelineConfig:
         cls, path: str, overrides: Mapping[str, Any] | None = None
     ) -> "PipelineConfig":
         """Load a JSON config file; non-``None`` overrides win."""
-        with input_file(path, "config") as fh:
-            data = json.load(fh)
+        data = read_json(path, "config")
         if not isinstance(data, dict):
             raise InputError(f"{path}: config must be a JSON object")
         merged = dict(data)
@@ -234,7 +271,7 @@ def mine(
     # bounds' lower term divides by.
     attribute_count = max(2 * len(structure.attributes), 1)
     scores = _run_stage("stability", timings, lambda: score_lattice(
-        lattice, stability_method, structure=structure, attribute_count=attribute_count))
+        lattice, stability_method, attribute_count=attribute_count))
     kept = _run_stage("filter", timings, lambda: filter_concepts(
         lattice, scores, min_support=min_support, min_lstab=min_lstab,
         bound_policy=bound_policy))
@@ -407,5 +444,4 @@ def report_to_json(report: PatternReport) -> str:
 
 
 def read_report_json(path: str) -> dict[str, Any]:
-    with input_file(path, "report") as fh:
-        return json.load(fh)
+    return read_json(path, "report")

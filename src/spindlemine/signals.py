@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InputError, input_file
+from .errors import InputError, input_file, read_json
 
 #: The 15 contiguous 2 Hz analysis bands, 0.5-2.5 ... 28.5-30.5 Hz.
 DEFAULT_BANDS: tuple[tuple[float, float], ...] = tuple(
@@ -240,8 +240,7 @@ def read_annotations_json(path: str) -> list[SpindleAnnotation]:
     (seconds after ``start_s``), never both.  The checks are those of
     :func:`_annotations`.
     """
-    with input_file(path, "annotations") as fh:
-        raw = json.load(fh)
+    raw = read_json(path, "annotations")
     return [ann for _, ann in _annotations(path, "annotation", raw)]
 
 
@@ -366,8 +365,7 @@ def read_segments_json(path: str) -> list[tuple[SpindleAnnotation, float, np.nda
     otherwise :class:`InputError` names the file, the segment index and
     its id.
     """
-    with input_file(path, "segments") as fh:
-        raw = json.load(fh)
+    raw = read_json(path, "segments")
     out = []
     for i, (item, ann) in enumerate(_annotations(path, "segment", raw)):
         where = f"{path}: segment {i} (id {ann.id!r})"

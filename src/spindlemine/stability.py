@@ -11,26 +11,24 @@ It measures how robust the concept is to removing objects.  Because
 ``LStab = -log2(1 - Stab)``, with ``Stab = 1`` mapped to an explicit
 ``+inf`` sentinel.
 
-Exact computation is available two ways, which agree everywhere:
+Exact stability is computed one way, by :func:`stability_lattice_dp`,
+which reads each concept's lower covers: a subset of ``A`` closes to
+``A`` exactly when it lies inside no lower cover, i.e. when it meets
+every gap ``A \\ child``.  When the one-object gaps already meet every
+gap, the count is the closed form ``q = 2^(|A| - |F|)``, with ``F`` the
+union of the one-object gaps; with continuous features every gap is one
+object, so this is the common case.  Otherwise every subset of ``A``
+closes to exactly one concept with extent inside ``A``, so
+``q(c) = 2^|A| - sum of q(e) over the strict down-set of c``, found by
+walking the cover relation.  Counts are kept as arbitrary-precision
+integers, so the identity ``sum of q over all concepts = 2^|G|`` is
+exact at any size.  :func:`stability_bruteforce` enumerates the subsets
+of one concept's extent (capped, since there are ``2^|A|``); it is the
+reference the exact counts are checked against, not a mining method.
 
-* :func:`stability_bruteforce` enumerates subsets of one concept's extent
-  (capped, since the count is ``2^|A|``);
-* :func:`stability_lattice_dp` reads each concept's lower covers: a
-  subset of ``A`` closes to ``A`` exactly when it lies inside no lower
-  cover, i.e. when it meets every gap ``A \\ child``.  When the
-  one-object gaps already meet every gap, the count is the closed form
-  ``q = 2^(|A| - |F|)``, with ``F`` the union of the one-object gaps;
-  with continuous features every gap is one object, so this is the
-  common case.  Otherwise every subset of ``A`` closes to exactly one
-  concept with extent inside ``A``, so
-  ``q(c) = 2^|A| - sum of q(e) over the strict down-set of c``, found by
-  walking the cover relation.  Counts are kept as arbitrary-precision
-  integers, so the identity ``sum of q over all concepts = 2^|G|`` is
-  exact at any size.
-
-Every method returns a read-only mapping from concept index to score
-that scores a concept the first time it is read, so a caller that tests
-support first (:func:`filter_concepts`) scores only the frequent
+:func:`score_lattice` returns a read-only mapping from concept index to
+score that scores a concept the first time it is read, so a caller that
+tests support first (:func:`filter_concepts`) scores only the frequent
 concepts.
 
 When the lattice is too large for exact work, :func:`lstab_bounds`
@@ -340,39 +338,22 @@ def lstab_bounds(
 
 
 def score_lattice(
-    lattice: ConceptLattice,
-    method: str,
-    *,
-    structure: Any = None,
-    attribute_count: int | None = None,
-    max_extent: int = DEFAULT_BRUTEFORCE_CAP,
+    lattice: ConceptLattice, method: str, *, attribute_count: int | None = None
 ) -> Mapping[int, StabilityScore]:
     """Scores of every concept with the chosen method, each computed when
     it is first read.
 
-    ``method`` is one of ``exact-dp`` (exact counts from each concept's
-    lower covers, see :func:`stability_lattice_dp`), ``bounds`` (needs
-    ``attribute_count``) or ``brute-force`` (needs the originating
-    ``structure``).
+    ``method`` is ``exact-dp`` (exact counts from each concept's lower
+    covers, see :func:`stability_lattice_dp`) or ``bounds`` (see
+    :func:`lstab_bounds`; needs ``attribute_count``).
     """
     if method == "exact-dp":
         return stability_lattice_dp(lattice)
-    if method == "bounds":
-        if attribute_count is None:
-            raise InputError("bounds method requires attribute_count")
-        scores = _ScoreColumn(len(lattice), lambda i: lstab_bounds(lattice, i, attribute_count))
-    elif method == "brute-force":
-        if structure is None:
-            raise InputError("brute-force method requires the originating structure")
-        scores = _ScoreColumn(len(lattice), lambda i: stability_bruteforce(
-            structure, lattice.concepts[i], max_extent))
-    else:
+    if method != "bounds":
         raise InputError(f"unknown stability method {method!r}")
-    # The top has the largest extent, so scoring it here raises any error a
-    # later read could (a bad attribute_count, an extent over the
-    # brute-force cap, a mismatched structure) while the caller is scoring.
-    scores[lattice.top_index]
-    return scores
+    if attribute_count is None or attribute_count < 1:
+        raise InputError("bounds method requires an attribute_count >= 1")
+    return _ScoreColumn(len(lattice), lambda i: lstab_bounds(lattice, i, attribute_count))
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +417,3 @@ def score_to_json(score: StabilityScore, n_objects: int) -> dict[str, Any]:
         out["upper"] = score.upper_bound
     out["method"] = score.method
     return out
-
-
-def scores_to_json(
-    scores: Mapping[int, StabilityScore], n_objects: int
-) -> list[dict[str, Any]]:
-    """All scores, ordered by concept index, as JSON-ready mappings."""
-    return [score_to_json(scores[i], n_objects) for i in sorted(scores)]

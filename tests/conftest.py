@@ -31,12 +31,19 @@ from spindlemine.intervals import (
 # brute-force oracles (independent of the package's enumeration code)
 # ---------------------------------------------------------------------------
 
+def oracle_binary_intent(context: FormalContext, indices: frozenset[int]) -> frozenset[int]:
+    """Intent A' computed straight off the incidence pairs."""
+    incident = context.incidence
+    return frozenset(a for a in range(context.n_attributes)
+                     if all((g, a) in incident for g in indices))
+
+
 def oracle_binary_closure(context: FormalContext, indices: frozenset[int]) -> frozenset[int]:
     """Closure A'' computed straight off the incidence pairs."""
     incident = context.incidence
-    n, m = context.n_objects, context.n_attributes
-    intent = {a for a in range(m) if all((g, a) in incident for g in indices)}
-    return frozenset(g for g in range(n) if all((g, a) in incident for a in intent))
+    intent = oracle_binary_intent(context, indices)
+    return frozenset(g for g in range(context.n_objects)
+                     if all((g, a) in incident for a in intent))
 
 
 def oracle_binary_closed_extents(context: FormalContext) -> set[frozenset[int]]:
@@ -49,19 +56,37 @@ def oracle_binary_closed_extents(context: FormalContext) -> set[frozenset[int]]:
     return closed
 
 
+def oracle_interval_hull(
+    structure: IntervalPatternStructure, indices: frozenset[int]
+) -> IntervalDescription | None:
+    """Meet of the members' descriptions, folded in ascending member order
+    (as the lattice's intents break -0.0 / 0.0 ties); ``None``, the formal
+    bottom, for no members."""
+    members = sorted(indices)
+    if not members:
+        return None
+    hull = structure.delta(members[0])
+    for i in members[1:]:
+        hull = interval_meet(hull, structure.delta(i))
+    return hull
+
+
+def oracle_interval_extent(
+    structure: IntervalPatternStructure, description: IntervalDescription | None
+) -> frozenset[int]:
+    """All objects whose description lies inside ``description``."""
+    if description is None:
+        return frozenset()
+    return frozenset(
+        i for i in range(structure.n_objects) if subsumes(description, structure.delta(i))
+    )
+
+
 def oracle_interval_closure(
     structure: IntervalPatternStructure, indices: frozenset[int]
 ) -> frozenset[int]:
     """Pattern closure: hull of members, then all objects inside the hull."""
-    if not indices:
-        return frozenset()
-    members = sorted(indices)
-    hull = structure.delta(members[0])
-    for i in members[1:]:
-        hull = interval_meet(hull, structure.delta(i))
-    return frozenset(
-        i for i in range(structure.n_objects) if subsumes(hull, structure.delta(i))
-    )
+    return oracle_interval_extent(structure, oracle_interval_hull(structure, indices))
 
 
 def oracle_interval_closed_extents(

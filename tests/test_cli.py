@@ -208,6 +208,35 @@ def test_argparse_usage_errors():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mine", "--context", "context.csv", "--min-support", 0, "--min-lstab", 0],
+    ["pipeline"],
+], ids=["mine", "pipeline"])
+def test_brute_force_is_no_stability_choice(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--stability", "brute-force", "--output", tmp_path / "out"])
+    assert err.value.code == 2
+    assert "invalid choice: 'brute-force'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bands", 5),
+    ("bands", [[1]]),
+    ("dominant_band", [1]),
+    ("min_support", "x"),
+    ("stability_method", "brute-force"),
+], ids=["bands-number", "bands-short-pair", "dominant-band-short", "min-support-text",
+        "brute-force"])
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "recording": "rec.csv", "annotations": "anns.json", "output_dir": str(tmp_path),
+        "min_support": 0.4, "min_lstab": 1.0, key: value}))
+    assert run(["pipeline", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "abc"])
 def test_mine_bad_context_cell_exits_2(tmp_path, capsys, cell):
     context = tmp_path / "context.csv"

@@ -1,6 +1,5 @@
 """Binary contexts, derivation operators, and lattice construction."""
 
-import csv
 import random
 
 import pytest
@@ -11,16 +10,16 @@ from spindlemine.fca import (
     Concept,
     FormalContext,
     build_lattice,
-    closure,
-    derive_attributes,
-    derive_objects,
     lattice_to_dot,
-    read_context_csv,
-    write_context_csv,
 )
 from spindlemine.stability import stability_lattice_dp
 
-from conftest import oracle_binary_closed_extents, oracle_binary_closure, random_context
+from conftest import (
+    oracle_binary_closed_extents,
+    oracle_binary_closure,
+    oracle_binary_intent,
+    random_context,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -30,31 +29,31 @@ from conftest import oracle_binary_closed_extents, oracle_binary_closure, random
 
 def test_tiny_context_derivations(tiny_context):
     ctx = tiny_context
-    # indices: g1=0, g2=1, a=0, b=1
-    assert derive_attributes(ctx, {0, 1}) == {0}
-    assert derive_attributes(ctx, {1}) == {0, 1}
-    assert derive_objects(ctx, {0}) == {0, 1}
-    assert derive_objects(ctx, {0, 1}) == {1}
+    # masks: g1=0b01, g2=0b10, a=0b01, b=0b10
+    assert ctx.derive_attr_mask(0b11) == 0b01
+    assert ctx.derive_attr_mask(0b10) == 0b11
+    assert ctx.column_masks == (0b11, 0b10)  # the objects of a, of b
 
 
 def test_empty_set_derivations(tiny_context):
     ctx = tiny_context
-    assert derive_attributes(ctx, set()) == {0, 1}  # empty extent -> all attributes
-    assert derive_objects(ctx, set()) == {0, 1}  # empty intent -> all objects
+    assert ctx.derive_attr_mask(0) == 0b11  # empty extent -> all attributes
+    assert ctx.object_mask == 0b11  # what the empty intent derives
 
 
 def test_closure_examples(tiny_context):
-    assert closure(tiny_context, {0}) == {0, 1}  # {g1}'' = {g1, g2} (both have 'a')
-    assert closure(tiny_context, {1}) == {1}
+    assert tiny_context.closure_mask(0b01) == 0b11  # {g1}'' = {g1, g2} (both have 'a')
+    assert tiny_context.closure_mask(0b10) == 0b10
     # empty set: '' goes through the full intent, landing on g2 only
-    assert closure(tiny_context, set()) == {1}
+    assert tiny_context.closure_mask(0) == 0b10
 
 
-def test_derivation_rejects_bad_indices(tiny_context):
+def test_derivation_rejects_bad_indices():
+    # object and attribute indices enter a context only as incidence pairs
     with pytest.raises(InputError):
-        derive_attributes(tiny_context, {5})
+        FormalContext(("g",), ("a",), frozenset({(0, 5)}))
     with pytest.raises(InputError):
-        derive_objects(tiny_context, {-1})
+        FormalContext(("g",), ("a",), frozenset({(-1, 0)}))
 
 
 def test_context_validation():
@@ -92,27 +91,38 @@ def contexts_and_subsets(draw):
     return ctx, frozenset(a), frozenset(b)
 
 
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _derive_objects(ctx, intent_mask):
+    """B': the objects whose rows hold every attribute of ``intent_mask``."""
+    return _mask(g for g, row in enumerate(ctx.row_masks) if not intent_mask & ~row)
+
+
 @settings(deadline=None, max_examples=200)
 @given(contexts_and_subsets())
 def test_closure_is_a_closure_operator(data):
     ctx, a, b = data
-    ca = closure(ctx, a)
-    assert a <= ca  # extensive
-    assert closure(ctx, ca) == ca  # idempotent
+    ma, mb = _mask(a), _mask(b)
+    ca = ctx.closure_mask(ma)
+    assert not ma & ~ca  # extensive
+    assert ctx.closure_mask(ca) == ca  # idempotent
     if a <= b:
-        assert ca <= closure(ctx, b)  # monotone
+        assert not ca & ~ctx.closure_mask(mb)  # monotone
 
 
 @settings(deadline=None, max_examples=200)
 @given(contexts_and_subsets())
 def test_derivation_galois_laws(data):
     ctx, a, b = data
+    ma, mb = _mask(a), _mask(b)
     if a <= b:  # antitone
-        assert derive_attributes(ctx, b) <= derive_attributes(ctx, a)
+        assert not ctx.derive_attr_mask(mb) & ~ctx.derive_attr_mask(ma)
     # adjunction: A <= B'  <=>  B <= A'  (with B a set of attributes)
-    attrs = frozenset(i for i in b if i < ctx.n_attributes)
-    lhs = a <= derive_objects(ctx, attrs)
-    rhs = attrs <= derive_attributes(ctx, a)
+    attrs = _mask(i for i in b if i < ctx.n_attributes)
+    lhs = not ma & ~_derive_objects(ctx, attrs)
+    rhs = not attrs & ~ctx.derive_attr_mask(ma)
     assert lhs == rhs
 
 
@@ -120,9 +130,10 @@ def test_derivation_galois_laws(data):
 @given(contexts_and_subsets())
 def test_closure_matches_oracle(data):
     ctx, a, _ = data
-    assert closure(ctx, a) == oracle_binary_closure(ctx, a)
-    mask = sum(1 << g for g in a)
-    assert ctx.closure_mask(mask) == ctx.derive_object_mask(ctx.derive_attr_mask(mask))
+    mask = _mask(a)
+    assert ctx.closure_mask(mask) == _mask(oracle_binary_closure(ctx, a))
+    assert ctx.derive_attr_mask(mask) == _mask(oracle_binary_intent(ctx, a))
+    assert ctx.closure_mask(mask) == _derive_objects(ctx, ctx.derive_attr_mask(mask))
     assert ctx.derive_attr_mask(0) == (1 << ctx.n_attributes) - 1
 
 
@@ -156,7 +167,7 @@ def test_single_full_cell_collapses_to_one_concept():
     assert len(lat) == 1
     assert lat.top_index == lat.bottom_index == 0
     assert lat.covers == ()
-    assert lat.direct_descendants(0) == ()
+    assert lat.children[0] == ()
 
 
 def test_lattice_matches_bruteforce_enumeration():
@@ -168,8 +179,8 @@ def test_lattice_matches_bruteforce_enumeration():
         assert got == oracle_binary_closed_extents(ctx)
         # intents must derive their extents and vice versa
         for c in lat.concepts:
-            assert derive_attributes(ctx, c.extent) == c.intent
-            assert derive_objects(ctx, c.intent) == c.extent
+            assert oracle_binary_intent(ctx, c.extent) == c.intent
+            assert oracle_binary_closure(ctx, c.extent) == c.extent
 
 
 def test_concept_ordering_is_deterministic():
@@ -230,11 +241,9 @@ def test_three_chain_direct_descendants():
     )
     lat = build_lattice(ctx)
     assert len(lat) == 3
-    assert lat.direct_descendants(0) == (1,)
-    assert lat.direct_descendants(1) == (2,)
-    assert lat.direct_descendants(2) == ()
+    assert tuple(lat.children) == ((1,), (2,), ())
     with pytest.raises(InputError):
-        lat.direct_descendants(3)
+        lat.extent_names(3)
 
 
 def test_concept_cap_enforced():
@@ -277,60 +286,8 @@ def test_contranominal_stability_at_scale():
 
 
 # ---------------------------------------------------------------------------
-# CSV and DOT
+# DOT
 # ---------------------------------------------------------------------------
-
-
-def test_context_csv_round_trip(tmp_path):
-    rng = random.Random(11)
-    contexts = [random_context(rng, max_objects=6, max_attributes=5) for _ in range(5)]
-    contexts.append(FormalContext.from_rows(["g0", "g1"], [], [[], []]))
-    for k, ctx in enumerate(contexts):
-        path = tmp_path / f"ctx{k}.csv"
-        write_context_csv(ctx, str(path))
-        # the writer leaves the corner cell of the header empty
-        with path.open(newline="") as fh:
-            assert next(csv.reader(fh))[0] == ""
-        assert read_context_csv(str(path)) == ctx
-
-
-def test_context_csv_names_both_rows_of_a_repeated_id(tmp_path):
-    path = tmp_path / "ctx.csv"
-    path.write_text(",a\ng1,1\ng2,0\ng1,0\n")
-    with pytest.raises(InputError) as err:
-        read_context_csv(str(path))
-    message = str(err.value)
-    assert str(path) in message and "'g1'" in message and "rows 2 and 4" in message
-
-
-def test_context_csv_names_the_bad_cell(tmp_path):
-    path = tmp_path / "ctx.csv"
-    path.write_text("id,a,b\ng1,1,0\ng2,x,yes\n")
-    with pytest.raises(InputError) as err:
-        read_context_csv(str(path))
-    message = str(err.value)
-    assert str(path) in message
-    assert "row 3" in message and "'b'" in message and "'yes'" in message
-
-
-def test_context_csv_accepts_x_cells(tmp_path):
-    path = tmp_path / "ctx.csv"
-    path.write_text(",a,b\ng1,x,\ng2,X,1\n")
-    ctx = read_context_csv(str(path))
-    assert ctx.incidence == frozenset({(0, 0), (1, 0), (1, 1)})
-
-
-def test_context_csv_rejects_garbage(tmp_path):
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text(",a,b\ng1,1\n")
-    with pytest.raises(InputError):
-        read_context_csv(str(ragged))
-    weird = tmp_path / "weird.csv"
-    weird.write_text(",a\ng1,yes\n")
-    with pytest.raises(InputError):
-        read_context_csv(str(weird))
-    with pytest.raises(InputError):
-        read_context_csv(str(tmp_path / "missing.csv"))
 
 
 def test_dot_export(tiny_context):

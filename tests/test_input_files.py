@@ -1,5 +1,6 @@
 """Every reader of an input file reports a missing, undecodable or
-truncated file as an InputError naming the file."""
+truncated file, and JSON past the parser's limits, as an InputError naming
+the file."""
 
 import json
 
@@ -51,3 +52,20 @@ def test_bad_input_file_is_an_input_error_naming_it(tmp_path, name, fault):
         reader(str(path))
     message = str(err.value)
     assert str(path) in message and expected in message
+
+
+JSON_READERS = [name for name, (_, _, is_json) in READERS.items() if is_json]
+#: valid JSON past the parser's limits: more digits than int() converts by
+#: default (4,300), nesting deeper than the interpreter's recursion limit
+BEYOND_LIMITS = {"long-integer": "[" + "7" * 5000 + "]",
+                 "deep-nesting": "[" * 100_000 + "]" * 100_000}
+
+
+@pytest.mark.parametrize("text", BEYOND_LIMITS.values(), ids=BEYOND_LIMITS)
+@pytest.mark.parametrize("name", JSON_READERS)
+def test_json_beyond_parser_limits_is_an_input_error_naming_the_file(tmp_path, name, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(InputError) as err:
+        READERS[name][0](str(path))
+    assert str(path) in str(err.value)

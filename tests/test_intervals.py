@@ -12,14 +12,11 @@ from spindlemine.intervals import (
     IntervalDescription,
     IntervalPatternStructure,
     build_pattern_lattice,
-    description_to_extent,
-    extent_to_description,
     format_interval,
     interval_meet,
     parse_interval_cell,
     read_interval_csv,
     subsumes,
-    write_interval_csv,
 )
 from spindlemine.stability import stability_lattice_dp
 
@@ -28,6 +25,8 @@ from conftest import (
     oracle_covers,
     oracle_interval_closed_extents,
     oracle_interval_closure,
+    oracle_interval_extent,
+    oracle_interval_hull,
     random_interval_structure,
     tie_heavy_structures,
 )
@@ -107,49 +106,39 @@ def test_subsumption_agrees_with_meet(pair):
 
 
 def test_extent_to_description(three_point_structure):
-    ps = three_point_structure
-    assert extent_to_description(ps, {0, 1}) == desc((1, 2), (1, 2))
-    assert extent_to_description(ps, {2}) == desc((3, 3), (2, 2))
-    assert extent_to_description(ps, {0, 1, 2}) == desc((1, 3), (1, 2))
-    with pytest.raises(InputError):
-        extent_to_description(ps, set())
+    # a concept's intent is the meet (convex hull) of its members' descriptions
+    intents = {c.extent: c.intent for c in build_pattern_lattice(three_point_structure).concepts}
+    assert intents[frozenset({0, 1})] == desc((1, 2), (1, 2))
+    assert intents[frozenset({2})] == desc((3, 3), (2, 2))
+    assert intents[frozenset({0, 1, 2})] == desc((1, 3), (1, 2))
+    assert intents[frozenset()] is None  # no numeric description: the formal bottom
 
 
 def test_description_to_extent(three_point_structure):
-    ps = three_point_structure
-    assert description_to_extent(ps, desc((1, 2), (1, 2))) == {0, 1}
-    assert description_to_extent(ps, desc((1, 3), (1, 2))) == {0, 1, 2}
-    assert description_to_extent(ps, desc((2, 2), (2, 2))) == {1}
-    with pytest.raises(InputError):
-        description_to_extent(ps, desc((1, 2)))
+    # a concept's extent holds every object whose description its intent subsumes
+    extents = {c.intent: c.extent for c in build_pattern_lattice(three_point_structure).concepts}
+    assert extents[desc((1, 2), (1, 2))] == {0, 1}
+    assert extents[desc((1, 3), (1, 2))] == {0, 1, 2}
+    assert extents[desc((2, 2), (2, 2))] == {1}
 
 
 @st.composite
-def structures_and_descriptions(draw):
+def structures_and_subsets(draw):
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
     ps = random_interval_structure(rng, max_objects=6, max_attributes=3)
-    d = draw(descriptions(width=len(ps.attributes)))
     a = draw(st.sets(st.integers(0, ps.n_objects - 1), min_size=1))
-    return ps, d, frozenset(a)
+    return ps, frozenset(a)
 
 
 @settings(deadline=None, max_examples=150)
-@given(structures_and_descriptions())
-def test_pattern_galois_adjunction(data):
-    ps, d, a = data
-    # A <= d*  <=>  d subsumes A*
-    lhs = a <= description_to_extent(ps, d)
-    rhs = subsumes(d, extent_to_description(ps, a))
-    assert lhs == rhs
-
-
-@settings(deadline=None, max_examples=150)
-@given(structures_and_descriptions())
+@given(structures_and_subsets())
 def test_pattern_closure_laws(data):
-    ps, _, a = data
+    ps, a = data
+    # the closure of A is the smallest concept extent containing it
+    extents = {c.extent for c in build_pattern_lattice(ps).concepts}
 
     def close(s):
-        return description_to_extent(ps, extent_to_description(ps, s))
+        return min((e for e in extents if s <= e), key=len)
 
     ca = close(a)
     assert a <= ca
@@ -229,11 +218,8 @@ def test_lattice_matches_bruteforce_enumeration():
         got = {frozenset(c.extent) for c in lat.concepts}
         assert got == oracle_interval_closed_extents(ps)
         for c in lat.concepts:
-            if c.intent is None:
-                assert c.extent == frozenset()
-            else:
-                assert extent_to_description(ps, c.extent) == c.intent
-                assert description_to_extent(ps, c.intent) == c.extent
+            assert oracle_interval_hull(ps, c.extent) == c.intent
+            assert oracle_interval_extent(ps, c.intent) == c.extent
 
 
 def test_five_point_lattice_frozen():
@@ -250,8 +236,8 @@ def test_five_point_lattice_frozen():
     assert {frozenset(c.extent) for c in lat.concepts} == oracle_interval_closed_extents(ps)
     assert lat.extent_names(0) == ("g1", "g2", "g3", "g4", "g5")
     assert lat.concepts[0].intent == desc((4, 6), (7, 9))
-    assert lat.direct_descendants(0) == (1, 2, 3)
-    assert lat.direct_descendants(lat.bottom_index) == ()
+    assert lat.children[0] == (1, 2, 3)
+    assert lat.children[lat.bottom_index] == ()
 
 
 def test_covers_are_transitive_reduction():
@@ -292,7 +278,7 @@ def test_lattice_matches_oracles_on_ties(ps):
     for c in lat.concepts:
         if c.extent:
             # repr tells -0.0 from 0.0, which == does not
-            assert _reprs(c.intent) == _reprs(extent_to_description(ps, c.extent))
+            assert _reprs(c.intent) == _reprs(oracle_interval_hull(ps, c.extent))
         else:
             assert c.intent is None
     got = {(lat.concepts[i].extent, lat.concepts[j].extent) for i, j in lat.covers}
@@ -437,7 +423,7 @@ def test_interval_csv_round_trip(tmp_path):
         (desc((1.25, 3.5), (2, 2)), desc((0, 0), (-1.5, 4))),
     )
     path = tmp_path / "ctx.csv"
-    write_interval_csv(ps, str(path))
+    path.write_text("id,width,height\ns1,1.25..3.5,2.0\ns2,0.0,-1.5..4.0\n")
     assert read_interval_csv(str(path)) == ps
 
 

@@ -8,21 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spindlemine import intervals
-from spindlemine.errors import CapacityError, StageError
 from spindlemine.fca import Concept, FormalContext, build_lattice
 from spindlemine.intervals import (
     IntervalDescription,
     IntervalPatternStructure,
     build_pattern_lattice,
-    extent_to_description,
 )
 from spindlemine.pipeline import mine
 from spindlemine.stability import score_lattice, stability_lattice_dp
 
 from conftest import (
     oracle_binary_closed_extents,
+    oracle_binary_intent,
     oracle_covers,
     oracle_interval_closed_extents,
+    oracle_interval_hull,
     oracle_subset_counts,
     random_interval_structure,
     tie_heavy_structures,
@@ -52,9 +52,7 @@ def binary_contexts(draw):
 
 
 def _binary_payload(ctx, extent):
-    intent = frozenset(a for a in range(ctx.n_attributes)
-                       if all((g, a) in ctx.incidence for g in extent))
-    return Concept(extent=extent, intent=intent)
+    return Concept(extent=extent, intent=oracle_binary_intent(ctx, extent))
 
 
 def _reprs(intent):
@@ -99,8 +97,7 @@ def test_binary_lattice_read_in_any_order_matches_oracles(order, ctx, seed):
 @given(ps=tie_heavy_structures(), seed=st.integers(0, 2**16))
 def test_pattern_lattice_read_in_any_order_matches_oracles(order, ps, seed):
     def payload(extent):
-        intent = extent_to_description(ps, extent) if extent else None
-        return extent, _reprs(intent)
+        return extent, _reprs(oracle_interval_hull(ps, extent))
 
     # repr tells -0.0 from 0.0, which == does not
     _check_lazy_lattice(build_pattern_lattice, ps, oracle_interval_closed_extents(ps), payload,
@@ -156,8 +153,7 @@ def test_scores_are_a_read_only_column_over_concept_indices():
     ctx = FormalContext.from_rows(["g1", "g2", "g3"], ["a", "b"], [[1, 0], [1, 1], [0, 1]])
     lat = build_lattice(ctx)
     for scores in (score_lattice(lat, "exact-dp"),
-                   score_lattice(lat, "bounds", attribute_count=2),
-                   score_lattice(lat, "brute-force", structure=ctx)):
+                   score_lattice(lat, "bounds", attribute_count=2)):
         assert list(scores) == list(range(len(lat))) and len(scores) == len(lat)
         assert -1 not in scores and len(lat) not in scores and "0" not in scores
         with pytest.raises(KeyError):
@@ -187,16 +183,3 @@ def test_mine_builds_payloads_only_for_the_kept_concepts(monkeypatch):
     kept = [frozenset(ps.objects.index(name) for name in p["extent"]) for p in patterns]
     assert 0 < len(kept) < len(lattice) // 10
     assert sorted(made, key=sorted) == sorted(kept, key=sorted)
-
-
-def test_brute_force_cap_fails_in_the_stability_stage():
-    # 21 objects: the top's extent is over the default cap of 20, and the
-    # error must come from scoring, not from a later read in the filter
-    ps = IntervalPatternStructure(
-        tuple(f"g{i}" for i in range(21)), ("a",),
-        tuple(IntervalDescription.from_point((float(i),)) for i in range(21)))
-    with pytest.raises(StageError) as err:
-        mine(ps, {}, min_support=0.0, min_lstab=0.0, stability_method="brute-force",
-             bound_policy="upper", concept_cap=10**6, dot=None)
-    assert err.value.stage == "stability"
-    assert isinstance(err.value.cause, CapacityError)

@@ -14,6 +14,7 @@ from spindlemine.pipeline import (
     report_to_json,
     run_pipeline,
 )
+from spindlemine.stability import score_to_json, stability_bruteforce
 
 
 def fixture_config(files, out_dir, **overrides) -> PipelineConfig:
@@ -94,15 +95,28 @@ def test_stages_count_the_input_annotations(two_cluster_files, tmp_path, monkeyp
     assert report.stages["context_objects"] == 11
 
 
-def test_methods_agree_on_the_filtered_set(two_cluster_files, tmp_path):
-    kept = {}
-    for method in ("exact-dp", "brute-force", "bounds"):
-        report = run_pipeline(
-            fixture_config(two_cluster_files, tmp_path / method,
-                           stability_method=method)
-        )
-        kept[method] = {frozenset(p["extent"]) for p in report.patterns}
-    assert kept["exact-dp"] == kept["brute-force"] == kept["bounds"]
+def test_methods_agree_on_the_filtered_set(two_cluster_files, tmp_path, monkeypatch):
+    mined = []  # (structure, lattice) per run
+
+    def spy(structure, *args, **kwargs):
+        lattice, patterns = real_mine(structure, *args, **kwargs)
+        mined.append((structure, lattice))
+        return lattice, patterns
+
+    real_mine = pipeline.mine
+    monkeypatch.setattr(pipeline, "mine", spy)
+    reports = {method: run_pipeline(fixture_config(two_cluster_files, tmp_path / method,
+                                                   stability_method=method))
+               for method in ("exact-dp", "bounds")}
+    kept = {method: {frozenset(p["extent"]) for p in report.patterns}
+            for method, report in reports.items()}
+    assert kept["exact-dp"] == kept["bounds"] != set()
+    # every kept exact-dp LStab is the one subset enumeration counts
+    structure, lattice = mined[0]
+    index = {frozenset(lattice.extent_names(i)): i for i in range(len(lattice))}
+    for p in reports["exact-dp"].patterns:
+        brute = stability_bruteforce(structure, lattice.concepts[index[frozenset(p["extent"])]])
+        assert score_to_json(brute, lattice.n_objects)["lstab"] == p["stability"]["lstab"]
 
 
 def test_bounds_method_reports_the_chain(two_cluster_files, tmp_path):

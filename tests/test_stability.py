@@ -20,7 +20,6 @@ from spindlemine.stability import (
     lstab_bounds,
     score_lattice,
     score_to_json,
-    scores_to_json,
     stability_bruteforce,
     stability_lattice_dp,
 )
@@ -312,7 +311,7 @@ def test_interval_lattices_need_both_refinement_directions():
         descriptions=tuple(IntervalDescription.from_point(p) for p in points),
     )
     lat = build_pattern_lattice(ps)
-    kids = lat.direct_descendants(lat.top_index)
+    kids = lat.children[lat.top_index]
     assert len(kids) == 4  # more than m = 2
     exact = stability_lattice_dp(lat)[lat.top_index].lstab
     b4 = lstab_bounds(lat, lat.top_index, attribute_count=4)
@@ -328,11 +327,11 @@ def test_score_lattice_dispatch(tiny_context):
     assert dp[0].method == "lattice-dp"
     bounds = score_lattice(lat, "bounds", attribute_count=2)
     assert bounds[0].method == "bounds"
-    brute = score_lattice(lat, "brute-force", structure=tiny_context)
-    assert brute[0].method == "brute-force"
-    assert brute[0].exact_count == dp[0].exact_count
     with pytest.raises(InputError):
         score_lattice(lat, "bounds")
+    with pytest.raises(InputError):
+        score_lattice(lat, "bounds", attribute_count=0)
+    # subset enumeration is a reference (stability_bruteforce), not a method
     with pytest.raises(InputError):
         score_lattice(lat, "brute-force")
     with pytest.raises(InputError):
@@ -425,10 +424,3 @@ def test_score_to_json_exact():
 def test_score_to_json_infinity_is_a_string():
     s = StabilityScore.from_exact_count("brute-force", 1, 2)
     assert score_to_json(s, n_objects=2)["lstab"] == "inf"
-
-
-def test_scores_to_json_ordering(scored_lattice):
-    lat, scores = scored_lattice
-    rows = scores_to_json(scores, lat.n_objects)
-    assert [r["extent_size"] for r in rows] == [2, 1]
-    assert all("lower" not in r for r in rows)
