@@ -28,6 +28,7 @@ from .pipeline import (
     PipelineConfig,
     STABILITY_METHODS,
     export_report,
+    extract,
     feature_rows,
     mine,
     run_pipeline,
@@ -43,9 +44,6 @@ from .selection import (
 from .signals import (
     DEFAULT_BANDS,
     DEFAULT_DOMINANT_BAND,
-    extract_segments,
-    read_annotations_json,
-    read_recording_csv,
     read_segments_json,
     write_segments_json,
 )
@@ -124,9 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_extract(args) -> int:
-    recording = read_recording_csv(args.recording, sample_rate=args.fs)
-    annotations = read_annotations_json(args.annotations)
-    segments = extract_segments(recording, annotations)
+    recording, _, segments = extract(args.recording, args.annotations, args.fs)
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "segments.json")
     write_segments_json(path, segments, recording.sample_rate)

@@ -370,15 +370,13 @@ def build_lattice(
     return assemble_lattice(context.objects, masks, make, refine)
 
 
-def lattice_to_dot(lattice: ConceptLattice, label: Callable[[int], str] | None = None) -> str:
-    """Render the cover relation as a Graphviz digraph (debugging aid)."""
-    if label is None:
-        def label(i: int) -> str:
-            names = lattice.extent_names(i)
-            return "{%s}" % ",".join(names) if names else "{}"
+def lattice_to_dot(lattice: ConceptLattice) -> str:
+    """Render the cover relation as a Graphviz digraph (debugging aid);
+    each node is labelled with its extent."""
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for i in range(len(lattice)):
-        lines.append(f'  n{i} [label="{label(i)}"];')
+        extent = ",".join(lattice.extent_names(i))
+        lines.append(f'  n{i} [label="{{{extent}}}"];')
     for parent, child in lattice.covers:
         lines.append(f"  n{child} -> n{parent};")
     lines.append("}")

@@ -40,6 +40,7 @@ from .signals import (
     DEFAULT_BANDS,
     DEFAULT_DOMINANT_BAND,
     FeatureRow,
+    Recording,
     SpindleAnnotation,
     extract_segments,
     feature_row,
@@ -153,6 +154,11 @@ class PipelineConfig:
             raise InputError(f"corr_threshold {self.corr_threshold} outside (0, 1]")
         if self.ig_bins < 2:
             raise InputError(f"ig_bins must be >= 2, got {self.ig_bins}")
+        if self.ig_top_k is not None:  # as select_attributes checks it
+            if self.ig_top_k < 1:
+                raise InputError(f"ig_top_k must be >= 1, got {self.ig_top_k}")
+            if not self.labels:
+                raise InputError("ig_top_k requires labels")
         lo, hi = self.dominant_band
         if not 0.0 <= lo < hi:
             raise InputError(f"invalid dominant_band [{lo}, {hi}]")
@@ -227,6 +233,18 @@ def _run_stage(name: str, timings: dict[str, float], fn: Callable[[], T]) -> T:
     return result
 
 
+def extract(
+    recording_path: str, annotations_path: str, sample_rate: float | None
+) -> tuple[Recording, list[SpindleAnnotation], list[tuple[SpindleAnnotation, Any]]]:
+    """Read the recording and its annotations and cut out each annotated
+    segment; an empty annotation list raises :class:`InputError`."""
+    recording = read_recording_csv(recording_path, sample_rate=sample_rate)
+    annotations = read_annotations_json(annotations_path)
+    if not annotations:
+        raise InputError("no segments: the annotation list is empty")
+    return recording, annotations, extract_segments(recording, annotations)
+
+
 def feature_rows(
     triples: Iterable[tuple[SpindleAnnotation, float, Any]],
     bands: Sequence[tuple[float, float]],
@@ -294,14 +312,8 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
     timings: dict[str, float] = {}
     total_start = perf_counter()
 
-    def _extract():
-        recording = read_recording_csv(config.recording, sample_rate=config.sample_rate)
-        annotations = read_annotations_json(config.annotations)
-        if not annotations:
-            raise InputError("no segments: the annotation list is empty")
-        return recording, annotations, extract_segments(recording, annotations)
-
-    recording, annotations, segments = _run_stage("extract", timings, _extract)
+    recording, annotations, segments = _run_stage("extract", timings, lambda: extract(
+        config.recording, config.annotations, config.sample_rate))
 
     rows = _run_stage("features", timings, lambda: feature_rows(
         ((ann, recording.sample_rate, samples) for ann, samples in segments),
@@ -389,12 +401,11 @@ def export_report(
     report: PatternReport,
     output_dir: str,
     json_name: str = "report.json",
-    csv_name: str = "summary.csv",
 ) -> tuple[str, str]:
     """Write the full JSON report and a one-row-per-pattern CSV summary."""
     os.makedirs(output_dir, exist_ok=True)
     json_path = os.path.join(output_dir, json_name)
-    csv_path = os.path.join(output_dir, csv_name)
+    csv_path = os.path.join(output_dir, "summary.csv")
     with open(json_path, "w") as fh:
         fh.write(report_to_json(report))
     with open(csv_path, "w", newline="") as fh:

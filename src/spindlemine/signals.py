@@ -40,7 +40,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,22 +130,20 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
     """
     with input_file(path, "recording") as fh:
         header = next(csv.reader([fh.readline()]), [])
-        body = fh.tell()
-        n_rows, blank = _count_lines(fh)
-        if not n_rows:
-            raise InputError(f"{path}: recording needs a header and at least one sample row")
         has_time = bool(header) and header[0].strip().lower() == "time"
         channel_names = tuple(h.strip() for h in (header[1:] if has_time else header))
-        if not channel_names:
-            raise InputError(f"{path}: no channel columns")
-        fh.seek(body)
-        matrix = None if blank else _parse_rows(fh, n_rows, len(header))
-        if matrix is None:
-            fh.seek(body)
-            lines = fh.read().split("\n")
-            if lines[-1] == "":
-                lines.pop()  # the last line terminator ends a line and opens none
-            raise _bad_row_error(path, header, lines)
+        blocks, row = [], 2  # row: the file line of the block's first line
+        while block := list(islice(fh, _BLOCK)):
+            if not channel_names:
+                raise InputError(f"{path}: no channel columns")
+            matrix = None if "\n" in block else _parse_rows(block, len(header))
+            if matrix is None:
+                raise _bad_row_error(path, header, block, row)
+            blocks.append(matrix)
+            row += len(block)
+    if not blocks:
+        raise InputError(f"{path}: recording needs a header and at least one sample row")
+    matrix = np.concatenate(blocks)
 
     if sample_rate is None:
         if not has_time:
@@ -165,55 +164,33 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
 #: optionally double-quoted, no comment syntax, always a 2-D result.
 _ROW_FORMAT = dict(delimiter=",", dtype=float, comments=None, ndmin=2, quotechar='"')
 
-#: Lines per ``np.loadtxt`` call while looking for the first bad row.
-_LOCATE_BLOCK = 4096
-
-#: Characters per read while counting the sample lines.
-_COUNT_CHUNK = 1 << 20
+#: Sample lines read and parsed at a time.
+_BLOCK = 4096
 
 
-def _count_lines(fh: TextIO) -> tuple[int, bool]:
-    """The lines left in ``fh`` and whether any of them is blank.
-
-    Reads in chunks, holding none of the lines.  The last line terminator
-    ends a line and opens none: a body with a terminator after its last
-    line holds one line per terminator, one without holds one more.
-    """
-    count, blank, last = 0, False, "\n"
-    while chunk := fh.read(_COUNT_CHUNK):
-        count += chunk.count("\n")
-        blank = blank or "\n\n" in chunk or (last == "\n" and chunk[0] == "\n")
-        last = chunk[-1]
-    return count + (last != "\n"), blank
-
-
-def _parse_rows(source: TextIO | list[str], n_rows: int, width: int) -> np.ndarray | None:
-    """``source`` (lines, or a text file at its first sample line) as an
-    ``(n_rows, width)`` matrix of finite values.
+def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
+    """``lines`` as a ``(len(lines), width)`` matrix of finite values.
 
     Returns None when any line is ragged, non-numeric or non-finite.  The
     caller rules out blank lines first: ``np.loadtxt`` skips them, and
     warns when a body of blank lines holds no data.
     """
     try:
-        matrix = np.loadtxt(source, **_ROW_FORMAT)
+        matrix = np.loadtxt(lines, **_ROW_FORMAT)
     except ValueError:
         return None
-    if matrix.shape != (n_rows, width) or not np.isfinite(matrix).all():
+    if matrix.shape != (len(lines), width) or not np.isfinite(matrix).all():
         return None
     return matrix
 
 
-def _bad_row_error(path: str, header: list[str], lines: list[str]) -> InputError:
-    """The error naming the first of ``lines`` (file line 2 on) that is
-    blank or that :func:`_parse_rows` rejects: its cell count, a
-    non-numeric cell or a non-finite value and its column."""
+def _bad_row_error(path: str, header: list[str], block: list[str], first_row: int) -> InputError:
+    """The error naming the first line of ``block`` (file line
+    ``first_row`` on) that is blank or that :func:`_parse_rows` rejects:
+    its cell count, a non-numeric cell or a non-finite value and its
+    column."""
     width = len(header)
-    for start in range(0, len(lines), _LOCATE_BLOCK):
-        block = lines[start:start + _LOCATE_BLOCK]
-        if "" in block or _parse_rows(block, len(block), width) is None:
-            break
-    for row, line in enumerate(block, start=start + 2):
+    for row, line in enumerate(block, start=first_row):
         cells = next(csv.reader([line]), [])
         if len(cells) != width:
             return InputError(f"{path}: row {row} has {len(cells)} cells, expected {width}")
@@ -228,7 +205,7 @@ def _bad_row_error(path: str, header: list[str], lines: list[str]) -> InputError
                     f"column {name.strip()!r}"
                 )
     # only a row that parses alone but not beside its neighbours gets here
-    return InputError(f"{path}: rows {start + 2} to {start + len(block) + 1} are not "
+    return InputError(f"{path}: rows {first_row} to {first_row + len(block) - 1} are not "
                       f"{width} finite numbers each")
 
 

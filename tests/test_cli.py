@@ -292,6 +292,30 @@ def test_extract_ragged_recording_exits_2(tmp_path, capsys):
     assert not (out / "segments.json").exists()
 
 
+def test_extract_empty_annotation_list_exits_2(two_cluster_files, tmp_path, capsys):
+    anns = tmp_path / "anns.json"
+    anns.write_text("[]")
+    out = tmp_path / "out"
+    code = run(["extract", "--recording", two_cluster_files["recording"],
+                "--annotations", anns, "--output", out])
+    assert code == 2
+    assert "no segments: the annotation list is empty" in capsys.readouterr().err
+    assert not (out / "segments.json").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--ig-top-k", 0], "ig_top_k must be >= 1, got 0"),
+    (["--ig-top-k", 3], "ig_top_k requires labels"),
+], ids=["zero", "no-labels"])
+def test_pipeline_rejects_ig_top_k_before_reading_a_file(tmp_path, capsys, extra, message):
+    # the recording does not exist: the setting must fail first
+    code = run(["pipeline", "--recording", tmp_path / "rec.csv",
+                "--annotations", tmp_path / "anns.json", "--min-support", 0.4,
+                "--min-lstab", 1, *extra, "--output", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_features_infinite_sample_rate_exits_2(tmp_path, capsys):
     segments = tmp_path / "segments.json"
     # json.dumps writes the Infinity literal, which json.load accepts

@@ -1,7 +1,6 @@
 """Recording / annotation IO and segment extraction."""
 
 import csv
-import io
 import json
 import os
 import re
@@ -255,16 +254,61 @@ def test_read_recording_rejects_trailing_blank_lines(tmp_path, body, row):
     assert str(path) in message and f"row {row} has 0 cells, expected 2" in message
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.text(alphabet="1\n", max_size=12), st.integers(1, 4))
-def test_line_count_holds_across_chunk_boundaries(text, chunk):
-    # the reader counts lines and looks for a blank one a chunk at a time;
-    # a blank line can straddle two chunks
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    with mock.patch.object(signals, "_COUNT_CHUNK", chunk):
-        assert signals._count_lines(io.StringIO(text)) == (len(lines), "" in lines)
+def bad_row_message(path):
+    with pytest.raises(InputError) as err:
+        read_recording_csv(path)
+    return str(err.value)
+
+
+@settings(deadline=None, max_examples=200)
+@given(recording_texts(), st.integers(1, 5))
+def test_block_size_does_not_change_a_valid_recording(drawn, block):
+    # the reader parses the body a block of lines at a time; rows on both
+    # sides of a block boundary must land in the same matrix
+    text, has_time = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rec.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        rate = None if has_time else 256.0
+        want = read_recording_csv(path, sample_rate=rate).data
+        with mock.patch.object(signals, "_BLOCK", block):
+            got = read_recording_csv(path, sample_rate=rate).data
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+BAD_LINES = ["", "0.5,1.0", "0.5,1.0,2.0,3.0", "0.5,high,2.0", "0.5,1.0,nan", "0.5,inf,2.0"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 12), st.data(), st.sampled_from(BAD_LINES), st.integers(1, 5),
+       st.sampled_from(["\n", "\r\n"]))
+def test_block_size_does_not_change_the_bad_row(n_rows, data, bad, block, newline):
+    # a bad line is located inside the block that holds it, whichever
+    # line of which block that is
+    row = data.draw(st.integers(2, n_rows + 1), label="row")
+    lines = ["time,C3,C4"] + [f"{i / 4},1.0,2.0" for i in range(n_rows)]
+    lines[row - 1] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rec.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(newline.join(lines) + newline)
+        want = bad_row_message(path)
+        with mock.patch.object(signals, "_BLOCK", block):
+            got = bad_row_message(path)
+    assert re.search(rf"\brow {row}\b", want)
+    assert got == want
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_read_recording_of_one_block_and_one_more_row(tmp_path, extra):
+    n = signals._BLOCK + extra
+    path = tmp_path / "rec.csv"
+    path.write_text("time,C3\n" + "".join(f"{i / 4},{i * 0.1!r}\n" for i in range(n)))
+    rec = read_recording_csv(str(path))
+    _, matrix = oracle_recording_matrix(path)
+    assert rec.data.shape == (1, n) and rec.sample_rate == 4.0
+    assert np.array_equal(rec.data, matrix[:, 1:].T)
 
 
 def test_read_recording_rejects_rows_wider_than_the_header(tmp_path):
