@@ -21,12 +21,13 @@ from datetime import datetime, timezone
 from time import perf_counter
 
 from .errors import CapacityError, InputError, StageError
-from .fca import DEFAULT_CONCEPT_CAP
 from .intervals import read_interval_csv
 from .pipeline import (
+    MINING_KEYS,
     PatternReport,
     PipelineConfig,
     STABILITY_METHODS,
+    check_selection_settings,
     export_report,
     extract,
     feature_rows,
@@ -41,12 +42,7 @@ from .selection import (
     write_numeric_csv,
     write_selection_json,
 )
-from .signals import (
-    DEFAULT_BANDS,
-    DEFAULT_DOMINANT_BAND,
-    read_segments_json,
-    write_segments_json,
-)
+from .signals import read_segments_json, write_segments_json
 from .stability import BOUND_POLICIES
 
 
@@ -72,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="compute feature rows for extracted segments")
     p.add_argument("--segments", required=True, help="segments JSON from 'extract'")
-    p.add_argument("--detrend", action="store_true", default=None,
+    p.add_argument("--detrend", action="store_true", default=PipelineConfig.detrend,
                    help="remove the segment mean before spectral operations")
     _add_output(p)
     p.set_defaults(func=cmd_features)
@@ -80,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("context", help="build the numeric context and select attributes")
     p.add_argument("--features", required=True, help="features CSV from 'features'")
     p.add_argument("--labels", default=None, help="optional labels CSV (id,class)")
-    p.add_argument("--corr-threshold", type=float, default=0.95)
-    p.add_argument("--ig-bins", type=int, default=5)
-    p.add_argument("--ig-top-k", type=int, default=None)
+    p.add_argument("--corr-threshold", type=float, default=PipelineConfig.corr_threshold)
+    p.add_argument("--ig-bins", type=int, default=PipelineConfig.ig_bins)
+    p.add_argument("--ig-top-k", type=int, default=PipelineConfig.ig_top_k)
     _add_output(p)
     p.set_defaults(func=cmd_context)
 
@@ -90,9 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", required=True, help="numeric context CSV")
     p.add_argument("--min-support", type=float, required=True)
     p.add_argument("--min-lstab", type=float, required=True)
-    p.add_argument("--stability", choices=STABILITY_METHODS, default="exact-dp")
-    p.add_argument("--bound-policy", choices=BOUND_POLICIES, default="upper")
-    p.add_argument("--concept-cap", type=int, default=DEFAULT_CONCEPT_CAP)
+    p.add_argument("--stability", choices=STABILITY_METHODS,
+                   default=PipelineConfig.stability_method, dest="stability_method")
+    p.add_argument("--bound-policy", choices=BOUND_POLICIES, default=PipelineConfig.bound_policy)
+    p.add_argument("--concept-cap", type=int, default=PipelineConfig.concept_cap)
     p.add_argument("--dot", default=None, help="also write the cover relation as DOT")
     _add_output(p)
     p.set_defaults(func=cmd_mine)
@@ -134,7 +131,8 @@ def cmd_features(args) -> int:
     triples = read_segments_json(args.segments)
     if not triples:
         raise InputError("no segments in input")
-    rows = feature_rows(triples, DEFAULT_BANDS, DEFAULT_DOMINANT_BAND, bool(args.detrend))
+    rows = feature_rows(triples, PipelineConfig.bands, PipelineConfig.dominant_band,
+                        args.detrend)
     ctx = build_numeric_context(rows)
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "features.csv")
@@ -144,6 +142,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_context(args) -> int:
+    check_selection_settings(args, bool(args.labels))
     ctx = read_numeric_csv(args.features)
     if args.labels:
         ctx = ctx.with_labels(read_labels_csv(args.labels))
@@ -166,20 +165,10 @@ def cmd_mine(args) -> int:
     timings: dict[str, float] = {}
     total_start = perf_counter()
     structure = read_interval_csv(args.context)
-    lattice, patterns = mine(
-        structure, timings, min_support=args.min_support, min_lstab=args.min_lstab,
-        stability_method=args.stability, bound_policy=args.bound_policy,
-        concept_cap=args.concept_cap, dot=args.dot)
+    lattice, patterns = mine(structure, timings, args)
     timings["total"] = perf_counter() - total_start
     report = PatternReport(
-        config={
-            "context": args.context,
-            "min_support": args.min_support,
-            "min_lstab": args.min_lstab,
-            "stability_method": args.stability,
-            "bound_policy": args.bound_policy,
-            "concept_cap": args.concept_cap,
-        },
+        config={"context": args.context, **{k: getattr(args, k) for k in MINING_KEYS}},
         stages={
             "context_objects": structure.n_objects,
             "context_attributes": len(structure.attributes),
@@ -198,13 +187,10 @@ def cmd_mine(args) -> int:
 
 def cmd_pipeline(args) -> int:
     # the pipeline flags' destinations are the config field names
-    overrides = {k: v for k, v in vars(args).items() if k in PipelineConfig.__dataclass_fields__}
-    if args.config:
-        config = PipelineConfig.from_file(args.config, overrides)
-    else:
-        config = PipelineConfig.from_mapping(
-            {k: v for k, v in overrides.items() if v is not None}
-        )
+    overrides = {k: v for k, v in vars(args).items()
+                 if k in PipelineConfig.__dataclass_fields__ and v is not None}
+    config = (PipelineConfig.from_file(args.config, overrides) if args.config
+              else PipelineConfig.from_mapping(overrides))
     report = run_pipeline(config)
     json_path, csv_path = export_report(report, config.output_dir)
     print(f"{len(report.patterns)} patterns -> {json_path}, {csv_path}")

@@ -388,14 +388,15 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
 # ---------------------------------------------------------------------------
 
 def read_object_table(
-    path: str, parse: Callable[[str], T]
+    path: str, parse: Callable[[str], T], what: str
 ) -> tuple[tuple[str, ...], tuple[str, ...], list[list[T]]]:
     """Read a CSV with header ``id,<attributes...>`` and one row per
     object: the object ids, the attribute names and each row's cells
-    passed through ``parse``.  A ragged row, a repeated id or a cell
-    ``parse`` rejects raises :class:`InputError` naming the file and the
-    rows (file lines), and for a cell its column."""
-    with input_file(path, "context", newline="") as fh:
+    passed through ``parse``.  A file that cannot be read raises
+    :class:`InputError` naming it as ``what`` (``features``, say); a
+    ragged row, a repeated id or a cell ``parse`` rejects, naming the file
+    and the rows (file lines), and for a cell its column."""
+    with input_file(path, what, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise InputError(f"{path}: empty file")

@@ -271,7 +271,7 @@ def parse_interval_cell(cell: str) -> tuple[float, float]:
 def read_interval_csv(path: str) -> IntervalPatternStructure:
     """Read a numeric context whose cells are finite reals or ``lo..hi``
     intervals (see :func:`read_object_table` for the layout and errors)."""
-    objects, attributes, table = read_object_table(path, parse_interval_cell)
+    objects, attributes, table = read_object_table(path, parse_interval_cell, "context")
     return IntervalPatternStructure(
         objects, attributes, tuple(IntervalDescription(tuple(cells)) for cells in table)
     )

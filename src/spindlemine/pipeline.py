@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -42,6 +43,7 @@ from .signals import (
     FeatureRow,
     Recording,
     SpindleAnnotation,
+    check_sample_rate,
     extract_segments,
     feature_row,
     read_annotations_json,
@@ -56,49 +58,62 @@ from .stability import (
 )
 
 STABILITY_METHODS = ("exact-dp", "bounds")
+#: The mining settings, in the order a report echoes them.
+MINING_KEYS = ("min_support", "min_lstab", "stability_method", "bound_policy", "concept_cap")
 
 T = TypeVar("T")
 
 
-def _check_mining_settings(min_support: float, min_lstab: float, stability_method: str,
-                          bound_policy: str, concept_cap: int) -> None:
-    """Raise :class:`InputError` for a mining setting outside its domain.
+def _check_mining_settings(settings: Any) -> None:
+    """Raise :class:`InputError` for a mining setting of ``settings`` (a
+    :class:`PipelineConfig` or parsed ``mine`` flags) outside its domain.
     :class:`PipelineConfig` checks here before any file is read, and
     :func:`mine` before the lattice is built."""
-    if not 0.0 <= min_support <= 1.0:
-        raise InputError(f"min_support {min_support} outside [0, 1]")
-    if min_lstab < 0.0:
-        raise InputError(f"min_lstab {min_lstab} must be non-negative")
-    if stability_method not in STABILITY_METHODS:
+    if not 0.0 <= settings.min_support <= 1.0:
+        raise InputError(f"min_support {settings.min_support} outside [0, 1]")
+    if not 0.0 <= settings.min_lstab < math.inf:
+        raise InputError(f"min_lstab {settings.min_lstab} must be finite and non-negative")
+    if settings.stability_method not in STABILITY_METHODS:
+        raise InputError(f"stability_method must be one of {STABILITY_METHODS}, "
+                         f"got {settings.stability_method!r}")
+    if settings.bound_policy not in BOUND_POLICIES:
         raise InputError(
-            f"stability_method must be one of {STABILITY_METHODS}, got {stability_method!r}"
-        )
-    if bound_policy not in BOUND_POLICIES:
-        raise InputError(f"bound_policy must be one of {BOUND_POLICIES}, got {bound_policy!r}")
-    if concept_cap < 1:
-        raise InputError(f"concept_cap must be >= 1, got {concept_cap}")
+            f"bound_policy must be one of {BOUND_POLICIES}, got {settings.bound_policy!r}")
+    if settings.concept_cap < 1:
+        raise InputError(f"concept_cap must be >= 1, got {settings.concept_cap}")
+
+
+def check_selection_settings(settings: Any, labelled: bool) -> None:
+    """Raise :class:`InputError` for a selection setting of ``settings`` (a
+    :class:`PipelineConfig` or parsed ``context`` flags) outside its domain;
+    ``ig_top_k`` also needs the context to be ``labelled``."""
+    if not 0.0 < settings.corr_threshold <= 1.0:
+        raise InputError(f"corr_threshold {settings.corr_threshold} outside (0, 1]")
+    if settings.ig_bins < 2:
+        raise InputError(f"ig_bins must be >= 2, got {settings.ig_bins}")
+    if settings.ig_top_k is not None:
+        if settings.ig_top_k < 1:
+            raise InputError(f"ig_top_k must be >= 1, got {settings.ig_top_k}")
+        if not labelled:
+            raise InputError("ig_top_k requires labels")
 
 
 _JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool}
-#: The JSON type of each config value; ``dominant_band`` is a ``[low,
-#: high]`` pair of numbers and ``bands`` a list of such pairs.
-_CONFIG_TYPES = {
-    "recording": "string", "annotations": "string", "output_dir": "string",
-    "labels": "string", "dot": "string", "bound_policy": "string",
-    "stability_method": "string", "min_support": "number", "min_lstab": "number",
-    "sample_rate": "number", "corr_threshold": "number", "ig_bins": "integer",
-    "ig_top_k": "integer", "concept_cap": "integer", "seed": "integer", "detrend": "boolean",
-    "dominant_band": "band", "bands": "bands",
-}
+#: The JSON type of each :class:`PipelineConfig` field annotation; a band
+#: is a ``[low, high]`` pair of numbers.
+_JSON_KINDS = {"str": "string", "float": "number", "int": "integer", "bool": "boolean",
+               "tuple[float, float]": "band", "tuple[tuple[float, float], ...]": "bands"}
 
 
-def _config_value(key: str, value: Any, nullable: bool) -> Any:
+def _config_value(key: str, value: Any) -> Any:
     """``value`` as :class:`PipelineConfig` holds the config key ``key``
     (bands become tuples); a value of another JSON type or shape raises
-    :class:`InputError` naming the key."""
-    kind = _CONFIG_TYPES[key]
+    :class:`InputError` naming the key.  A field annotated ``T | None`` may
+    be null."""
+    annotation = PipelineConfig.__dataclass_fields__[key].type
+    kind = _JSON_KINDS[annotation.removesuffix(" | None")]
     try:
-        if value is None and nullable:
+        if value is None and annotation.endswith(" | None"):
             return None
         if kind == "bands":
             return tuple(map(_band, value))
@@ -148,17 +163,10 @@ class PipelineConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        _check_mining_settings(self.min_support, self.min_lstab, self.stability_method,
-                              self.bound_policy, self.concept_cap)
-        if not 0.0 < self.corr_threshold <= 1.0:
-            raise InputError(f"corr_threshold {self.corr_threshold} outside (0, 1]")
-        if self.ig_bins < 2:
-            raise InputError(f"ig_bins must be >= 2, got {self.ig_bins}")
-        if self.ig_top_k is not None:  # as select_attributes checks it
-            if self.ig_top_k < 1:
-                raise InputError(f"ig_top_k must be >= 1, got {self.ig_top_k}")
-            if not self.labels:
-                raise InputError("ig_top_k requires labels")
+        _check_mining_settings(self)
+        check_selection_settings(self, bool(self.labels))
+        if self.sample_rate is not None:
+            check_sample_rate(self.sample_rate)
         lo, hi = self.dominant_band
         if not 0.0 <= lo < hi:
             raise InputError(f"invalid dominant_band [{lo}, {hi}]")
@@ -176,9 +184,7 @@ class PipelineConfig:
         unknown = set(data) - set(fields)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
-        # a field that defaults to None may be null
-        coerced = {key: _config_value(key, value, fields[key].default is None)
-                   for key, value in data.items()}
+        coerced = {key: _config_value(key, value) for key, value in data.items()}
         try:
             return cls(**coerced)
         except TypeError as exc:
@@ -267,36 +273,31 @@ def feature_rows(
 def mine(
     structure: IntervalPatternStructure,
     timings: dict[str, float],
-    *,
-    min_support: float,
-    min_lstab: float,
-    stability_method: str,
-    bound_policy: str,
-    concept_cap: int,
-    dot: str | None,
+    settings: Any,
 ) -> tuple[ConceptLattice, tuple[dict[str, Any], ...]]:
     """Run the ``lattice``, ``stability`` and ``filter`` stages on
     ``structure``, each timed into ``timings``; return the lattice and the
-    kept pattern entries.  With ``dot`` set, the cover relation is written
-    there, parent directories included, once every stage has succeeded.
-    A setting outside its domain raises :class:`InputError` before the
-    lattice is built."""
-    _check_mining_settings(min_support, min_lstab, stability_method, bound_policy, concept_cap)
+    kept pattern entries.  ``settings`` (a :class:`PipelineConfig` or parsed
+    ``mine`` flags) gives the :data:`MINING_KEYS` and ``dot``; with ``dot``
+    set, the cover relation is written there, parent directories included,
+    once every stage has succeeded.  A setting outside its domain raises
+    :class:`InputError` before the lattice is built."""
+    _check_mining_settings(settings)
     lattice = _run_stage("lattice", timings, lambda: build_pattern_lattice(
-        structure, concept_cap=concept_cap))
+        structure, concept_cap=settings.concept_cap))
     # Each interval attribute can be refined at its lower or upper end, so
     # 2 * m is the count of elementary refinement directions that the
     # bounds' lower term divides by.
     attribute_count = max(2 * len(structure.attributes), 1)
     scores = _run_stage("stability", timings, lambda: score_lattice(
-        lattice, stability_method, attribute_count=attribute_count))
+        lattice, settings.stability_method, attribute_count=attribute_count))
     kept = _run_stage("filter", timings, lambda: filter_concepts(
-        lattice, scores, min_support=min_support, min_lstab=min_lstab,
-        bound_policy=bound_policy))
+        lattice, scores, min_support=settings.min_support, min_lstab=settings.min_lstab,
+        bound_policy=settings.bound_policy))
     patterns = tuple(pattern_entry(lattice, scores, structure.attributes, i) for i in kept)
-    if dot:
-        os.makedirs(os.path.dirname(dot) or ".", exist_ok=True)
-        with open(dot, "w") as fh:
+    if settings.dot:
+        os.makedirs(os.path.dirname(settings.dot) or ".", exist_ok=True)
+        with open(settings.dot, "w") as fh:
             fh.write(lattice_to_dot(lattice))
             fh.write("\n")
     return lattice, patterns
@@ -327,11 +328,7 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
     selected, selection_report = _run_stage("selection", timings, lambda: select_attributes(
         context, corr_threshold=config.corr_threshold, ig_bins=config.ig_bins,
         ig_top_k=config.ig_top_k))
-    lattice, patterns = mine(
-        to_pattern_structure(selected), timings,
-        min_support=config.min_support, min_lstab=config.min_lstab,
-        stability_method=config.stability_method, bound_policy=config.bound_policy,
-        concept_cap=config.concept_cap, dot=config.dot)
+    lattice, patterns = mine(to_pattern_structure(selected), timings, config)
     timings["total"] = perf_counter() - total_start
     return PatternReport(
         config=_echo_config(config),

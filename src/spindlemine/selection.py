@@ -302,7 +302,7 @@ def read_numeric_csv(path: str) -> NumericContext:
     """Read a context written by :func:`write_numeric_csv`; cells must be
     finite reals.  Errors name the file and the rows (file lines), and a
     bad cell its column."""
-    objects, attributes, table = read_object_table(path, _real_cell)
+    objects, attributes, table = read_object_table(path, _real_cell, "features")
     values = np.asarray(table, dtype=float).reshape(len(objects), len(attributes))
     return NumericContext(objects=objects, attributes=attributes, values=values)
 

@@ -73,6 +73,11 @@ class ZeroPowerWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
+def check_sample_rate(sample_rate: float) -> None:
+    if not 0.0 < sample_rate < math.inf:
+        raise InputError(f"sample_rate must be finite and positive, got {sample_rate}")
+
+
 @dataclass(frozen=True)
 class Recording:
     """Multi-channel signal: ``data`` has shape (n_channels, n_samples)."""
@@ -82,8 +87,7 @@ class Recording:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise InputError(f"sample_rate must be positive, got {self.sample_rate}")
+        check_sample_rate(self.sample_rate)
         if len(set(self.channels)) != len(self.channels):
             raise InputError("channel names must be unique")
         if self.data.ndim != 2 or self.data.shape[0] != len(self.channels):

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, chaining, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -331,14 +332,19 @@ def test_features_infinite_sample_rate_exits_2(tmp_path, capsys):
     assert not (out / "features.csv").exists()
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("extract", "--annotations"),
-    ("features", "--segments"),
-    ("context", "--features"),
-    ("mine", "--context"),
-    ("pipeline", "--config"),
-])
-def test_undecodable_input_exits_2(two_cluster_files, tmp_path, capsys, command, flag):
+#: subcommand, input flag, the label its "cannot read" error gives the file
+UNDECODABLE = [
+    ("extract", "--annotations", "annotations"),
+    ("features", "--segments", "segments"),
+    ("context", "--features", "features"),
+    ("mine", "--context", "context"),
+    ("pipeline", "--config", "config"),
+]
+
+
+@pytest.mark.parametrize("command, flag, label", UNDECODABLE,
+                         ids=[f"{command}-{flag}" for command, flag, _ in UNDECODABLE])
+def test_undecodable_input_exits_2(two_cluster_files, tmp_path, capsys, command, flag, label):
     bad = tmp_path / "input"
     bad.write_bytes(b'[{"id": "s\xff"}]\n')
     extra = {"extract": ["--recording", two_cluster_files["recording"]],
@@ -346,15 +352,68 @@ def test_undecodable_input_exits_2(two_cluster_files, tmp_path, capsys, command,
     code = run([command, flag, bad, *extra, "--output", tmp_path / "out"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot read ") and str(bad) in err
+    assert err.startswith(f"error: cannot read {label} ") and str(bad) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--ig-top-k", 0], "ig_top_k"),
+    (["--corr-threshold", 0], "corr_threshold"),
+    (["--ig-bins", 1], "ig_bins"),
+], ids=["ig-top-k", "corr-threshold", "ig-bins"])
+def test_context_rejects_bad_settings_before_reading_a_file(tmp_path, capsys, flags, setting):
+    out = tmp_path / "out"
+    code = run(["context", "--features", tmp_path / "none.csv", *flags, "--output", out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {setting} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["features", "--segments", "segments.json"], {"detrend"}),
+    (["context", "--features", "features.csv"],
+     {"labels", "corr_threshold", "ig_bins", "ig_top_k"}),
+    (["mine", "--context", "context.csv", "--min-support", "0", "--min-lstab", "0"],
+     {"stability_method", "bound_policy", "concept_cap", "dot"}),
+], ids=["features", "context", "mine"])
+def test_stage_flag_defaults_are_the_config_defaults(argv, keys):
+    args = vars(spindlemine.cli.build_parser().parse_args([*argv, "--output", "out"]))
+    defaults = {f.name: f.default for f in dataclasses.fields(pipeline.PipelineConfig)
+                if f.default is not dataclasses.MISSING}
+    shared = args.keys() & defaults.keys()
+    assert shared == keys
+    assert {k: args[k] for k in shared} == {k: defaults[k] for k in shared}
+
+
+@pytest.mark.parametrize("fs", ["nan", "inf", "0"])
+def test_extract_rejects_a_sample_rate_that_is_not_finite_and_positive(
+        two_cluster_files, tmp_path, capsys, fs):
+    out = tmp_path / "out"
+    code = run(["extract", "--recording", two_cluster_files["recording"],
+                "--annotations", two_cluster_files["annotations"], "--fs", fs,
+                "--output", out])
+    assert code == 2
+    assert "sample_rate must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fs", ["nan", "inf"])
+def test_pipeline_rejects_a_bad_sample_rate_before_reading_a_file(tmp_path, capsys, fs):
+    # the recording does not exist: the setting must fail first
+    code = run(["pipeline", "--recording", tmp_path / "rec.csv",
+                "--annotations", tmp_path / "anns.json", "--min-support", 0.4,
+                "--min-lstab", 1, "--fs", fs, "--output", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: sample_rate ")
 
 
 @pytest.mark.parametrize("flags, setting", [
     (["--min-support", 2, "--min-lstab", 0], "min_support"),
     (["--min-support", 0, "--min-lstab", -1], "min_lstab"),
+    (["--min-support", 0, "--min-lstab", "nan"], "min_lstab"),
+    (["--min-support", 0, "--min-lstab", "inf"], "min_lstab"),
     (["--min-support", 0, "--min-lstab", 0, "--concept-cap", 0], "concept_cap"),
-], ids=["min-support", "min-lstab", "concept-cap"])
+], ids=["min-support", "min-lstab", "min-lstab-nan", "min-lstab-inf", "concept-cap"])
 def test_mine_rejects_bad_settings_before_building_the_lattice(
         tmp_path, capsys, monkeypatch, flags, setting):
     built = []

@@ -20,7 +20,8 @@ READERS = {
     "annotations": (read_annotations_json, json.dumps([_ANNOTATION]).encode(), True),
     "segments": (read_segments_json, json.dumps(
         [{**_ANNOTATION, "sample_rate": 10.0, "samples": [1.0, 2.0]}]).encode(), True),
-    "object-table": (lambda path: read_object_table(path, float), b"id,a\ns1,1.0\n", False),
+    "object-table": (lambda path: read_object_table(path, float, "context"),
+                     b"id,a\ns1,1.0\n", False),
     "labels": (read_labels_csv, b"id,class\ns1,alpha\n", False),
     "config": (PipelineConfig.from_file, json.dumps({
         "recording": "rec.csv", "annotations": "anns.json", "output_dir": "out",

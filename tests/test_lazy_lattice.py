@@ -3,6 +3,7 @@ computed when they are read, and equal the brute-force oracles whatever
 the order of reading."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,9 +178,9 @@ def test_mine_builds_payloads_only_for_the_kept_concepts(monkeypatch):
             made.append(self.extent)
 
     monkeypatch.setattr(intervals, "PatternConcept", SpyConcept)
-    lattice, patterns = mine(ps, {}, min_support=0.75, min_lstab=0.0,
-                             stability_method="exact-dp", bound_policy="upper",
-                             concept_cap=10**6, dot=None)
+    flags = SimpleNamespace(min_support=0.75, min_lstab=0.0, stability_method="exact-dp",
+                            bound_policy="upper", concept_cap=10**6, dot=None)
+    lattice, patterns = mine(ps, {}, flags)
     kept = [frozenset(ps.objects.index(name) for name in p["extent"]) for p in patterns]
     assert 0 < len(kept) < len(lattice) // 10
     assert sorted(made, key=sorted) == sorted(kept, key=sorted)

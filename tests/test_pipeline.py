@@ -1,6 +1,7 @@
 """End-to-end pipeline runs on a synthetic two-population recording."""
 
 import json
+import math
 
 import pytest
 
@@ -227,6 +228,11 @@ def test_config_validation():
     for bad in (
         {"min_support": 1.5},
         {"min_lstab": -1.0},
+        {"min_lstab": float("nan")},
+        {"min_lstab": math.inf},
+        {"sample_rate": float("nan")},
+        {"sample_rate": math.inf},
+        {"sample_rate": 0.0},
         {"stability_method": "psychic"},
         {"bound_policy": "lowest"},
         {"corr_threshold": 0.0},
