@@ -27,7 +27,7 @@ from .pipeline import (
     PatternReport,
     PipelineConfig,
     STABILITY_METHODS,
-    check_selection_settings,
+    check_mining_settings,
     export_report,
     extract,
     feature_rows,
@@ -36,6 +36,7 @@ from .pipeline import (
 )
 from .selection import (
     build_numeric_context,
+    check_selection_settings,
     read_labels_csv,
     read_numeric_csv,
     select_attributes,
@@ -142,7 +143,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_context(args) -> int:
-    check_selection_settings(args, bool(args.labels))
+    check_selection_settings(args.corr_threshold, args.ig_bins, args.ig_top_k, bool(args.labels))
     ctx = read_numeric_csv(args.features)
     if args.labels:
         ctx = ctx.with_labels(read_labels_csv(args.labels))
@@ -162,6 +163,7 @@ def cmd_context(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    check_mining_settings(args)
     timings: dict[str, float] = {}
     total_start = perf_counter()
     structure = read_interval_csv(args.context)

@@ -33,6 +33,7 @@ from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot
 from .intervals import IntervalPatternStructure, build_pattern_lattice, format_interval
 from .selection import (
     build_numeric_context,
+    check_selection_settings,
     read_labels_csv,
     select_attributes,
     to_pattern_structure,
@@ -50,8 +51,8 @@ from .signals import (
     read_recording_csv,
 )
 from .stability import (
-    BOUND_POLICIES,
     StabilityScore,
+    check_thresholds,
     filter_concepts,
     score_lattice,
     score_to_json,
@@ -64,38 +65,19 @@ MINING_KEYS = ("min_support", "min_lstab", "stability_method", "bound_policy", "
 T = TypeVar("T")
 
 
-def _check_mining_settings(settings: Any) -> None:
+def check_mining_settings(settings: Any) -> None:
     """Raise :class:`InputError` for a mining setting of ``settings`` (a
-    :class:`PipelineConfig` or parsed ``mine`` flags) outside its domain.
-    :class:`PipelineConfig` checks here before any file is read, and
-    :func:`mine` before the lattice is built."""
-    if not 0.0 <= settings.min_support <= 1.0:
-        raise InputError(f"min_support {settings.min_support} outside [0, 1]")
-    if not 0.0 <= settings.min_lstab < math.inf:
-        raise InputError(f"min_lstab {settings.min_lstab} must be finite and non-negative")
+    :class:`PipelineConfig` or parsed ``mine`` flags) outside its domain:
+    :func:`check_thresholds`, a finite ``min_lstab`` (the report echoes it
+    as a JSON number), the stability method and the concept cap."""
+    check_thresholds(settings.min_support, settings.min_lstab, settings.bound_policy)
+    if settings.min_lstab == math.inf:
+        raise InputError(f"min_lstab {settings.min_lstab} must be finite")
     if settings.stability_method not in STABILITY_METHODS:
         raise InputError(f"stability_method must be one of {STABILITY_METHODS}, "
                          f"got {settings.stability_method!r}")
-    if settings.bound_policy not in BOUND_POLICIES:
-        raise InputError(
-            f"bound_policy must be one of {BOUND_POLICIES}, got {settings.bound_policy!r}")
     if settings.concept_cap < 1:
         raise InputError(f"concept_cap must be >= 1, got {settings.concept_cap}")
-
-
-def check_selection_settings(settings: Any, labelled: bool) -> None:
-    """Raise :class:`InputError` for a selection setting of ``settings`` (a
-    :class:`PipelineConfig` or parsed ``context`` flags) outside its domain;
-    ``ig_top_k`` also needs the context to be ``labelled``."""
-    if not 0.0 < settings.corr_threshold <= 1.0:
-        raise InputError(f"corr_threshold {settings.corr_threshold} outside (0, 1]")
-    if settings.ig_bins < 2:
-        raise InputError(f"ig_bins must be >= 2, got {settings.ig_bins}")
-    if settings.ig_top_k is not None:
-        if settings.ig_top_k < 1:
-            raise InputError(f"ig_top_k must be >= 1, got {settings.ig_top_k}")
-        if not labelled:
-            raise InputError("ig_top_k requires labels")
 
 
 _JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool}
@@ -163,8 +145,9 @@ class PipelineConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        _check_mining_settings(self)
-        check_selection_settings(self, bool(self.labels))
+        check_mining_settings(self)
+        check_selection_settings(self.corr_threshold, self.ig_bins, self.ig_top_k,
+                                 bool(self.labels))
         if self.sample_rate is not None:
             check_sample_rate(self.sample_rate)
         lo, hi = self.dominant_band
@@ -280,9 +263,7 @@ def mine(
     kept pattern entries.  ``settings`` (a :class:`PipelineConfig` or parsed
     ``mine`` flags) gives the :data:`MINING_KEYS` and ``dot``; with ``dot``
     set, the cover relation is written there, parent directories included,
-    once every stage has succeeded.  A setting outside its domain raises
-    :class:`InputError` before the lattice is built."""
-    _check_mining_settings(settings)
+    once every stage has succeeded.  Callers check ``settings`` first."""
     lattice = _run_stage("lattice", timings, lambda: build_pattern_lattice(
         structure, concept_cap=settings.concept_cap))
     # Each interval attribute can be refined at its lower or upper end, so

@@ -29,7 +29,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, input_file
+from .errors import InputError
 from .fca import read_object_table
 from .intervals import IntervalDescription, IntervalPatternStructure
 from .signals import FeatureRow
@@ -227,6 +227,21 @@ def information_gain_rank(
     return [gains[j] for j in order]
 
 
+def check_selection_settings(corr_threshold: float, ig_bins: int, ig_top_k: int | None,
+                             labelled: bool) -> None:
+    """Raise :class:`InputError` for a :func:`select_attributes` setting
+    outside its domain; ``ig_top_k`` also needs a ``labelled`` context."""
+    if not 0.0 < corr_threshold <= 1.0:
+        raise InputError(f"corr_threshold {corr_threshold} outside (0, 1]")
+    if ig_bins < 2:
+        raise InputError(f"ig_bins must be >= 2, got {ig_bins}")
+    if ig_top_k is not None:
+        if ig_top_k < 1:
+            raise InputError(f"ig_top_k must be >= 1, got {ig_top_k}")
+        if not labelled:
+            raise InputError("ig_top_k requires labels")
+
+
 def select_attributes(
     ctx: NumericContext,
     corr_threshold: float = 0.95,
@@ -235,18 +250,18 @@ def select_attributes(
 ) -> tuple[NumericContext, dict[str, Any]]:
     """Full selection: optional IG ranking/top-k cut, then correlation prune.
 
+    The settings are checked first (:func:`check_selection_settings`).
     The gain ranking runs only when the context carries labels; without
     them the report records why it was skipped.  Attribute order is always
     a subsequence of the input order.
     """
+    check_selection_settings(corr_threshold, ig_bins, ig_top_k, ctx.labels is not None)
     report: dict[str, Any] = {}
     working = ctx
     if ctx.labels is not None:
         ranking = information_gain_rank(ctx, bins=ig_bins)
         report["ig_ranking"] = [{"attribute": a, "gain": g} for a, g in ranking]
         if ig_top_k is not None:
-            if ig_top_k < 1:
-                raise InputError(f"ig_top_k must be >= 1, got {ig_top_k}")
             chosen = {a for a, _ in ranking[:ig_top_k]}
             keep = [j for j, a in enumerate(ctx.attributes) if a in chosen]
             working = ctx.restrict(keep)
@@ -255,8 +270,6 @@ def select_attributes(
         report["ig_skipped"] = (
             "no labels supplied: information-gain ranking needs a class per object"
         )
-        if ig_top_k is not None:
-            raise InputError("ig_top_k requires labels")
     pruned, prune_report = correlation_prune(working, threshold=corr_threshold)
     report.update(prune_report)
     return pruned, report
@@ -314,20 +327,9 @@ def write_selection_json(report: Mapping[str, Any], path: str) -> None:
 
 
 def read_labels_csv(path: str) -> dict[str, str]:
-    """Labels file: header ``id,class`` then one row per object.  A row
-    without exactly 2 cells or a repeated id raises :class:`InputError`
-    naming the file and the rows (file lines)."""
-    with input_file(path, "labels", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["id", "class"]:
+    """Labels file: header ``id,class`` then one row per object, read by
+    :func:`read_object_table`, whose errors name the file and the rows."""
+    objects, attributes, table = read_object_table(path, str, "labels")
+    if attributes != ("class",):
         raise InputError(f"{path}: expected header 'id,class'")
-    lines: dict[str, int] = {}  # id -> file line
-    out: dict[str, str] = {}
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise InputError(f"{path}: row {line} must have exactly 2 cells")
-        if row[0] in lines:
-            raise InputError(f"{path}: id {row[0]!r} repeated in rows {lines[row[0]]} and {line}")
-        lines[row[0]] = line
-        out[row[0]] = row[1]
-    return out
+    return {obj: label for obj, [label] in zip(objects, table)}

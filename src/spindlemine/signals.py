@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -73,9 +74,13 @@ class ZeroPowerWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-def check_sample_rate(sample_rate: float) -> None:
-    if not 0.0 < sample_rate < math.inf:
-        raise InputError(f"sample_rate must be finite and positive, got {sample_rate}")
+def check_sample_rate(sample_rate: float) -> float:
+    """``sample_rate`` as a float; anything but a finite, positive real
+    number (a string or a bool, say) raises :class:`InputError`."""
+    if (isinstance(sample_rate, numbers.Real) and not isinstance(sample_rate, bool)
+            and 0.0 < sample_rate <= sys.float_info.max):
+        return float(sample_rate)
+    raise InputError(f"sample_rate must be finite and positive, got {sample_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,11 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
     Every line after the header is one sample: one cell per header
     column, each a finite decimal number, optionally in double quotes.
     A blank line, a ragged row, a non-numeric or a non-finite cell
-    raises :class:`InputError` naming the file line.
+    raises :class:`InputError` naming the file line.  An explicit
+    ``sample_rate`` is checked before the file is opened.
     """
+    if sample_rate is not None:
+        check_sample_rate(sample_rate)
     with input_file(path, "recording") as fh:
         header = next(csv.reader([fh.readline()]), [])
         has_time = bool(header) and header[0].strip().lower() == "time"
@@ -341,24 +349,22 @@ def read_segments_json(path: str) -> list[tuple[SpindleAnnotation, float, np.nda
     """Read extracted segments: (annotation, sample_rate, samples) triples.
 
     Each segment's annotation fields are checked as an annotation's (see
-    :func:`_annotations`).  Its ``sample_rate`` must be finite and
-    positive and its ``samples`` a non-empty list of finite numbers;
-    otherwise :class:`InputError` names the file, the segment index and
-    its id.
+    :func:`_annotations`).  Its ``sample_rate`` must pass
+    :func:`check_sample_rate` and its ``samples`` be a non-empty list of
+    finite numbers; otherwise :class:`InputError` names the file, the
+    segment index and its id.
     """
     raw = read_json(path, "segments")
     out = []
     for i, (item, ann) in enumerate(_annotations(path, "segment", raw)):
         where = f"{path}: segment {i} (id {ann.id!r})"
         try:
-            fs = float(item["sample_rate"])
-            samples = np.asarray(item["samples"], dtype=float)
+            fs = check_sample_rate(item.get("sample_rate"))
+            samples = _as_segment(item["samples"])
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{where}: malformed sample_rate or samples: {exc}") from exc
-        if not (math.isfinite(fs) and fs > 0):
-            raise InputError(f"{where}: sample_rate must be finite and positive, got {fs}")
-        if samples.ndim != 1 or samples.size == 0:
-            raise InputError(f"{where}: samples must be a non-empty list of numbers")
+            raise InputError(f"{where}: malformed samples: {exc}") from exc
         if not np.isfinite(samples).all():
             raise InputError(f"{where}: samples must be finite")
         out.append((ann, fs, samples))
@@ -373,7 +379,7 @@ def read_segments_json(path: str) -> list[tuple[SpindleAnnotation, float, np.nda
 def _as_segment(segment) -> np.ndarray:
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1 or x.size == 0:
-        raise InputError("segment must be a non-empty 1-D sequence")
+        raise InputError("samples must be a non-empty list of numbers")
     return x
 
 
@@ -428,8 +434,7 @@ def mean_frequency(segment, sample_rate: float, detrend: bool = False) -> float:
     :class:`ZeroPowerWarning`.
     """
     x = _as_segment(segment)
-    if sample_rate <= 0:
-        raise InputError(f"sample_rate must be positive, got {sample_rate}")
+    check_sample_rate(sample_rate)
     freqs, energy, _, _ = _cell_energies(x, sample_rate, detrend)
     return _centroid(freqs, energy)
 
@@ -459,15 +464,8 @@ def dominant_frequency(
     x = _as_segment(segment)
     if x.size < 2:
         raise InputError("dominant_frequency needs at least 2 samples")
-    if sample_rate <= 0:
-        raise InputError(f"sample_rate must be positive, got {sample_rate}")
+    _check_bands([band], sample_rate)
     lo, hi = band
-    if not 0.0 <= lo < hi:
-        raise InputError(f"invalid search band [{lo}, {hi}]")
-    if sample_rate / 2.0 < hi:
-        raise InputError(
-            f"sample rate {sample_rate} Hz too low for band up to {hi} Hz (Nyquist below)"
-        )
     if detrend:
         x = x - np.mean(x)
     nfft = 1 << (4 * x.size - 1).bit_length()
@@ -495,15 +493,14 @@ def bandpower(
     mean square power exactly.
     """
     x = _as_segment(segment)
-    if sample_rate <= 0:
-        raise InputError(f"sample_rate must be positive, got {sample_rate}")
     _check_bands([band], sample_rate)
     _, energy, cell_lo, cell_hi = _cell_energies(x, sample_rate, detrend)
     return float(_band_powers(energy, cell_lo, cell_hi, [band])[0])
 
 
 def _check_bands(bands: Iterable[tuple[float, float]], sample_rate: float) -> None:
-    """Reject any band outside ``0 <= lo < hi <= Nyquist``."""
+    """Reject a bad ``sample_rate`` and any band outside ``0 <= lo < hi <= Nyquist``."""
+    check_sample_rate(sample_rate)
     for lo, hi in bands:
         if not (0.0 <= lo < hi <= sample_rate / 2.0):
             raise InputError(f"invalid band [{lo}, {hi}] for Nyquist {sample_rate / 2.0} Hz")

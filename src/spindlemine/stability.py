@@ -361,6 +361,16 @@ def score_lattice(
 # ---------------------------------------------------------------------------
 
 
+def check_thresholds(min_support: float, min_lstab: float, bound_policy: str) -> None:
+    """Raise :class:`InputError` for a :func:`filter_concepts` setting outside its domain."""
+    if not 0.0 <= min_support <= 1.0:
+        raise InputError(f"min_support {min_support} outside [0, 1]")
+    if not 0.0 <= min_lstab:
+        raise InputError(f"min_lstab {min_lstab} must be non-negative")
+    if bound_policy not in BOUND_POLICIES:
+        raise InputError(f"bound_policy must be one of {BOUND_POLICIES}, got {bound_policy!r}")
+
+
 def filter_concepts(
     lattice: ConceptLattice,
     scores: Mapping[int, StabilityScore],
@@ -375,12 +385,7 @@ def filter_concepts(
     ``min_lstab``; the default ``upper`` keeps any concept that could
     still meet the threshold.
     """
-    if not 0.0 <= min_support <= 1.0:
-        raise InputError(f"min_support {min_support} outside [0, 1]")
-    if min_lstab < 0.0:
-        raise InputError(f"min_lstab {min_lstab} must be non-negative")
-    if bound_policy not in BOUND_POLICIES:
-        raise InputError(f"unknown bound policy {bound_policy!r}")
+    check_thresholds(min_support, min_lstab, bound_policy)
     n = lattice.n_objects
     kept = []
     for i in range(len(lattice)):

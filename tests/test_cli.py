@@ -407,6 +407,21 @@ def test_pipeline_rejects_a_bad_sample_rate_before_reading_a_file(tmp_path, caps
     assert capsys.readouterr().err.startswith("error: sample_rate ")
 
 
+@pytest.mark.parametrize("argv, setting", [
+    (["mine", "--context", "none.csv", "--min-support", 2, "--min-lstab", 0], "min_support"),
+    (["extract", "--recording", "none.csv", "--annotations", "none.json", "--fs", "nan"],
+     "sample_rate"),
+], ids=["mine-min-support", "extract-fs"])
+def test_stage_settings_are_checked_before_any_file_is_read(
+        tmp_path, capsys, monkeypatch, argv, setting):
+    # none of the named input files exists: the setting must fail first
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert run([*argv, "--output", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {setting} ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, setting", [
     (["--min-support", 2, "--min-lstab", 0], "min_support"),
     (["--min-support", 0, "--min-lstab", -1], "min_lstab"),

@@ -110,6 +110,18 @@ def test_mean_frequency_validation():
         mean_frequency(SPINDLE, 0.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("compute", [
+    lambda rate: mean_frequency(SPINDLE, rate),
+    lambda rate: dominant_frequency(SPINDLE, rate),
+    lambda rate: bandpower(SPINDLE, rate, (8.5, 10.5)),
+    lambda rate: feature_row(SPINDLE, rate),
+], ids=["mean_frequency", "dominant_frequency", "bandpower", "feature_row"])
+def test_spectral_features_reject_a_rate_that_is_not_finite_and_positive(compute, rate):
+    with pytest.raises(InputError, match="^sample_rate must be finite and positive"):
+        compute(rate)
+
+
 # ---------------------------------------------------------------------------
 # dominant frequency
 # ---------------------------------------------------------------------------

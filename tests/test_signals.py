@@ -522,7 +522,10 @@ def test_read_segments_errors(tmp_path):
     ({"sample_rate": float("nan")}, "sample_rate must be finite and positive"),
     ({"sample_rate": 0.0}, "sample_rate must be finite and positive"),
     ({"sample_rate": -10.0}, "sample_rate must be finite and positive"),
-], ids=["nan", "inf", "nested", "empty", "scalar", "rate-inf", "rate-nan", "rate-0", "rate-neg"])
+    ({"sample_rate": "256"}, "sample_rate must be finite and positive, got '256'"),
+    ({"sample_rate": True}, "sample_rate must be finite and positive, got True"),
+], ids=["nan", "inf", "nested", "empty", "scalar", "rate-inf", "rate-nan", "rate-0", "rate-neg",
+        "rate-string", "rate-true"])
 def test_read_segments_rejects_bad_samples_and_rates(tmp_path, patch, problem):
     good = {"id": "s0", "channel": "C3", "start_s": 0.0, "end_s": 1.0,
             "sample_rate": 10.0, "samples": [float(i) for i in range(10)]}

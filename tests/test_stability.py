@@ -399,6 +399,8 @@ def test_filter_validation(scored_lattice):
     with pytest.raises(InputError):
         filter_concepts(lat, scores, min_support=0.0, min_lstab=-1.0)
     with pytest.raises(InputError):
+        filter_concepts(lat, scores, min_support=0.0, min_lstab=float("nan"))
+    with pytest.raises(InputError):
         filter_concepts(lat, scores, min_support=0.0, min_lstab=0.0, bound_policy="nope")
     with pytest.raises(InputError):
         filter_concepts(lat, {0: scores[0]}, min_support=0.0, min_lstab=0.0)
