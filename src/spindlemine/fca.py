@@ -71,6 +71,11 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def names_in(names: Sequence[str], mask: int) -> list[str]:
+    """The names of the objects in ``mask``, in object order."""
+    return [names[g] for g in _iter_bits(mask)]
+
+
 @dataclass(frozen=True)
 class FormalContext:
     """A binary context ``(G, M, I)``.
@@ -247,7 +252,7 @@ class ConceptLattice:
         """Object names of a concept's extent, in object order."""
         if not 0 <= index < len(self):
             raise InputError(f"concept index {index} out of range")
-        return tuple(self.object_names[g] for g in _iter_bits(self.extent_masks[index]))
+        return tuple(names_in(self.object_names, self.extent_masks[index]))
 
 
 def enumerate_closed_extents(
@@ -324,8 +329,11 @@ def assemble_lattice(
     of ``L`` concepts cost ``O(L·k²)`` mask operations plus one dictionary
     lookup per cover edge.
     """
-    # _iter_bits yields indices in ascending order
-    masks = sorted(set(extent_masks), key=lambda m: (-m.bit_count(), [*_iter_bits(m)]))
+    # format(m, "b")[::-1] spells membership from object 0 up, so among
+    # extents of one size a larger string is a lexicographically smaller
+    # index list: sorting both parts descending is the documented order
+    masks = sorted(set(extent_masks), key=lambda m: (m.bit_count(), format(m, "b")[::-1]),
+                   reverse=True)
     return ConceptLattice(object_names, masks, make_concept, refine)
 
 
@@ -373,12 +381,14 @@ def build_lattice(
 def lattice_to_dot(lattice: ConceptLattice) -> str:
     """Render the cover relation as a Graphviz digraph (debugging aid);
     each node is labelled with its extent."""
+    names = lattice.object_names
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    for i in range(len(lattice)):
-        extent = ",".join(lattice.extent_names(i))
+    for i, mask in enumerate(lattice.extent_masks):
+        extent = ",".join(names_in(names, mask))
         lines.append(f'  n{i} [label="{{{extent}}}"];')
-    for parent, child in lattice.covers:
-        lines.append(f"  n{child} -> n{parent};")
+    # children ascend and are read in parent order: the order of covers
+    lines += [f"  n{child} -> n{parent};"
+              for parent, kids in enumerate(lattice.children) for child in kids]
     lines.append("}")
     return "\n".join(lines)
 

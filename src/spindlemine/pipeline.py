@@ -25,11 +25,12 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InputError, SpindlemineError, StageError, read_json
-from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot
+from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot, names_in
 from .intervals import IntervalPatternStructure, build_pattern_lattice, format_interval
 from .selection import (
     build_numeric_context,
@@ -44,7 +45,7 @@ from .signals import (
     FeatureRow,
     Recording,
     SpindleAnnotation,
-    check_sample_rate,
+    check_bands,
     extract_segments,
     feature_row,
     read_annotations_json,
@@ -148,8 +149,6 @@ class PipelineConfig:
         check_mining_settings(self)
         check_selection_settings(self.corr_threshold, self.ig_bins, self.ig_top_k,
                                  bool(self.labels))
-        if self.sample_rate is not None:
-            check_sample_rate(self.sample_rate)
         lo, hi = self.dominant_band
         if not 0.0 <= lo < hi:
             raise InputError(f"invalid dominant_band [{lo}, {hi}]")
@@ -160,6 +159,9 @@ class PipelineConfig:
             if previous_hi is not None and lo < previous_hi:
                 raise InputError("bands must be sorted and non-overlapping")
             previous_hi = hi
+        if self.sample_rate is not None:
+            # an explicit rate fixes Nyquist before any file is read
+            check_bands([self.dominant_band, *self.bands], self.sample_rate)
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "PipelineConfig":
@@ -348,7 +350,8 @@ def pattern_entry(
     """One report entry for concept ``index``; ``attributes`` names the
     intervals of its intent."""
     concept = lattice.concepts[index]
-    size = lattice.extent_masks[index].bit_count()
+    mask = lattice.extent_masks[index]
+    size = mask.bit_count()
     n = lattice.n_objects
     intent = None
     if concept.intent is not None:
@@ -356,13 +359,11 @@ def pattern_entry(
             name: [lo, hi]
             for name, (lo, hi) in zip(attributes, concept.intent.intervals)
         }
-    stability_fields = {
-        k: v
-        for k, v in score_to_json(scores[index], n).items()
-        if k not in ("extent_size", "support")
-    }
+    stability_fields = score_to_json(scores[index], n)
+    # the entry states these once, beside its extent
+    del stability_fields["extent_size"], stability_fields["support"]
     return {
-        "extent": list(lattice.extent_names(index)),
+        "extent": names_in(lattice.object_names, mask),
         "extent_size": size,
         "support": 1.0 if n == 0 else size / n,
         "intent": intent,
@@ -373,6 +374,10 @@ def pattern_entry(
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
+
+
+#: The score columns of ``summary.csv``, blank where a score has no such value.
+_SCORE_COLUMNS = ("stab", "lstab", "lower", "mid", "upper")
 
 
 def export_report(
@@ -386,35 +391,22 @@ def export_report(
     csv_path = os.path.join(output_dir, "summary.csv")
     with open(json_path, "w") as fh:
         fh.write(report_to_json(report))
+    attributes = report.attributes
+    no_intent = [""] * len(attributes)
+    rows = [["pattern", "extent_size", "support", *_SCORE_COLUMNS, "method", "extent",
+             *attributes]]
+    for i, pattern in enumerate(report.patterns):
+        stab = pattern["stability"]
+        intent = pattern["intent"]
+        rows.append([
+            i, pattern["extent_size"], repr(pattern["support"]),
+            *[_csv_cell(stab.get(key)) for key in _SCORE_COLUMNS],
+            stab["method"], ";".join(pattern["extent"]),
+            *(no_intent if intent is None
+              else [format_interval(*intent[name]) for name in attributes]),
+        ])
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [
-            "pattern", "extent_size", "support", "stab", "lstab",
-            "lower", "mid", "upper", "method", "extent",
-        ] + list(report.attributes)
-        writer.writerow(header)
-        for i, pattern in enumerate(report.patterns):
-            stab = pattern["stability"]
-            row = [
-                i,
-                pattern["extent_size"],
-                repr(pattern["support"]),
-                _csv_cell(stab.get("stab")),
-                _csv_cell(stab.get("lstab")),
-                _csv_cell(stab.get("lower")),
-                _csv_cell(stab.get("mid")),
-                _csv_cell(stab.get("upper")),
-                stab["method"],
-                ";".join(pattern["extent"]),
-            ]
-            intent = pattern["intent"]
-            for name in report.attributes:
-                if intent is None:
-                    row.append("")
-                else:
-                    lo, hi = intent[name]
-                    row.append(format_interval(lo, hi))
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
     return json_path, csv_path
 
 
@@ -427,9 +419,37 @@ def _csv_cell(value: Any) -> str:
 
 
 def report_to_json(report: PatternReport) -> str:
-    """Serialize a report; non-finite numbers are not allowed to leak in
-    (``+inf`` LStab values are already strings by this point)."""
-    return json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n"
+    """Serialize a report, byte for byte as ``json.dumps(...,
+    indent=2, allow_nan=False)`` plus a newline; non-finite numbers are
+    not allowed to leak in (``+inf`` LStab values are already strings by
+    this point)."""
+    return _json_text(report.to_json_dict()) + "\n"
+
+
+def _json_text(value: Any, indent: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
+    it, nested at ``indent``, without CPython's pure-Python indenting
+    encoder: strings, floats, ints, lists and string-keyed dicts are joined
+    from pieces encoded as the encoder encodes them.  Any other value goes
+    through :func:`json.dumps` and is re-indented, which is exact because
+    an encoded string never holds a raw newline."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is list and value:
+        items = [_json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if kind is dict and value and all(type(k) is str for k in value):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
 
 
 def read_report_json(path: str) -> dict[str, Any]:

@@ -146,8 +146,7 @@ def correlation_prune(
     """
     if ctx.n_objects < 2:
         raise InputError("correlation pruning needs at least 2 objects")
-    if not 0.0 < threshold <= 1.0:
-        raise InputError(f"threshold {threshold} outside (0, 1]")
+    _check_corr_threshold(threshold)
     kept: list[int] = []
     dropped: list[dict[str, Any]] = []
     for j in range(ctx.n_attributes):
@@ -211,8 +210,7 @@ def information_gain_rank(
     """
     if ctx.labels is None:
         raise InputError("information gain requires class labels")
-    if bins < 2:
-        raise InputError(f"bins must be >= 2, got {bins}")
+    _check_ig_bins(bins)
     base = _entropy_bits(ctx.labels)
     n = ctx.n_objects
     gains: list[tuple[str, float]] = []
@@ -227,14 +225,22 @@ def information_gain_rank(
     return [gains[j] for j in order]
 
 
+def _check_corr_threshold(corr_threshold: float) -> None:
+    if not 0.0 < corr_threshold <= 1.0:
+        raise InputError(f"corr_threshold {corr_threshold} outside (0, 1]")
+
+
+def _check_ig_bins(ig_bins: int) -> None:
+    if ig_bins < 2:
+        raise InputError(f"ig_bins must be >= 2, got {ig_bins}")
+
+
 def check_selection_settings(corr_threshold: float, ig_bins: int, ig_top_k: int | None,
                              labelled: bool) -> None:
     """Raise :class:`InputError` for a :func:`select_attributes` setting
     outside its domain; ``ig_top_k`` also needs a ``labelled`` context."""
-    if not 0.0 < corr_threshold <= 1.0:
-        raise InputError(f"corr_threshold {corr_threshold} outside (0, 1]")
-    if ig_bins < 2:
-        raise InputError(f"ig_bins must be >= 2, got {ig_bins}")
+    _check_corr_threshold(corr_threshold)
+    _check_ig_bins(ig_bins)
     if ig_top_k is not None:
         if ig_top_k < 1:
             raise InputError(f"ig_top_k must be >= 1, got {ig_top_k}")

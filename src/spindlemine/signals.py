@@ -464,7 +464,7 @@ def dominant_frequency(
     x = _as_segment(segment)
     if x.size < 2:
         raise InputError("dominant_frequency needs at least 2 samples")
-    _check_bands([band], sample_rate)
+    check_bands([band], sample_rate)
     lo, hi = band
     if detrend:
         x = x - np.mean(x)
@@ -493,12 +493,12 @@ def bandpower(
     mean square power exactly.
     """
     x = _as_segment(segment)
-    _check_bands([band], sample_rate)
+    check_bands([band], sample_rate)
     _, energy, cell_lo, cell_hi = _cell_energies(x, sample_rate, detrend)
     return float(_band_powers(energy, cell_lo, cell_hi, [band])[0])
 
 
-def _check_bands(bands: Iterable[tuple[float, float]], sample_rate: float) -> None:
+def check_bands(bands: Iterable[tuple[float, float]], sample_rate: float) -> None:
     """Reject a bad ``sample_rate`` and any band outside ``0 <= lo < hi <= Nyquist``."""
     check_sample_rate(sample_rate)
     for lo, hi in bands:
@@ -589,7 +589,7 @@ def feature_row(
         raise InputError("dominant frequency is 0 Hz; amp/freq ratio undefined "
                          "(search band must exclude DC)")
     mean_amp = mean_amplitude(x)
-    _check_bands(bands, sample_rate)
+    check_bands(bands, sample_rate)
     freqs, energy, cell_lo, cell_hi = _cell_energies(x, sample_rate, detrend)
     return FeatureRow(
         mean_amplitude=mean_amp,

@@ -120,8 +120,7 @@ class StabilityScore:
         """The number an LStab threshold is compared against."""
         if self.lstab is not None:
             return self.lstab
-        if bound_policy not in BOUND_POLICIES:
-            raise InputError(f"unknown bound policy {bound_policy!r}")
+        _check_bound_policy(bound_policy)
         value = {
             "lower": self.lower_bound,
             "mid": self.mid_bound,
@@ -260,6 +259,9 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
     masks = lattice.extent_masks
     children = lattice.children
     counts: list[int | None] = [None] * len(masks)
+    # each concept's lower covers, read from the lattice once for all the
+    # walks: down-sets overlap, so walks visit the same concepts again and again
+    kids_of: list[tuple[int, ...] | None] = [None] * len(masks)
 
     def count(i: int) -> int:
         q = counts[i]
@@ -278,7 +280,11 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
             seen = set(kids)
             stack = list(seen)
             while stack:
-                for d in children[stack.pop()]:
+                e = stack.pop()
+                below = kids_of[e]
+                if below is None:
+                    below = kids_of[e] = children[e]
+                for d in below:
                     if d not in seen:
                         seen.add(d)
                         stack.append(d)
@@ -367,6 +373,10 @@ def check_thresholds(min_support: float, min_lstab: float, bound_policy: str) ->
         raise InputError(f"min_support {min_support} outside [0, 1]")
     if not 0.0 <= min_lstab:
         raise InputError(f"min_lstab {min_lstab} must be non-negative")
+    _check_bound_policy(bound_policy)
+
+
+def _check_bound_policy(bound_policy: str) -> None:
     if bound_policy not in BOUND_POLICIES:
         raise InputError(f"bound_policy must be one of {BOUND_POLICIES}, got {bound_policy!r}")
 

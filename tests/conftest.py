@@ -7,6 +7,8 @@ implementations can be checked against something dumb but obviously correct.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -22,6 +24,7 @@ from spindlemine.fca import FormalContext
 from spindlemine.intervals import (
     IntervalDescription,
     IntervalPatternStructure,
+    format_interval,
     interval_meet,
     subsumes,
 )
@@ -174,6 +177,66 @@ def oracle_integrate_cells(energy, cell_lo, cell_hi, lo: float, hi: float) -> fl
     with np.errstate(invalid="ignore", divide="ignore"):
         fraction = np.where(width > 0.0, overlap / np.where(width > 0.0, width, 1.0), 0.0)
     return float(np.sum(energy * fraction))
+
+
+# ---------------------------------------------------------------------------
+# reference renderers (the outputs' formats, one loop per line or row)
+# ---------------------------------------------------------------------------
+
+def reference_lattice_to_dot(lattice) -> str:
+    """The cover relation as a Graphviz digraph: one node line per concept
+    from ``extent_names``, then one edge line per pair of ``covers``."""
+    lines = ["digraph lattice {", "  rankdir=BT;"]
+    for i in range(len(lattice)):
+        extent = ",".join(lattice.extent_names(i))
+        lines.append(f'  n{i} [label="{{{extent}}}"];')
+    for parent, child in lattice.covers:
+        lines.append(f"  n{child} -> n{parent};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return repr(float(value))
+
+
+def reference_summary_csv(report) -> str:
+    """``summary.csv`` of a report: a header, then one row per pattern,
+    each written by its own ``writerow``."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    header = [
+        "pattern", "extent_size", "support", "stab", "lstab",
+        "lower", "mid", "upper", "method", "extent",
+    ] + list(report.attributes)
+    writer.writerow(header)
+    for i, pattern in enumerate(report.patterns):
+        stab = pattern["stability"]
+        row = [
+            i,
+            pattern["extent_size"],
+            repr(pattern["support"]),
+            _reference_cell(stab.get("stab")),
+            _reference_cell(stab.get("lstab")),
+            _reference_cell(stab.get("lower")),
+            _reference_cell(stab.get("mid")),
+            _reference_cell(stab.get("upper")),
+            stab["method"],
+            ";".join(pattern["extent"]),
+        ]
+        intent = pattern["intent"]
+        for name in report.attributes:
+            if intent is None:
+                row.append("")
+            else:
+                lo, hi = intent[name]
+                row.append(format_interval(lo, hi))
+        writer.writerow(row)
+    return fh.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,10 @@ def test_extract_empty_annotation_list_exits_2(two_cluster_files, tmp_path, caps
 @pytest.mark.parametrize("extra, message", [
     (["--ig-top-k", 0], "ig_top_k must be >= 1, got 0"),
     (["--ig-top-k", 3], "ig_top_k requires labels"),
-], ids=["zero", "no-labels"])
-def test_pipeline_rejects_ig_top_k_before_reading_a_file(tmp_path, capsys, extra, message):
+    # the default 6-14 Hz dominant band lies above Nyquist at 20 Hz
+    (["--fs", 20], "invalid band [6.0, 14.0] for Nyquist 10.0 Hz"),
+], ids=["zero", "no-labels", "band-above-nyquist"])
+def test_pipeline_rejects_a_setting_before_reading_a_file(tmp_path, capsys, extra, message):
     # the recording does not exist: the setting must fail first
     code = run(["pipeline", "--recording", tmp_path / "rec.csv",
                 "--annotations", tmp_path / "anns.json", "--min-support", 0.4,

@@ -9,9 +9,11 @@ from spindlemine.errors import CapacityError, InputError
 from spindlemine.fca import (
     Concept,
     FormalContext,
+    assemble_lattice,
     build_lattice,
     lattice_to_dot,
 )
+from spindlemine.intervals import build_pattern_lattice
 from spindlemine.stability import stability_lattice_dp
 
 from conftest import (
@@ -19,6 +21,8 @@ from conftest import (
     oracle_binary_closure,
     oracle_binary_intent,
     random_context,
+    reference_lattice_to_dot,
+    tie_heavy_structures,
 )
 
 
@@ -296,3 +300,22 @@ def test_dot_export(tiny_context):
     assert dot.startswith("digraph lattice {")
     assert dot.count(" -> ") == len(lat.covers)
     assert "{g1,g2}" in dot and "{g2}" in dot
+
+
+@settings(deadline=None, max_examples=150)
+@given(tie_heavy_structures())
+def test_dot_matches_the_reference_renderer(structure):
+    # each side gets its own lattice, so neither reads covers the other built
+    assert lattice_to_dot(build_pattern_lattice(structure)) == reference_lattice_to_dot(
+        build_pattern_lattice(structure))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40))))
+def test_assemble_lattice_order_is_the_documented_key(drawn):
+    n, masks = drawn
+    lattice = assemble_lattice([f"g{i}" for i in range(n)], masks, lambda m: m, lambda m: [])
+    # extent size descending, then extent indices lexicographically ascending
+    assert list(lattice.extent_masks) == sorted(
+        set(masks), key=lambda m: (-m.bit_count(), [g for g in range(n) if m >> g & 1]))

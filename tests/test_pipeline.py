@@ -2,20 +2,31 @@
 
 import json
 import math
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spindlemine import pipeline
 from spindlemine.errors import CapacityError, InputError, StageError
+from spindlemine.intervals import (
+    IntervalDescription,
+    IntervalPatternStructure,
+    build_pattern_lattice,
+)
 from spindlemine.pipeline import (
+    STABILITY_METHODS,
     PatternReport,
     PipelineConfig,
     export_report,
+    pattern_entry,
     read_report_json,
     report_to_json,
     run_pipeline,
 )
-from spindlemine.stability import score_to_json, stability_bruteforce
+from spindlemine.stability import score_lattice, score_to_json, stability_bruteforce
+
+from conftest import reference_summary_csv, tie_heavy_structures
 
 
 def fixture_config(files, out_dir, **overrides) -> PipelineConfig:
@@ -318,3 +329,101 @@ def test_infinite_lstab_serializes_as_string(two_cluster_files, tmp_path):
     text = report_to_json(report)
     assert "Infinity" not in text
     json.loads(text)
+
+
+# ---------------------------------------------------------------------------
+# rendering: byte for byte as the stock encoder and the row-by-row CSV
+# ---------------------------------------------------------------------------
+
+#: Any JSON value json.dumps accepts, including the ones the report writer
+#: hands to it (tuples, booleans, null, keys that are no strings).
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+                   | st.dictionaries(st.integers(), inner, max_size=2)),
+    max_leaves=8,
+)
+#: names with quotes, backslashes, control and non-ASCII characters
+_names = st.text(max_size=4)
+
+
+def _report(structure, method, kept, extras=({}, {}, {}, {})) -> PatternReport:
+    """A report on ``structure``'s lattice keeping the concepts ``kept``
+    (indices modulo the concept count), scored by ``method``."""
+    lattice = build_pattern_lattice(structure)
+    scores = score_lattice(lattice, method,
+                           attribute_count=max(2 * len(structure.attributes), 1))
+    config, stages, selection, generated = extras
+    return PatternReport(
+        config=config, stages=stages, selection=selection,
+        attributes=structure.attributes,
+        patterns=tuple(pattern_entry(lattice, scores, structure.attributes, i % len(lattice))
+                       for i in kept),
+        generated=generated,
+    )
+
+
+@st.composite
+def reports(draw) -> PatternReport:
+    """Patterns of a tie-heavy structure with drawn object and attribute
+    names, by either stability method, and drawn values for the other
+    report fields."""
+    drawn = draw(tie_heavy_structures())
+    objects = draw(st.lists(_names, min_size=drawn.n_objects, max_size=drawn.n_objects,
+                            unique=True))
+    attributes = draw(st.lists(_names, min_size=len(drawn.attributes),
+                               max_size=len(drawn.attributes), unique=True))
+    structure = IntervalPatternStructure(tuple(objects), tuple(attributes), drawn.descriptions)
+    kept = draw(st.lists(st.integers(0, 64), max_size=8))
+    extras = draw(st.tuples(*[st.dictionaries(_names, _json_values, max_size=3)] * 4))
+    return _report(structure, draw(st.sampled_from(STABILITY_METHODS)), kept, extras)
+
+
+def _edge_case_report(method: str) -> PatternReport:
+    """Escaped names, -0.0 and the smallest subnormal as interval ends, and
+    every concept kept, the empty-extent bottom (intent None, lstab "inf")
+    included."""
+    structure = IntervalPatternStructure(
+        ('q"\\é', "g\n1", "€"), ("a\tb", '"'),
+        (IntervalDescription(((-0.0, -0.0), (5e-324, 5e-324))),
+         IntervalDescription(((0.0, 0.0), (1.0, 1.0))),
+         IntervalDescription(((-1.5, 2.0), (5e-324, 1.0)))))
+    extras = ({"flag": True, "none": None, "pair": (1, -0.0)}, {"concepts": 5},
+              {1: [0.1]}, {"timings_s": {"total": 5e-324}})
+    return _report(structure, method, range(len(build_pattern_lattice(structure))), extras)
+
+
+@settings(deadline=None, max_examples=150)
+@given(reports())
+@example(_edge_case_report("exact-dp"))
+@example(_edge_case_report("bounds"))
+@example(_report(IntervalPatternStructure(("g",), (), (IntervalDescription(()),)),
+                 "exact-dp", []))
+def test_report_json_bytes_match_the_json_encoder(report):
+    assert report_to_json(report) == (
+        json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["pattern", "config"])
+def test_report_json_rejects_non_finite_numbers(bad, where):
+    report = _edge_case_report("bounds")
+    if where == "pattern":
+        report.patterns[0]["stability"]["upper"] = bad
+    else:
+        report.config["nested"] = [{"x": bad}]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report_to_json(report)
+
+
+@settings(deadline=None, max_examples=100)
+@given(reports())
+@example(_edge_case_report("exact-dp"))
+@example(_edge_case_report("bounds"))
+def test_summary_csv_matches_the_row_by_row_writer(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        _, csv_path = export_report(report, tmp)
+        with open(csv_path, newline="") as fh:
+            assert fh.read() == reference_summary_csv(report)

@@ -185,9 +185,10 @@ def test_prune_validation():
     with pytest.raises(InputError):
         correlation_prune(ctx)  # a single object has no correlations
     two = ctx_from_columns({"a": [1.0, 2.0]})
-    with pytest.raises(InputError):
+    # the wording of check_selection_settings, the one corr_threshold rule
+    with pytest.raises(InputError, match=r"^corr_threshold 0.0 outside \(0, 1\]$"):
         correlation_prune(two, threshold=0.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^corr_threshold 1.5 outside \(0, 1\]$"):
         correlation_prune(two, threshold=1.5)
 
 
@@ -251,7 +252,7 @@ def test_ig_requires_labels_and_sane_bins():
     with pytest.raises(InputError):
         information_gain_rank(unlabeled)
     labeled = ctx_from_columns({"a": [1.0, 2.0]}, labels=["x", "y"])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^ig_bins must be >= 2, got 1$"):
         information_gain_rank(labeled, bins=1)
 
 

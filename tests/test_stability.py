@@ -89,7 +89,8 @@ def test_gate_value():
     assert b.gate_value("lower") == 0.5
     assert b.gate_value("mid") == 1.0
     assert b.gate_value("upper") == 2.0
-    with pytest.raises(InputError):
+    # the wording of check_thresholds, the one bound-policy rule
+    with pytest.raises(InputError, match=r"^bound_policy must be one of .*, got 'sideways'$"):
         b.gate_value("sideways")
     with pytest.raises(InputError):
         StabilityScore(method="bounds", extent_size=1).gate_value("upper")
