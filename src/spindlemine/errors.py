@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every spindlemine module.
+"""Exception hierarchy and helpers shared by every spindlemine module.
 
 The CLI maps these onto process exit codes: :class:`InputError` (and any
 :class:`StageError` wrapping one) exits with 2, :class:`CapacityError`
@@ -7,8 +7,11 @@ with 3.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from contextlib import contextmanager
+from types import ModuleType
 from typing import Any, Iterator, TextIO
 
 
@@ -64,3 +67,26 @@ def read_json(path: str, what: str) -> Any:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # int()'s digit limit, deep nesting
         raise InputError(f"{path}: JSON beyond the parser's limits: {exc}") from exc
+
+
+def lazy_import(name: str) -> ModuleType:
+    """The module ``name``, imported on its first attribute access.
+
+    This is the standard library's ``importlib.util.LazyLoader`` recipe:
+    the module is registered in ``sys.modules`` at once and its code runs
+    when one of its attributes is first read.  A module already imported
+    is returned as it is.  A module that cannot be found is imported at
+    once, so its ``ImportError`` is raised by the importing module, not
+    by the first use.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:  # not installed, or blocked by a None in sys.modules
+        return importlib.import_module(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -380,8 +380,10 @@ def build_lattice(
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:
     """Render the cover relation as a Graphviz digraph (debugging aid);
-    each node is labelled with its extent."""
-    names = lattice.object_names
+    each node is labelled with its extent.  A backslash or double quote
+    in an object name is escaped, so every label stays one DOT string."""
+    names = [name.replace("\\", "\\\\").replace('"', '\\"')
+             for name in lattice.object_names]
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for i, mask in enumerate(lattice.extent_masks):
         extent = ",".join(names_in(names, mask))

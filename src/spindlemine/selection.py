@@ -27,12 +27,13 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
-from .errors import InputError
+from .errors import InputError, lazy_import
 from .fca import read_object_table
 from .intervals import IntervalDescription, IntervalPatternStructure
 from .signals import FeatureRow
+
+# loaded on first use, so the lattice and mining commands start without it
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)

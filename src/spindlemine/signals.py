@@ -44,9 +44,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
+from .errors import InputError, input_file, lazy_import, read_json
 
-from .errors import InputError, input_file, read_json
+# loaded on first use, so the lattice and mining commands start without it
+np = lazy_import("numpy")
 
 #: The 15 contiguous 2 Hz analysis bands, 0.5-2.5 ... 28.5-30.5 Hz.
 DEFAULT_BANDS: tuple[tuple[float, float], ...] = tuple(

@@ -185,10 +185,11 @@ def oracle_integrate_cells(energy, cell_lo, cell_hi, lo: float, hi: float) -> fl
 
 def reference_lattice_to_dot(lattice) -> str:
     """The cover relation as a Graphviz digraph: one node line per concept
-    from ``extent_names``, then one edge line per pair of ``covers``."""
+    from ``extent_names`` (``\\`` and ``"`` escaped), then one edge line
+    per pair of ``covers``."""
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for i in range(len(lattice)):
-        extent = ",".join(lattice.extent_names(i))
+        extent = ",".join(lattice.extent_names(i)).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{{{extent}}}"];')
     for parent, child in lattice.covers:
         lines.append(f"  n{child} -> n{parent};")

@@ -23,6 +23,13 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def fresh_interpreter_env() -> dict:
+    """The environment for a fresh interpreter that imports this package."""
+    src = str(Path(spindlemine.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_pipeline_command(two_cluster_files, tmp_path, capsys):
     out = tmp_path / "out"
     code = run([
@@ -131,13 +138,11 @@ def test_mine_dot_matches_committed_outputs(tmp_path):
     # --dot reads the cover relation of every concept, so this pins the
     # full cover order and the kept patterns byte for byte
     (tmp_path / "context.csv").write_bytes((MINE_DOT / "context.csv").read_bytes())
-    src = str(Path(spindlemine.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     subprocess.run([sys.executable, "-m", "spindlemine", "mine", "--context", "context.csv",
                     "--min-support", "0.5", "--min-lstab", "1", "--stability", "bounds",
                     "--dot", "out/lattice.dot", "--output", "out"],
-                   cwd=tmp_path, env=env, capture_output=True, timeout=60, check=True)
+                   cwd=tmp_path, env=fresh_interpreter_env(), capture_output=True, timeout=60,
+                   check=True)
     out = tmp_path / "out"
     assert (out / "lattice.dot").read_bytes() == (MINE_DOT / "lattice.dot").read_bytes()
     # everything before the run's timestamp and timings
@@ -510,13 +515,73 @@ def test_random_bytes_in_any_input_exit_0_2_or_3(stage_inputs, case, data):
             assert run(argv) in (0, 2, 3)
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(two_cluster_files, tmp_path):
     # a fresh interpreter, so that modules other tests imported do not count
-    src = str(Path(spindlemine.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, spindlemine, spindlemine.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    # (conftest imports numpy before the package, so in-process runs never
+    # take the lazy binding): importing the package and the CLI and running
+    # `mine` load neither scipy nor numpy; a pipeline run in the same
+    # interpreter then loads numpy on first use and writes the same report
+    out = tmp_path / "out"
+    pipeline_argv = [
+        "pipeline",
+        "--recording", two_cluster_files["recording"],
+        "--annotations", two_cluster_files["annotations"],
+        "--labels", two_cluster_files["labels"],
+        "--min-support", 0.4, "--min-lstab", 1, "--corr-threshold", 1.0,
+        "--output", out,
+    ]
+    assert run(pipeline_argv) == 0
+    in_process = json.loads((out / "report.json").read_text())
+    mine_argv = ["mine", "--context", MINE_DOT / "context.csv",
+                 "--min-support", 0.5, "--min-lstab", 1, "--stability", "bounds",
+                 "--dot", tmp_path / "mine" / "lattice.dot", "--output", tmp_path / "mine"]
+
+    code = """if True:
+        import json, sys, types
+        import spindlemine, spindlemine.cli
+        def loaded():
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] == "scipy" or m.startswith("numpy."))
+        mine, pipeline = json.loads(sys.argv[1])
+        steps = {"import": loaded()}
+        steps["mine"] = [spindlemine.cli.main(mine), loaded()]
+        steps["pipeline"] = [spindlemine.cli.main(pipeline), loaded()]
+        np = sys.modules["numpy"]
+        steps["binding"] = (type(np) is types.ModuleType
+                            and spindlemine.signals.np is np is spindlemine.selection.np)
+        print(json.dumps(steps))
+    """
+    argvs = json.dumps([[str(a) for a in argv] for argv in (mine_argv, pipeline_argv)])
+    done = subprocess.run([sys.executable, "-c", code, argvs], env=fresh_interpreter_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    steps = json.loads(done.stdout.splitlines()[-1])
+    assert steps["import"] == []
+    assert steps["mine"] == [0, []]
+    status, modules = steps["pipeline"]
+    assert status == 0
+    assert "numpy._core" in modules or "numpy.core" in modules
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+    assert steps["binding"] is True
+    fresh = json.loads((out / "report.json").read_text())
+    del in_process["generated"], fresh["generated"]
+    assert fresh == in_process
+
+
+def test_import_without_numpy_fails_at_import():
+    # numpy is bound lazily, yet a missing numpy still fails when the
+    # package is imported, not later inside a stage
+    code = """if True:
+        import sys
+        sys.modules["numpy"] = None
+        try:
+            import spindlemine
+        except ImportError as exc:
+            print(exc.name, "|", exc)
+        else:
+            print("imported")
+    """
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    name, _, message = done.stdout.strip().partition(" | ")
+    assert name == "numpy"
+    assert "numpy" in message

@@ -300,6 +300,15 @@ def test_dot_export(tiny_context):
     assert dot.startswith("digraph lattice {")
     assert dot.count(" -> ") == len(lat.covers)
     assert "{g1,g2}" in dot and "{g2}" in dot
+    assert dot == reference_lattice_to_dot(lat)
+
+    # a double quote or a backslash in an id (a context CSV allows both)
+    # is escaped, so the label does not end early
+    quoted = build_lattice(FormalContext.from_rows(
+        ['q"1', "g\\2", "plain"], ["a"], [[1], [1], [1]]))
+    dot = lattice_to_dot(quoted)
+    assert '  n0 [label="{q\\"1,g\\\\2,plain}"];' in dot.splitlines()
+    assert dot == reference_lattice_to_dot(quoted)
 
 
 @settings(deadline=None, max_examples=150)
