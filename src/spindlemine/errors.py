@@ -12,7 +12,7 @@ import json
 import sys
 from contextlib import contextmanager
 from types import ModuleType
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterator, Sequence, TextIO
 
 
 class SpindlemineError(Exception):
@@ -51,6 +51,15 @@ def input_file(path: str, what: str, **open_args) -> Iterator[TextIO]:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def check_header(path: str, header: Sequence[str]) -> None:
+    """Raise :class:`InputError` naming the file ``path``, the first name its
+    CSV ``header`` repeats and the two columns (from 1) holding it."""
+    for col, name in enumerate(header, start=1):
+        first = header.index(name) + 1
+        if first < col:
+            raise InputError(f"{path}: header name {name!r} repeated in columns {first} and {col}")
 
 
 def read_json(path: str, what: str) -> Any:

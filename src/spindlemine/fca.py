@@ -9,49 +9,43 @@ incidence relation.  The two derivation operators
 form a Galois connection; their composition is a closure operator on
 object sets.  A concept is a pair ``(extent, intent)`` where each derives
 the other, and the set of all concepts ordered by extent inclusion is a
-complete lattice.
+complete lattice.  Object and attribute sets are Python integer bitmasks
+(bit ``i`` set means index ``i`` is a member); concept payloads hold
+``frozenset`` of indices.
 
-Object and attribute sets are represented internally as Python integer
-bitmasks (bit ``i`` set means index ``i`` is a member), which keeps the
-closure operator — the hot loop of lattice construction — down to a few
-``&`` operations.  Concept payloads hold ``frozenset`` of indices.
+Both lattice builders, this module's for binary contexts and
+:mod:`spindlemine.intervals`'s for interval pattern structures, close and
+refine object sets on one structure, :class:`NestedChains`: per attribute
+(or attribute end), a chain of nested object masks ``G = inside[0] ⊇
+inside[1] ⊇ …``.  The closure of ``A`` is the AND, over the chains, of
+the tightest member holding ``A``.  A binary attribute is the chain
+``[G, column]``, so this is ``A''``; an interval attribute end is the
+chain of its distinct values ranked from the outside inward, which is
+interordinal scaling (Kaytoue et al., Information Sciences 2011) stored
+as chains rather than as one column per value.  Every closed proper
+subset of a closed ``A`` lies inside one of its *elementary
+refinements*, ``A & inside[k + 1]`` for each chain whose tightest member
+``k`` is not its last, and each of them is closed.  So the lower covers
+of ``A`` are its maximal distinct refinements, found without looking at
+any other concept: with ``c`` chains the covers of ``L`` concepts cost
+``O(L·c²)`` mask operations, not the ``O(L²)`` of comparing all pairs.
 
-Enumeration uses Close-by-One: a depth-first walk over closures with a
-canonicity test that guarantees every closed extent is visited exactly
-once, without keeping a global "seen" set.  It adds the inherited-failure
-test of Fast Close-by-One: an extension by object ``g`` whose closure
-failed canonicity at an ancestor is skipped, with no closure call, while
-that failed closure still holds an object below ``g`` outside the
-current extent, since by monotonicity the new closure would hold it too.
-The same enumerator is reused by :mod:`spindlemine.intervals` for
-interval pattern structures — it only needs a monotone closure callable
-on extent masks.
-
-The lattice is built on demand.  Enumeration yields the closed extents,
-which are sorted once; a concept's payload (extent and intent as index
-sets) and its lower covers are computed the first time something reads
-them, so a run that keeps only the frequent concepts never builds the
-others.
-
-Lower covers are computed locally, one concept at a time.  Every closed
-proper subset of an extent ``A`` lies inside one of ``A``'s *elementary
-refinements*, each of which is itself a closed extent; for a binary
-context these are ``A ∩ column(m)`` for the attributes ``m`` outside the
-intent.  The lower covers of ``A`` are therefore the maximal distinct
-sets among its refinements, found without looking at any other concept.
-With ``k`` refinements per concept (``k <= |M|``) the cover relation of
-``L`` concepts costs ``O(L·k²)`` mask operations, where comparing every
-pair of concepts would cost ``O(L²)``.
+Enumeration is Fast Close-by-One (:func:`enumerate_closed_extents`).  The
+lattice is built on demand: the closed extents are sorted once, and a
+concept's payload and lower covers are computed the first time something
+reads them, so a run that keeps only the frequent concepts never builds
+the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 import csv
 
-from .errors import CapacityError, InputError, input_file
+from .errors import CapacityError, InputError, check_header, input_file
 
 #: Default ceiling on the number of concepts a single enumeration may
 #: produce before aborting with :class:`CapacityError`.
@@ -147,6 +141,11 @@ class FormalContext:
             cols[m] |= 1 << g
         return tuple(cols)
 
+    @cached_property
+    def chains(self) -> "NestedChains":
+        """The closure system: one chain ``[G, column]`` per attribute."""
+        return NestedChains(len(self.objects), [[self.object_mask, c] for c in self.column_masks])
+
     # -- mask-level derivation ------------------------------------------
 
     def derive_attr_mask(self, extent_mask: int) -> int:
@@ -188,7 +187,9 @@ class OnDemand(Sequence[T]):
     def __len__(self) -> int:
         return len(self._values)
 
-    def __getitem__(self, index: int) -> T:  # type: ignore[override]
+    def __getitem__(self, index: int | slice) -> Any:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._values)))]
         value = self._values[index]
         if value is _UNSET:
             value = self._values[index] = self._build(index % len(self._values))
@@ -203,13 +204,11 @@ class ConceptLattice:
     lexicographically ascending), so index 0 is the top; it is the only
     part computed up front.  ``concepts[i]`` (the payload: :class:`Concept`
     for binary contexts, :class:`spindlemine.intervals.PatternConcept` for
-    pattern structures) and ``children[i]`` (the lower covers, ascending)
-    are computed the first time they are read.  ``children[i]`` are the
-    maximal sets among ``refine(extent_masks[i])``, the concept's
-    elementary refinements (see :func:`assemble_lattice`).  ``covers``
-    holds every ``(parent_index, child_index)`` pair, sorted ascending,
-    i.e. the transitive reduction of the extent-inclusion order; reading
-    it computes the children of every concept.
+    pattern structures) and ``children[i]`` (the lower covers, ascending,
+    see :func:`assemble_lattice`) are computed the first time they are
+    read.  ``covers`` holds every ``(parent_index, child_index)`` pair,
+    sorted ascending, i.e. the transitive reduction of the extent-inclusion
+    order; reading it computes the children of every concept.
     """
 
     def __init__(
@@ -253,6 +252,59 @@ class ConceptLattice:
         if not 0 <= index < len(self):
             raise InputError(f"concept index {index} out of range")
         return tuple(names_in(self.object_names, self.extent_masks[index]))
+
+
+class NestedChains:
+    """Chains of nested object masks (see the module docstring).  With
+    ``at[k] = inside[k] & ~inside[k + 1]`` (the last ``at`` is the last
+    member), a non-empty set's tightest member is the first ``at[k]`` it meets."""
+
+    def __init__(self, n_objects: int, chains: Iterable[Sequence[int]]):
+        self.full = (1 << n_objects) - 1
+        self.chains = [([a & ~b for a, b in zip(inside, inside[1:])] + [inside[-1]], inside)
+                       for inside in chains]  # (at, inside) per chain
+        self.bottom = reduce(and_, [inside[-1] for _, inside in self.chains], self.full)
+
+    def close(self, mask: int) -> int:
+        """The AND of each chain's tightest member holding ``mask``."""
+        if not mask:
+            return self.bottom
+        extent = self.full
+        for at, inside in self.chains:
+            # one test settles a chain whose tightest member is G (a binary column missing A)
+            if not at[0] & mask:
+                k = 1
+                while not at[k] & mask:
+                    k += 1
+                extent &= inside[k]
+        return extent
+
+    def hits(self, mask: int) -> list[int]:
+        """Per chain, ``mask & at[k]`` for the non-empty ``mask``'s tightest member ``k``."""
+        found = []
+        for at, _ in self.chains:
+            k = 0
+            while not at[k] & mask:
+                k += 1
+            found.append(at[k] & mask)
+        return found
+
+    def refine(self, mask: int) -> list[int]:
+        """The elementary refinements of the closed set ``mask``."""
+        if not mask:
+            return []
+        refinements = []
+        for at, inside in self.chains:
+            # the same walk as in close; the last member refines nothing
+            if at[0] & mask:
+                refinements.append(mask & inside[1])
+            else:
+                k = 1
+                while not at[k] & mask:
+                    k += 1
+                if k + 1 < len(at):
+                    refinements.append(mask & inside[k + 1])
+        return refinements
 
 
 def enumerate_closed_extents(
@@ -320,14 +372,9 @@ def assemble_lattice(
     """Order closed extents into a lattice whose payloads and covers are
     computed on demand.
 
-    ``make_concept`` maps an extent mask to the concept payload.
-    ``refine`` maps an extent mask to the concept's elementary
-    refinements: closed extents strictly inside it such that every closed
-    proper subset of the extent lies inside at least one of them (none for
-    the bottom).  The lower covers of a concept are then the maximal
-    distinct refinements, so with ``k`` refinements per concept the covers
-    of ``L`` concepts cost ``O(L·k²)`` mask operations plus one dictionary
-    lookup per cover edge.
+    ``make_concept`` maps an extent mask to the concept payload, and
+    ``refine`` to its elementary refinements (:meth:`NestedChains.refine`),
+    whose maximal distinct members are the lower covers.
     """
     # format(m, "b")[::-1] spells membership from object 0 up, so among
     # extents of one size a larger string is a lexicographically smaller
@@ -359,7 +406,8 @@ def build_lattice(
     closures, deduplicated.  Raises :class:`CapacityError` when the number
     of concepts exceeds ``concept_cap``.
     """
-    masks = enumerate_closed_extents(context.n_objects, context.closure_mask, concept_cap)
+    chains = context.chains
+    masks = enumerate_closed_extents(context.n_objects, chains.close, concept_cap)
 
     def make(mask: int) -> Concept:
         return Concept(
@@ -367,15 +415,7 @@ def build_lattice(
             intent=_indices_from_mask(context.derive_attr_mask(mask)),
         )
 
-    columns = context.column_masks
-
-    def refine(mask: int) -> list[int]:
-        # A ∩ column(m) is the extent of intent ∪ {m}; any closed B ⊊ A has
-        # some attribute m outside A's intent (a column not containing A)
-        # and so lies inside it
-        return [mask & col for col in columns if mask & ~col]
-
-    return assemble_lattice(context.objects, masks, make, refine)
+    return assemble_lattice(context.objects, masks, make, chains.refine)
 
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:
@@ -406,8 +446,8 @@ def read_object_table(
     object: the object ids, the attribute names and each row's cells
     passed through ``parse``.  A file that cannot be read raises
     :class:`InputError` naming it as ``what`` (``features``, say); a
-    ragged row, a repeated id or a cell ``parse`` rejects, naming the file
-    and the rows (file lines), and for a cell its column."""
+    repeated header name or id, a ragged row or a cell ``parse`` rejects
+    names the file, the columns or rows (file lines) and a cell's column."""
     with input_file(path, what, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -415,6 +455,7 @@ def read_object_table(
     header = rows[0]
     if header[:1] != ["id"]:
         raise InputError(f"{path}: first header cell must be 'id'")
+    check_header(path, header)
     attributes = tuple(header[1:])
     lines: dict[str, int] = {}  # id -> file line, in row order
     table: list[list[T]] = []

@@ -17,26 +17,18 @@ The pattern Galois connection pairs object sets with descriptions:
 ``A -> meet of member descriptions`` and ``d -> all objects whose
 description is inside d``.  Its fixpoints are the pattern concepts; they
 are enumerated with the same Close-by-One machinery as the binary case
-(:func:`spindlemine.fca.enumerate_closed_extents`), since only the
-closure operator differs.
+(:func:`spindlemine.fca.enumerate_closed_extents`).
 
-Lattice construction never folds member descriptions into a hull.  The
-``2m`` attribute ends (the low and the high end of each attribute) each
-get a rank table, built once per structure: the end's distinct values
-ranked from the outside inward, with the mask of the objects at each
-rank and of those inside it.  The hull of ``A`` is fixed by the rank of
-``A``'s outermost member at every end, so the closure of ``A`` is the
-AND of the ``2m`` matching inside-masks.  Those ranks are kept per closed
-extent; a concept's intent and its lower covers are read off them the
-first time the lattice is asked for them.
-
-Lower covers come from each concept's elementary refinements: for every
-attribute ``t``, drop from the extent ``A`` the objects that attain the
-hull's low end of ``t`` (or its high end).  The result is closed, every
-closed proper subset of ``A`` lies inside one of these at most ``2m``
-sets, and the maximal ones are the lower covers
-(:func:`spindlemine.fca.assemble_lattice`).  With the ranks of ``A``
-known, each refinement is one mask operation on the rank tables.
+Lattice construction never folds member descriptions into a hull.  Each
+of the ``2m`` attribute ends (the low and the high end of each
+attribute) is one chain of :class:`spindlemine.fca.NestedChains`, built
+once per structure (:attr:`IntervalPatternStructure.chains`): member
+``k`` holds the objects whose value lies within the end's ``k``-th
+distinct value, ranked from the outside inward.  The hull of ``A`` is
+fixed by each chain's tightest member holding ``A``, so the closure and
+the elementary refinements (drop the objects that attain one end of the
+hull) are the chains' own, and a concept's intent is read off the
+members at those tightest members the first time it is asked for.
 
 The lattice always includes a distinguished bottom concept with empty
 extent whose intent is a formal "most specific" description (represented
@@ -47,6 +39,7 @@ complete lattice without inventing numeric values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 import math
 
@@ -54,6 +47,7 @@ from .errors import InputError
 from .fca import (
     DEFAULT_CONCEPT_CAP,
     ConceptLattice,
+    NestedChains,
     _indices_from_mask,
     assemble_lattice,
     enumerate_closed_extents,
@@ -130,6 +124,24 @@ class IntervalPatternStructure:
     def n_objects(self) -> int:
         return len(self.objects)
 
+    @cached_property
+    def chains(self) -> NestedChains:
+        """One chain per attribute end, low then high end of each attribute
+        (see the module docstring), closed by an empty member, the formal
+        bottom; with no attributes the chain ``[G, ∅]`` gives ``{G, ∅}``."""
+        chains = []
+        for j in range(len(self.attributes)):
+            for side in (0, 1):
+                by_value: dict[float, int] = {}  # -0.0 and 0.0 share one key
+                for g, d in enumerate(self.descriptions):
+                    v = d.intervals[j][side]
+                    by_value[v] = by_value.get(v, 0) | 1 << g
+                inside = [0]  # from the empty member outward: a low end's largest value first
+                for v in sorted(by_value, reverse=not side):
+                    inside.append(inside[-1] | by_value[v])
+                chains.append(inside[::-1])
+        return NestedChains(len(self.objects), chains or [[(1 << len(self.objects)) - 1, 0]])
+
     def delta(self, index: int) -> IntervalDescription:
         """The description of one object."""
         return self.descriptions[index]
@@ -151,90 +163,26 @@ def build_pattern_lattice(
 
     Equals the deduplicated closures of every non-empty subset of objects,
     plus the bottom concept ``(empty, None)``.
-
-    The closure works on the structure's rank tables (see
-    :func:`_rank_tables`): for every attribute end it finds the rank of
-    the object set's outermost member and intersects the objects inside
-    those ranks.  The ranks found for each closed extent are kept, so each
-    hull is computed once: the intent and the elementary refinements are
-    read from them without another pass over the members.
     """
     if ps.n_objects == 0:
         raise InputError("pattern structure has no objects")
-    ends = _rank_tables(ps)
-    full = (1 << ps.n_objects) - 1
-    ranks: dict[int, list[int]] = {}  # closed extent -> rank per end
-
-    def close(mask: int) -> int:
-        if mask == 0:
-            return 0  # the formal bottom: no real object matches it
-        extent = full
-        found = []
-        for at, inside, _ in ends:
-            k = 0
-            while not at[k] & mask:
-                k += 1
-            found.append(k)
-            extent &= inside[k]
-        ranks[extent] = found
-        return extent
-
-    masks = enumerate_closed_extents(ps.n_objects, close, concept_cap)
+    chains = ps.chains
+    masks = enumerate_closed_extents(ps.n_objects, chains.close, concept_cap)
+    ends = [(j, side) for j in range(len(ps.attributes)) for side in (0, 1)]
 
     def make(mask: int) -> PatternConcept:
         if not mask:
             return PatternConcept(extent=frozenset(), intent=None)
-        # each end's value from the lowest-index member at its rank, as the
-        # member-by-member hull takes it (so -0.0 and 0.0 tie the same way)
-        values = []
-        for (at, _, value), k in zip(ends, ranks[mask]):
-            hit = mask & at[k]
-            values.append(value[(hit & -hit).bit_length() - 1])
+        # an end's value is its lowest-index hit's, as in the member-by-member
+        # hull (-0.0 and 0.0 tie alike); zip drops a no-attribute [G, ∅] chain
+        values = [ps.descriptions[(hit & -hit).bit_length() - 1].intervals[j][side]
+                  for (j, side), hit in zip(ends, chains.hits(mask))]
         return PatternConcept(
             extent=_indices_from_mask(mask),
             intent=IntervalDescription(tuple(zip(values[::2], values[1::2]))),
         )
 
-    def refine(mask: int) -> list[int]:
-        # Dropping the objects that attain one end of the hull tightens that
-        # end, so A minus them is closed; any closed B ⊊ A has a tighter end
-        # somewhere and so lies inside one of these.
-        if not mask:
-            return []
-        # with no attributes every non-empty set closes to the top, whose
-        # only lower cover is the bottom
-        return [mask & ~at[k] for (at, _, _), k in zip(ends, ranks[mask])] or [0]
-
-    return assemble_lattice(ps.objects, masks, make, refine)
-
-
-def _rank_tables(
-    ps: IntervalPatternStructure,
-) -> list[tuple[list[int], list[int], tuple[float, ...]]]:
-    """Per attribute end (low then high of each attribute): ``at``,
-    ``inside`` and the objects' values at that end.
-
-    An end's distinct values are ranked from the outside inward: ascending
-    for a low end, descending for a high end.  ``at[k]`` is the mask of the
-    objects whose value has rank ``k``, and ``inside[k]`` the mask of those
-    whose value has rank ``k`` or further in, i.e. lies within the
-    rank-``k`` value.  An object set whose outermost member has rank
-    ``k_e`` at each end ``e`` therefore closes to the AND of the
-    ``inside_e[k_e]``.
-    """
-    tables = []
-    for j in range(len(ps.attributes)):
-        for side, descending in ((0, False), (1, True)):
-            value = tuple(d.intervals[j][side] for d in ps.descriptions)
-            by_value: dict[float, int] = {}  # -0.0 and 0.0 share one key
-            for g, v in enumerate(value):
-                by_value[v] = by_value.get(v, 0) | 1 << g
-            at = [by_value[v] for v in sorted(by_value, reverse=descending)]
-            inside = list(at)
-            for k in range(len(at) - 2, -1, -1):
-                inside[k] |= inside[k + 1]
-            tables.append((at, inside, value))
-    return tables
+    return assemble_lattice(ps.objects, masks, make, chains.refine)
 
 
 # ---------------------------------------------------------------------------

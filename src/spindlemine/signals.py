@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, input_file, lazy_import, read_json
+from .errors import InputError, check_header, input_file, lazy_import, read_json
 
 # loaded on first use, so the lattice and mining commands start without it
 np = lazy_import("numpy")
@@ -135,16 +135,18 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
 
     Every line after the header is one sample: one cell per header
     column, each a finite decimal number, optionally in double quotes.
-    A blank line, a ragged row, a non-numeric or a non-finite cell
-    raises :class:`InputError` naming the file line.  An explicit
+    A repeated header name, a blank line, a ragged row, a non-numeric or a
+    non-finite cell raises :class:`InputError` naming the columns or the
+    file line.  An explicit
     ``sample_rate`` is checked before the file is opened.
     """
     if sample_rate is not None:
         check_sample_rate(sample_rate)
     with input_file(path, "recording") as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        has_time = bool(header) and header[0].strip().lower() == "time"
-        channel_names = tuple(h.strip() for h in (header[1:] if has_time else header))
+        header = [h.strip() for h in next(csv.reader([fh.readline()]), [])]
+        check_header(path, header)
+        has_time = bool(header) and header[0].lower() == "time"
+        channel_names = tuple(header[1:] if has_time else header)
         blocks, row = [], 2  # row: the file line of the block's first line
         while block := list(islice(fh, _BLOCK)):
             if not channel_names:
@@ -215,7 +217,7 @@ def _bad_row_error(path: str, header: list[str], block: list[str], first_row: in
             if not math.isfinite(value):
                 return InputError(
                     f"{path}: non-finite value {cell.strip()!r} in row {row}, "
-                    f"column {name.strip()!r}"
+                    f"column {name!r}"
                 )
     # only a row that parses alone but not beside its neighbours gets here
     return InputError(f"{path}: rows {first_row} to {first_row + len(block) - 1} are not "

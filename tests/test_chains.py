@@ -1,0 +1,72 @@
+"""The chains of nested object masks that both lattice builders close and
+refine on, checked on arbitrary object sets against the brute-force
+oracles."""
+
+from hypothesis import given, settings, strategies as st
+
+from spindlemine.fca import FormalContext
+
+from conftest import (
+    oracle_binary_closed_extents,
+    oracle_binary_closure,
+    oracle_covers,
+    oracle_interval_closed_extents,
+    oracle_interval_closure,
+    tie_heavy_structures,
+)
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _indices(mask):
+    return frozenset(g for g in range(mask.bit_length()) if mask >> g & 1)
+
+
+@st.composite
+def binary_contexts(draw):
+    """Contexts of 1 to 6 objects and 0 to 4 attributes, each column empty,
+    full or drawn at random."""
+    n = draw(st.integers(1, 6))
+    columns = [draw(st.sampled_from([0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1))
+               for _ in range(draw(st.integers(0, 4)))]
+    rows = [[col >> g & 1 for col in columns] for g in range(n)]
+    return FormalContext.from_rows([f"g{g}" for g in range(n)],
+                                   [f"m{j}" for j in range(len(columns))], rows)
+
+
+def _check_refinements(chains, extent, closed):
+    """Every refinement of ``extent`` is closed and strictly inside it, and
+    the maximal ones are its lower covers among ``closed``."""
+    refinements = chains.refine(extent)
+    for r in refinements:
+        assert chains.close(r) == r
+        assert r != extent and not r & ~extent
+    maximal = {r for r in refinements if not any(r != s and not r & ~s for s in refinements)}
+    covers = {small for big, small in oracle_covers(closed) if big == _indices(extent)}
+    assert {_indices(r) for r in maximal} == covers
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_binary_chains_close_and_refine_as_the_oracle(data):
+    ctx = data.draw(binary_contexts())
+    mask = data.draw(st.integers(0, ctx.object_mask))
+    chains = ctx.chains
+    extent = chains.close(mask)
+    assert extent == ctx.closure_mask(mask) == _mask(oracle_binary_closure(ctx, _indices(mask)))
+    assert chains.close(0) == ctx.closure_mask(0)
+    _check_refinements(chains, extent, oracle_binary_closed_extents(ctx))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_interval_chains_close_and_refine_as_the_oracle(data):
+    ps = data.draw(tie_heavy_structures())
+    mask = data.draw(st.integers(0, (1 << ps.n_objects) - 1))
+    chains = ps.chains
+    extent = chains.close(mask)
+    assert extent == _mask(oracle_interval_closure(ps, _indices(mask)))
+    assert chains.close(0) == 0  # the formal bottom
+    _check_refinements(chains, extent, oracle_interval_closed_extents(ps))

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from spindlemine.cli import main
 from spindlemine.errors import InputError
 from spindlemine.fca import read_object_table
 from spindlemine.pipeline import PipelineConfig, read_report_json
@@ -70,3 +71,29 @@ def test_json_beyond_parser_limits_is_an_input_error_naming_the_file(tmp_path, n
     with pytest.raises(InputError) as err:
         READERS[name][0](str(path))
     assert str(path) in str(err.value)
+
+
+
+#: subcommand -> (its input flag, the input's text, the header name it
+#: repeats and the columns holding it, further arguments)
+REPEATED_HEADERS = {
+    "mine": ("--context", "id,a,b,a\ns1,1.0,2.0,3.0\n", "'a' repeated in columns 2 and 4",
+             ["--min-support", "0.5", "--min-lstab", "1"]),
+    "context": ("--features", "id,x,y,x\ns1,1.0,2.0,3.0\n", "'x' repeated in columns 2 and 4",
+                []),
+    "extract": ("--recording", "time,C3,C3\n0.0,1.0,2.0\n0.1,2.0,3.0\n",
+                "'C3' repeated in columns 2 and 3", ["--annotations", "annotations.json"]),
+}
+
+
+@pytest.mark.parametrize("command", REPEATED_HEADERS)
+def test_repeated_header_name_exits_2_naming_file_and_name(tmp_path, monkeypatch, capsys,
+                                                           command):
+    flag, text, expected, extra = REPEATED_HEADERS[command]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "annotations.json").write_text(json.dumps([_ANNOTATION]))
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    assert main([command, flag, str(path), *extra, "--output", "out"]) == 2
+    message = capsys.readouterr().err
+    assert f"{path}: header name {expected}" in message

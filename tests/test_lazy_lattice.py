@@ -184,3 +184,13 @@ def test_mine_builds_payloads_only_for_the_kept_concepts(monkeypatch):
     kept = [frozenset(ps.objects.index(name) for name in p["extent"]) for p in patterns]
     assert 0 < len(kept) < len(lattice) // 10
     assert sorted(made, key=sorted) == sorted(kept, key=sorted)
+
+
+def test_a_slice_builds_its_items():
+    ctx = FormalContext.from_rows(["a", "b", "c"], ["m", "n"], [[1, 0], [0, 1], [1, 1]])
+    sliced, read = build_lattice(ctx), build_lattice(ctx)
+    n = len(read)
+    assert sliced.concepts[0:2] == [read.concepts[0], read.concepts[1]]
+    assert sliced.children[::-1] == [read.children[i] for i in reversed(range(n))]
+    assert sliced.concepts[-2:] == [read.concepts[n - 2], read.concepts[n - 1]]
+    assert sliced.concepts[n:] == []
