@@ -12,7 +12,7 @@ import json
 import sys
 from contextlib import contextmanager
 from types import ModuleType
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 
 class SpindlemineError(Exception):
@@ -53,13 +53,15 @@ def input_file(path: str, what: str, **open_args) -> Iterator[TextIO]:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def check_header(path: str, header: Sequence[str]) -> None:
-    """Raise :class:`InputError` naming the file ``path``, the first name its
-    CSV ``header`` repeats and the two columns (from 1) holding it."""
-    for col, name in enumerate(header, start=1):
-        first = header.index(name) + 1
-        if first < col:
-            raise InputError(f"{path}: header name {name!r} repeated in columns {first} and {col}")
+def check_unique(what: str, names: Iterable[str], places: str = "at positions",
+                 start: int = 0) -> None:
+    """Raise :class:`InputError` naming ``what``, the first name ``names``
+    repeats and the two ``places`` holding it, counted from ``start``."""
+    seen: dict[str, int] = {}
+    for i, name in enumerate(names, start):
+        first = seen.setdefault(name, i)
+        if first != i:
+            raise InputError(f"{what} {name!r} repeated {places} {first} and {i}")
 
 
 def read_json(path: str, what: str) -> Any:

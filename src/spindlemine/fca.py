@@ -41,11 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress, count
 from operator import and_
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 import csv
 
-from .errors import CapacityError, InputError, check_header, input_file
+from .errors import CapacityError, InputError, check_unique, input_file
 
 #: Default ceiling on the number of concepts a single enumeration may
 #: produce before aborting with :class:`CapacityError`.
@@ -54,20 +55,23 @@ DEFAULT_CONCEPT_CAP = 10_000_000
 T = TypeVar("T")
 
 
+#: Maps the digits of ``format(mask, "b")`` to the bytes 0 and 1.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """Byte ``i`` is 1 if bit ``i`` of ``mask`` is set, else 0: selectors
+    for :func:`itertools.compress`."""
+    return format(mask, "b")[::-1].encode().translate(_DIGIT_BYTES)
+
+
 def _indices_from_mask(mask: int) -> frozenset[int]:
-    return frozenset(_iter_bits(mask))
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return frozenset(compress(count(), _bit_flags(mask)))
 
 
 def names_in(names: Sequence[str], mask: int) -> list[str]:
     """The names of the objects in ``mask``, in object order."""
-    return [names[g] for g in _iter_bits(mask)]
+    return list(compress(names, _bit_flags(mask)))
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,8 @@ class FormalContext:
     incidence: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if len(set(self.objects)) != len(self.objects):
-            raise InputError("object identifiers must be unique")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise InputError("attribute identifiers must be unique")
+        check_unique("object identifier", self.objects)
+        check_unique("attribute identifier", self.attributes)
         for g, m in self.incidence:
             if not 0 <= g < len(self.objects):
                 raise InputError(f"incidence object index {g} out of range")
@@ -424,13 +426,14 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
     in an object name is escaped, so every label stays one DOT string."""
     names = [name.replace("\\", "\\\\").replace('"', '\\"')
              for name in lattice.object_names]
+    ids = [f"n{i}" for i in range(len(lattice))]
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    for i, mask in enumerate(lattice.extent_masks):
+    for node, mask in zip(ids, lattice.extent_masks):
         extent = ",".join(names_in(names, mask))
-        lines.append(f'  n{i} [label="{{{extent}}}"];')
+        lines.append(f'  {node} [label="{{{extent}}}"];')
     # children ascend and are read in parent order: the order of covers
-    lines += [f"  n{child} -> n{parent};"
-              for parent, kids in enumerate(lattice.children) for child in kids]
+    lines += [f"  {ids[child]} -> {parent};"
+              for parent, kids in zip(ids, lattice.children) for child in kids]
     lines.append("}")
     return "\n".join(lines)
 
@@ -455,7 +458,7 @@ def read_object_table(
     header = rows[0]
     if header[:1] != ["id"]:
         raise InputError(f"{path}: first header cell must be 'id'")
-    check_header(path, header)
+    check_unique(f"{path}: header name", header, "in columns", 1)
     attributes = tuple(header[1:])
     lines: dict[str, int] = {}  # id -> file line, in row order
     table: list[list[T]] = []

@@ -43,7 +43,7 @@ from functools import cached_property
 from typing import Iterable
 import math
 
-from .errors import InputError
+from .errors import InputError, check_unique
 from .fca import (
     DEFAULT_CONCEPT_CAP,
     ConceptLattice,
@@ -107,10 +107,8 @@ class IntervalPatternStructure:
     descriptions: tuple[IntervalDescription, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.objects)) != len(self.objects):
-            raise InputError("object identifiers must be unique")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise InputError("attribute identifiers must be unique")
+        check_unique("object identifier", self.objects)
+        check_unique("attribute identifier", self.attributes)
         if len(self.descriptions) != len(self.objects):
             raise InputError("one description per object required")
         for name, desc in zip(self.objects, self.descriptions):

@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InputError, SpindlemineError, StageError, read_json
 from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot, names_in
-from .intervals import IntervalPatternStructure, build_pattern_lattice, format_interval
+from .intervals import IntervalPatternStructure, build_pattern_lattice
 from .selection import (
     build_numeric_context,
     check_selection_settings,
@@ -355,10 +355,7 @@ def pattern_entry(
     n = lattice.n_objects
     intent = None
     if concept.intent is not None:
-        intent = {
-            name: [lo, hi]
-            for name, (lo, hi) in zip(attributes, concept.intent.intervals)
-        }
+        intent = dict(zip(attributes, map(list, concept.intent.intervals)))
     stability_fields = score_to_json(scores[index], n)
     # the entry states these once, beside its extent
     del stability_fields["extent_size"], stability_fields["support"]
@@ -385,12 +382,14 @@ def export_report(
     output_dir: str,
     json_name: str = "report.json",
 ) -> tuple[str, str]:
-    """Write the full JSON report and a one-row-per-pattern CSV summary."""
+    """Write the full JSON report and a one-row-per-pattern CSV summary,
+    rendering each float once for both."""
     os.makedirs(output_dir, exist_ok=True)
     json_path = os.path.join(output_dir, json_name)
     csv_path = os.path.join(output_dir, "summary.csv")
+    texts = _JsonText()
     with open(json_path, "w") as fh:
-        fh.write(report_to_json(report))
+        fh.write(_json_text(report.to_json_dict(), texts) + "\n")
     attributes = report.attributes
     no_intent = [""] * len(attributes)
     rows = [["pattern", "extent_size", "support", *_SCORE_COLUMNS, "method", "extent",
@@ -399,23 +398,38 @@ def export_report(
         stab = pattern["stability"]
         intent = pattern["intent"]
         rows.append([
-            i, pattern["extent_size"], repr(pattern["support"]),
-            *[_csv_cell(stab.get(key)) for key in _SCORE_COLUMNS],
+            i, pattern["extent_size"], texts[pattern["support"]],
+            *["" if v is None else v if isinstance(v, str) else texts[v]
+              for v in map(stab.get, _SCORE_COLUMNS)],
             stab["method"], ";".join(pattern["extent"]),
+            # an interval cell as intervals.format_interval writes it
             *(no_intent if intent is None
-              else [format_interval(*intent[name]) for name in attributes]),
+              else [texts[lo] if lo == hi else f"{texts[lo]}..{texts[hi]}"
+                    for lo, hi in map(intent.__getitem__, attributes)]),
         ])
     with open(csv_path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     return json_path, csv_path
 
 
-def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
+class _JsonText(dict):
+    """The JSON text of each string and number rendered so far, filled on
+    first use: a string as ``encode_basestring_ascii`` quotes it, a number
+    as ``repr(float(x))`` after the encoder's finiteness check (a NaN or an
+    infinity raises its ``ValueError``).  A zero is never kept: ``-0.0 ==
+    0.0`` would share one entry, and the two print differently."""
+
+    def __missing__(self, value: Any) -> str:
+        if type(value) is str:
+            text = self[value] = encode_basestring_ascii(value)
+            return text
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        text = float.__repr__(number)
+        if number:
+            self[value] = text
+        return text
 
 
 def report_to_json(report: PatternReport) -> str:
@@ -423,32 +437,40 @@ def report_to_json(report: PatternReport) -> str:
     indent=2, allow_nan=False)`` plus a newline; non-finite numbers are
     not allowed to leak in (``+inf`` LStab values are already strings by
     this point)."""
-    return _json_text(report.to_json_dict()) + "\n"
+    return _json_text(report.to_json_dict(), _JsonText()) + "\n"
 
 
-def _json_text(value: Any, indent: str = "") -> str:
+def _json_text(value: Any, texts: _JsonText, indent: str = "") -> str:
     """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
     it, nested at ``indent``, without CPython's pure-Python indenting
-    encoder: strings, floats, ints, lists and string-keyed dicts are joined
-    from pieces encoded as the encoder encodes them.  Any other value goes
-    through :func:`json.dumps` and is re-indented, which is exact because
-    an encoded string never holds a raw newline."""
+    encoder.  Strings, floats, ints, lists and string-keyed dicts are
+    joined from pieces encoded as the encoder encodes them; each string's
+    and float's text comes from ``texts``, so it is built once per
+    distinct value.  A list of only strings and floats is joined in one
+    ``map``, and a dict's string and float values are looked up in place:
+    only the other values recurse.  Any other value goes through
+    :func:`json.dumps` and is re-indented, which is exact because an
+    encoded string never holds a raw newline."""
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is float:
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
+    if kind is str or kind is float:
+        return texts[value]
     if kind is int:
         return int.__repr__(value)
     inner = indent + "  "
+    sep = ",\n" + inner
     if kind is list and value:
-        items = [_json_text(v, inner) for v in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if kind is dict and value and all(type(k) is str for k in value):
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+        if set(map(type, value)) <= {str, float}:
+            items = map(texts.__getitem__, value)
+        else:
+            items = [_json_text(v, texts, inner) for v in value]
+        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        items = []
+        for k, v in value.items():
+            v_kind = type(v)
+            items.append(f"{texts[k]}: " + (texts[v] if v_kind is str or v_kind is float
+                                            else _json_text(v, texts, inner)))
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
 
 

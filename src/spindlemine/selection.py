@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
-from .errors import InputError, lazy_import
+from .errors import InputError, check_unique, lazy_import
 from .fca import read_object_table
 from .intervals import IntervalDescription, IntervalPatternStructure
 from .signals import FeatureRow
@@ -46,10 +46,8 @@ class NumericContext:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(set(self.objects)) != len(self.objects):
-            raise InputError("object ids must be unique")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise InputError("attribute names must be unique")
+        check_unique("object id", self.objects)
+        check_unique("attribute name", self.attributes)
         if self.values.shape != (len(self.objects), len(self.attributes)):
             raise InputError(
                 f"value matrix shape {self.values.shape} does not match "

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, check_header, input_file, lazy_import, read_json
+from .errors import InputError, check_unique, input_file, lazy_import, read_json
 
 # loaded on first use, so the lattice and mining commands start without it
 np = lazy_import("numpy")
@@ -94,8 +94,7 @@ class Recording:
 
     def __post_init__(self) -> None:
         check_sample_rate(self.sample_rate)
-        if len(set(self.channels)) != len(self.channels):
-            raise InputError("channel names must be unique")
+        check_unique("channel name", self.channels)
         if self.data.ndim != 2 or self.data.shape[0] != len(self.channels):
             raise InputError(
                 f"data shape {self.data.shape} does not match {len(self.channels)} channels"
@@ -144,7 +143,7 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
         check_sample_rate(sample_rate)
     with input_file(path, "recording") as fh:
         header = [h.strip() for h in next(csv.reader([fh.readline()]), [])]
-        check_header(path, header)
+        check_unique(f"{path}: header name", header, "in columns", 1)
         has_time = bool(header) and header[0].lower() == "time"
         channel_names = tuple(header[1:] if has_time else header)
         blocks, row = [], 2  # row: the file line of the block's first line

@@ -10,8 +10,10 @@ from spindlemine.fca import (
     Concept,
     FormalContext,
     assemble_lattice,
+    _indices_from_mask,
     build_lattice,
     lattice_to_dot,
+    names_in,
 )
 from spindlemine.intervals import build_pattern_lattice
 from spindlemine.stability import stability_lattice_dp
@@ -24,6 +26,28 @@ from conftest import (
     reference_lattice_to_dot,
     tie_heavy_structures,
 )
+
+
+# ---------------------------------------------------------------------------
+# bit iteration
+# ---------------------------------------------------------------------------
+
+#: (width, a mask of at most ``width`` bits): empty and full masks, single
+#: bits and random masks, over widths past 64 objects
+_masks_and_widths = st.integers(0, 150).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+    st.sampled_from([0, (1 << n) - 1]),
+    st.integers(0, max(n - 1, 0)).map(lambda i: (1 << i) & ((1 << n) - 1)),
+    st.integers(0, (1 << n) - 1))))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_masks_and_widths)
+def test_bit_iteration_matches_a_per_bit_reference(drawn):
+    n, mask = drawn
+    members = [g for g in range(n) if mask >> g & 1]
+    names = [f"g{g}" for g in range(n)]
+    assert names_in(names, mask) == [names[g] for g in members]
+    assert _indices_from_mask(mask) == frozenset(members)
 
 
 # ---------------------------------------------------------------------------

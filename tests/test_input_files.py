@@ -1,6 +1,7 @@
 """Every reader of an input file reports a missing, undecodable or
 truncated file, and JSON past the parser's limits, as an InputError naming
-the file."""
+the file; a repeated name, in a CSV header or given to a constructor, is
+named with both of its places."""
 
 import json
 
@@ -97,3 +98,47 @@ def test_repeated_header_name_exits_2_naming_file_and_name(tmp_path, monkeypatch
     assert main([command, flag, str(path), *extra, "--output", "out"]) == 2
     message = capsys.readouterr().err
     assert f"{path}: header name {expected}" in message
+
+
+def _numeric_context(objects, attributes):
+    import numpy as np
+    from spindlemine.selection import NumericContext
+    return NumericContext(objects, attributes, np.zeros((len(objects), len(attributes))))
+
+
+def _interval_structure(objects, attributes):
+    from spindlemine.intervals import IntervalDescription, IntervalPatternStructure
+    return IntervalPatternStructure(objects, attributes, tuple(
+        IntervalDescription(((0.0, 0.0),) * len(attributes)) for _ in objects))
+
+
+def _formal_context(objects, attributes):
+    from spindlemine.fca import FormalContext
+    return FormalContext.from_rows(objects, attributes, [[0] * len(attributes)] * len(objects))
+
+
+def _recording(objects, channels):
+    import numpy as np
+    from spindlemine.signals import Recording
+    return Recording(100.0, channels, np.zeros((len(channels), 4)))
+
+
+#: (constructor of (names, names), which argument repeats, the words naming it)
+REPEATED_NAMES = {
+    "formal-context-objects": (_formal_context, 0, "object identifier"),
+    "formal-context-attributes": (_formal_context, 1, "attribute identifier"),
+    "interval-structure-objects": (_interval_structure, 0, "object identifier"),
+    "interval-structure-attributes": (_interval_structure, 1, "attribute identifier"),
+    "numeric-context-objects": (_numeric_context, 0, "object id"),
+    "numeric-context-attributes": (_numeric_context, 1, "attribute name"),
+    "recording-channels": (_recording, 1, "channel name"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_NAMES)
+def test_repeated_name_names_it_and_both_positions(case):
+    build, repeated, what = REPEATED_NAMES[case]
+    names = [("p", "q"), ("p", "q")]
+    names[repeated] = ("a", "b", "c", "b", "a")
+    with pytest.raises(InputError, match=f"^{what} 'b' repeated at positions 1 and 3$"):
+        build(*names)

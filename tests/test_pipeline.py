@@ -407,11 +407,14 @@ def test_report_json_bytes_match_the_json_encoder(report):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["pattern", "config"])
+@pytest.mark.parametrize("where", ["pattern", "intent", "config"])
 def test_report_json_rejects_non_finite_numbers(bad, where):
     report = _edge_case_report("bounds")
     if where == "pattern":
         report.patterns[0]["stability"]["upper"] = bad
+    elif where == "intent":
+        # an interval end, in a list of only floats
+        report.patterns[0]["intent"]["a\tb"][1] = bad
     else:
         report.config["nested"] = [{"x": bad}]
     with pytest.raises(ValueError, match="not JSON compliant"):
@@ -422,8 +425,12 @@ def test_report_json_rejects_non_finite_numbers(bad, where):
 @given(reports())
 @example(_edge_case_report("exact-dp"))
 @example(_edge_case_report("bounds"))
-def test_summary_csv_matches_the_row_by_row_writer(report):
+def test_one_export_writes_both_files_as_their_reference_writers(report):
+    # one export renders each float once, for both files
     with tempfile.TemporaryDirectory() as tmp:
-        _, csv_path = export_report(report, tmp)
+        json_path, csv_path = export_report(report, tmp)
+        with open(json_path, newline="") as fh:
+            assert fh.read() == (
+                json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
         with open(csv_path, newline="") as fh:
             assert fh.read() == reference_summary_csv(report)
