@@ -30,6 +30,16 @@ of ``A`` are its maximal distinct refinements, found without looking at
 any other concept: with ``c`` chains the covers of ``L`` concepts cost
 ``O(L·c²)`` mask operations, not the ``O(L²)`` of comparing all pairs.
 
+The closure never walks the chains.  Each chain owns one *slot* of ``n``
+bits (``n = |G|``) in a Python int, and object ``g``'s word holds in
+each slot the chain's tightest member holding ``g``.  Members are nested,
+so the OR of a set's words, its *hull*, holds in each slot the tightest
+member holding the set, and the closure is the AND of the hull's slots:
+``⌈log2 c⌉`` folds, each ANDing the word with itself shifted down by half
+the slots still open.  Closing a set leaves its hull where it was, so
+enumeration keeps each extent's hull and closes the extension by ``g``
+from the hull OR ``g``'s word: one OR and the folds.
+
 Enumeration is Fast Close-by-One (:func:`enumerate_closed_extents`).  The
 lattice is built on demand: the closed extents are sorted once, and a
 concept's payload and lower covers are computed the first time something
@@ -42,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, count
-from operator import and_
+from operator import and_, or_
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 import csv
 
@@ -259,27 +269,49 @@ class ConceptLattice:
 class NestedChains:
     """Chains of nested object masks (see the module docstring).  With
     ``at[k] = inside[k] & ~inside[k + 1]`` (the last ``at`` is the last
-    member), a non-empty set's tightest member is the first ``at[k]`` it meets."""
+    member), a non-empty set's tightest member is the first ``at[k]`` it meets.
+
+    ``up[g]`` is object ``g``'s word: per chain ``c``, its tightest member
+    holding ``g``, shifted into slot ``c`` (bits ``c·n`` to ``c·n + n - 1``).
+    :meth:`hull` ORs the words of a set (0 for the empty set), and
+    :meth:`close_hull` ANDs a hull's slots: each shift in ``folds`` takes
+    the ``k`` slots still open to ``k - ⌊k/2⌋``, so ``c`` chains take
+    ``⌈log2 c⌉`` folds.  A system with no chains has one slot, holding ``G``.
+    """
 
     def __init__(self, n_objects: int, chains: Iterable[Sequence[int]]):
-        self.full = (1 << n_objects) - 1
+        self.full = full = (1 << n_objects) - 1
         self.chains = [([a & ~b for a, b in zip(inside, inside[1:])] + [inside[-1]], inside)
                        for inside in chains]  # (at, inside) per chain
-        self.bottom = reduce(and_, [inside[-1] for _, inside in self.chains], self.full)
+        self.bottom = reduce(and_, [inside[-1] for _, inside in self.chains], full)
+        self.up = up = [0] * n_objects
+        for c, (at, inside) in enumerate(self.chains or [([full], [full])]):
+            for a, member in zip(at, inside):
+                word = member << c * n_objects
+                for g in compress(count(), _bit_flags(a)):
+                    up[g] |= word
+        self.folds: list[int] = []  # the shift of each fold
+        slots = max(len(self.chains), 1)
+        while slots > 1:
+            self.folds.append(slots // 2 * n_objects)
+            slots -= slots // 2
+
+    def hull(self, mask: int) -> int:
+        """The OR of the words of the objects in ``mask``."""
+        return reduce(or_, compress(self.up, _bit_flags(mask)), 0)
+
+    def close_hull(self, hull: int) -> int:
+        """The closure of any set whose hull is ``hull``: the AND of its
+        slots, or the AND of the last members for the empty set's 0."""
+        if not hull:
+            return self.bottom
+        for shift in self.folds:
+            hull &= hull >> shift
+        return hull & self.full
 
     def close(self, mask: int) -> int:
         """The AND of each chain's tightest member holding ``mask``."""
-        if not mask:
-            return self.bottom
-        extent = self.full
-        for at, inside in self.chains:
-            # one test settles a chain whose tightest member is G (a binary column missing A)
-            if not at[0] & mask:
-                k = 1
-                while not at[k] & mask:
-                    k += 1
-                extent &= inside[k]
-        return extent
+        return self.close_hull(self.hull(mask))
 
     def hits(self, mask: int) -> list[int]:
         """Per chain, ``mask & at[k]`` for the non-empty ``mask``'s tightest member ``k``."""
@@ -297,7 +329,7 @@ class NestedChains:
             return []
         refinements = []
         for at, inside in self.chains:
-            # the same walk as in close; the last member refines nothing
+            # find the tightest member as hits does; the last refines nothing
             if at[0] & mask:
                 refinements.append(mask & inside[1])
             else:
@@ -310,11 +342,20 @@ class NestedChains:
 
 
 def enumerate_closed_extents(
-    n_objects: int,
+    up: Sequence[int],
     close: Callable[[int], int],
     concept_cap: int = DEFAULT_CONCEPT_CAP,
 ) -> list[int]:
     """Enumerate every fixpoint of a closure operator on object bitmasks.
+
+    The operator is given on hulls: a set's hull is the OR of the words
+    ``up[g]`` of its objects ``g`` (0 for the empty set), and ``close(h)``
+    is the closure of any set whose hull is ``h``.  With ``up[g] = 1 << g``
+    the hull is the set itself; :class:`NestedChains` gives bit-sliced
+    hulls.  Each extent on the stack keeps the hull ``h`` of the set it was
+    closed from, and its extension by ``g`` is closed as
+    ``close(h | up[g])``, one OR with no walk over the extent's objects: a
+    set and its closure, each extended by ``g``, have one closure.
 
     Close-by-One over object indices: starting from ``close(0)``, each
     closed extent is extended by one object ``g`` at a time; the extension
@@ -339,13 +380,14 @@ def enumerate_closed_extents(
     are found.  Runs iteratively with an explicit stack, so deep lattices
     do not hit the interpreter recursion limit.
     """
+    n_objects = len(up)
     root = close(0)
     out = [root]
-    stack: list[tuple[int, int, list[Sequence[int]]]] = [(root, 0, [(0,) * n_objects])]
+    stack: list[tuple[int, int, int, list[Sequence[int]]]] = [(root, 0, 0, [(0,) * n_objects])]
     while stack:
         if len(out) > concept_cap:
             raise CapacityError(f"concept count exceeded the configured cap ({concept_cap})")
-        extent, start, handed = stack.pop()
+        extent, hull, start, handed = stack.pop()
         inherited = failed = handed[0]
         record = [inherited]
         outside = ~extent
@@ -353,7 +395,8 @@ def enumerate_closed_extents(
             bit = 1 << g
             if extent & bit or failed[g] & outside:
                 continue
-            child = close(extent | bit)
+            grown = hull | up[g]
+            child = close(grown)
             below = bit - 1
             if (child ^ extent) & below:
                 if failed is inherited:
@@ -361,7 +404,7 @@ def enumerate_closed_extents(
                 failed[g] = child & below
             else:
                 out.append(child)
-                stack.append((child, g + 1, record))
+                stack.append((child, grown, g + 1, record))
     return out
 
 
@@ -409,7 +452,7 @@ def build_lattice(
     of concepts exceeds ``concept_cap``.
     """
     chains = context.chains
-    masks = enumerate_closed_extents(context.n_objects, chains.close, concept_cap)
+    masks = enumerate_closed_extents(chains.up, chains.close_hull, concept_cap)
 
     def make(mask: int) -> Concept:
         return Concept(

@@ -165,7 +165,7 @@ def build_pattern_lattice(
     if ps.n_objects == 0:
         raise InputError("pattern structure has no objects")
     chains = ps.chains
-    masks = enumerate_closed_extents(ps.n_objects, chains.close, concept_cap)
+    masks = enumerate_closed_extents(chains.up, chains.close_hull, concept_cap)
     ends = [(j, side) for j in range(len(ps.attributes)) for side in (0, 1)]
 
     def make(mask: int) -> PatternConcept:

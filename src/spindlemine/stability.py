@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, InputError
@@ -222,6 +223,7 @@ class _ScoreColumn(Mapping[int, StabilityScore]):
 
     def __init__(self, length: int, score: Callable[[int], StabilityScore]):
         self._scores = OnDemand(length, score)
+        self._length = length
 
     def __getitem__(self, index: int) -> StabilityScore:
         if index not in self:
@@ -229,13 +231,13 @@ class _ScoreColumn(Mapping[int, StabilityScore]):
         return self._scores[index]
 
     def __contains__(self, index: object) -> bool:
-        return isinstance(index, int) and 0 <= index < len(self._scores)
+        return isinstance(index, int) and 0 <= index < self._length
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self._scores)))
+        return iter(range(self._length))
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return self._length
 
 
 def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore]:
@@ -393,17 +395,20 @@ def filter_concepts(
     ``min_support`` is relative (``|extent| / |G|``).  For bound-based
     scores, ``bound_policy`` picks which bound is compared against
     ``min_lstab``; the default ``upper`` keeps any concept that could
-    still meet the threshold.
+    still meet the threshold.  Only the frequent concepts' scores are
+    read, but ``scores`` must hold every concept's index.
     """
     check_thresholds(min_support, min_lstab, bound_policy)
+    missing = next(filterfalse(scores.__contains__, range(len(lattice))), None)
+    if missing is not None:
+        raise InputError(f"missing stability score for concept {missing}")
     n = lattice.n_objects
     kept = []
-    for i in range(len(lattice)):
-        if i not in scores:
-            raise InputError(f"missing stability score for concept {i}")
-        support = 1.0 if n == 0 else lattice.extent_masks[i].bit_count() / n
+    # extents come largest first, so the first infrequent one ends the scan
+    for i, mask in enumerate(lattice.extent_masks):
+        support = 1.0 if n == 0 else mask.bit_count() / n
         if support < min_support:
-            continue
+            break
         if scores[i].gate_value(bound_policy) < min_lstab:
             continue
         kept.append(i)

@@ -1,5 +1,6 @@
-"""Closed-extent enumeration: the pruned Close-by-One against the plain one,
-and the concept cap of both lattice builders."""
+"""Closed-extent enumeration: the pruned Close-by-One, over bit-sliced
+hulls and over plain masks, against the plain one, and the concept cap of
+both lattice builders."""
 
 from collections import Counter
 
@@ -22,50 +23,58 @@ from conftest import (
 
 @st.composite
 def binary_contexts(draw):
-    """Random binary contexts whose rows repeat often; zero attributes
-    included."""
-    n = draw(st.integers(1, 8))
-    m = draw(st.integers(0, 5))
+    """Random binary contexts whose rows repeat often; zero objects and
+    zero attributes included."""
+    n = draw(st.integers(0, 8))
+    m = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 17]))
     row = st.lists(st.integers(0, 1), min_size=m, max_size=m)
     pool = draw(st.lists(row, min_size=1, max_size=4))
     rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     return FormalContext.from_rows([f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
 
 
-def _counting(n_objects, close_indices, calls):
-    """A one-argument mask closure built on an index-set oracle, recording
-    every mask it is asked to close."""
-    def close(mask):
-        calls.append(mask)
+def _recording(close, closures):
+    """``close``, recording every closure it returns."""
+    def recorded(argument):
+        closures.append(close(argument))
+        return closures[-1]
+    return recorded
+
+
+def _check_pruned_against_reference(n_objects, close_indices, chains, closed):
+    """The pruned walk over the chains' hulls and over plain masks finds the
+    extents of plain Close-by-One, in its order."""
+    def close_mask(mask):
         members = frozenset(g for g in range(n_objects) if mask >> g & 1)
         return sum(1 << g for g in close_indices(members))
-    return close
 
-
-def _check_pruned_against_reference(n_objects, close_indices, closed):
-    pruned_calls, plain_calls = [], []
-    pruned = enumerate_closed_extents(n_objects, _counting(n_objects, close_indices, pruned_calls))
-    reference_close_by_one(n_objects, _counting(n_objects, close_indices, plain_calls))
-
-    assert len(pruned) == len(set(pruned))
-    assert {frozenset(g for g in range(n_objects) if m >> g & 1) for m in pruned} == closed
-    # the pruned walk's calls are a sub-multiset of the plain walk's: no
-    # more of them, and only masks the plain walk closes as often
-    assert not Counter(pruned_calls) - Counter(plain_calls)
+    plain_closures = []
+    plain = reference_close_by_one(n_objects, _recording(close_mask, plain_closures))
+    assert len(plain) == len(set(plain))
+    assert {frozenset(g for g in range(n_objects) if m >> g & 1) for m in plain} == closed
+    for up, close in ((chains.up, chains.close_hull),
+                      ([1 << g for g in range(n_objects)], close_mask)):
+        closures = []
+        assert enumerate_closed_extents(up, _recording(close, closures)) == plain
+        # the pruned walk's closures are a sub-multiset of the plain walk's:
+        # no more of them, and only sets the plain walk finds as often
+        assert not Counter(closures) - Counter(plain_closures)
 
 
 @settings(deadline=None, max_examples=300)
 @given(binary_contexts())
 def test_pruned_enumeration_matches_plain_close_by_one_on_binary_contexts(ctx):
     _check_pruned_against_reference(
-        ctx.n_objects, lambda a: oracle_binary_closure(ctx, a), oracle_binary_closed_extents(ctx))
+        ctx.n_objects, lambda a: oracle_binary_closure(ctx, a), ctx.chains,
+        oracle_binary_closed_extents(ctx))
 
 
 @settings(deadline=None, max_examples=300)
 @given(tie_heavy_structures())
 def test_pruned_enumeration_matches_plain_close_by_one_on_interval_structures(ps):
     _check_pruned_against_reference(
-        ps.n_objects, lambda a: oracle_interval_closure(ps, a), oracle_interval_closed_extents(ps))
+        ps.n_objects, lambda a: oracle_interval_closure(ps, a), ps.chains,
+        oracle_interval_closed_extents(ps))
 
 
 @settings(deadline=None, max_examples=100)

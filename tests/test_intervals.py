@@ -300,30 +300,32 @@ def test_signed_zero_ends_print_as_the_member_hull():
 
 def _traced_enumeration(monkeypatch, module):
     """Wrap ``module.enumerate_closed_extents`` as the benchmark's tracer
-    does: the closure is passed on as a one-argument ``counted_close``."""
-    calls = []
+    does: the closure is passed on as a one-argument ``counted_close``,
+    which here records each closure it returns."""
+    closures = []
 
-    def traced(n_objects, close, *args, **kwargs):
-        def counted_close(mask):
-            calls.append(mask)
-            return close(mask)
-        return enumerate_closed_extents(n_objects, counted_close, *args, **kwargs)
+    def traced(up, close, *args, **kwargs):
+        def counted_close(hull):
+            closures.append(close(hull))
+            return closures[-1]
+        return enumerate_closed_extents(up, counted_close, *args, **kwargs)
 
     monkeypatch.setattr(module, "enumerate_closed_extents", traced)
-    return calls
+    return closures
 
 
-def _oracle_closure_calls(n_objects, close_indices):
-    """Closure calls Close-by-One makes when driven by an oracle closure."""
-    calls = []
+def _oracle_closures(n_objects, close_indices):
+    """The closures Close-by-One returns, in call order, when driven by an
+    oracle closure on plain masks."""
+    closures = []
 
     def close(mask):
-        calls.append(mask)
         members = frozenset(g for g in range(n_objects) if mask >> g & 1)
-        return sum(1 << g for g in close_indices(members))
+        closures.append(sum(1 << g for g in close_indices(members)))
+        return closures[-1]
 
-    enumerate_closed_extents(n_objects, close)
-    return calls
+    enumerate_closed_extents([1 << g for g in range(n_objects)], close)
+    return closures
 
 
 def test_builders_run_through_a_counting_closure(monkeypatch):
@@ -346,12 +348,12 @@ def test_builders_run_through_a_counting_closure(monkeypatch):
     binary_calls = _traced_enumeration(monkeypatch, fca)
 
     assert build_lattice(ctx) == plain_binary
-    assert binary_calls == _oracle_closure_calls(
+    assert binary_calls == _oracle_closures(
         ctx.n_objects, lambda a: oracle_binary_closure(ctx, a))
     for ps, lattice in zip(structures, plain):
         pattern_calls.clear()
         assert build_pattern_lattice(ps) == lattice
-        assert pattern_calls == _oracle_closure_calls(
+        assert pattern_calls == _oracle_closures(
             ps.n_objects, lambda a: oracle_interval_closure(ps, a))
         if ps is five:
             # plain Close-by-One made (22, 21) calls; the inherited

@@ -407,6 +407,14 @@ def test_filter_validation(scored_lattice):
         filter_concepts(lat, {0: scores[0]}, min_support=0.0, min_lstab=0.0)
 
 
+def test_filter_rejects_a_missing_score_of_an_infrequent_concept(scored_lattice):
+    lat, scores = scored_lattice
+    # the scan stops at concept 1 ({g2}, support 0.5), but its score is still required
+    assert filter_concepts(lat, scores, min_support=1.0, min_lstab=0.0) == [0]
+    with pytest.raises(InputError, match="concept 1"):
+        filter_concepts(lat, {0: scores[0]}, min_support=1.0, min_lstab=0.0)
+
+
 # ---------------------------------------------------------------------------
 # JSON projection
 # ---------------------------------------------------------------------------
