@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from datetime import datetime, timezone
 from time import perf_counter
 
 from .errors import CapacityError, InputError, StageError
@@ -26,11 +25,11 @@ from .pipeline import (
     MINING_KEYS,
     PatternReport,
     PipelineConfig,
-    STABILITY_METHODS,
     check_mining_settings,
     export_report,
     extract,
     feature_rows,
+    generated,
     mine,
     run_pipeline,
 )
@@ -44,7 +43,7 @@ from .selection import (
     write_selection_json,
 )
 from .signals import read_segments_json, write_segments_json
-from .stability import BOUND_POLICIES
+from .stability import BOUND_POLICIES, STABILITY_METHODS
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -168,7 +167,6 @@ def cmd_mine(args) -> int:
     total_start = perf_counter()
     structure = read_interval_csv(args.context)
     lattice, patterns = mine(structure, timings, args)
-    timings["total"] = perf_counter() - total_start
     report = PatternReport(
         config={"context": args.context, **{k: getattr(args, k) for k in MINING_KEYS}},
         stages={
@@ -180,7 +178,7 @@ def cmd_mine(args) -> int:
         selection={},
         attributes=structure.attributes,
         patterns=patterns,
-        generated={"timestamp": datetime.now(timezone.utc).isoformat(), "timings_s": timings},
+        generated=generated(timings, total_start),
     )
     json_path, _ = export_report(report, args.output, json_name="patterns.json")
     print(f"kept {len(patterns)}/{len(lattice)} concepts -> {json_path}")

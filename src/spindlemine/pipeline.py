@@ -52,14 +52,16 @@ from .signals import (
     read_recording_csv,
 )
 from .stability import (
+    SCORE_FIELDS,
     StabilityScore,
+    check_stability_method,
     check_thresholds,
     filter_concepts,
+    score_fields,
     score_lattice,
-    score_to_json,
+    support,
 )
 
-STABILITY_METHODS = ("exact-dp", "bounds")
 #: The mining settings, in the order a report echoes them.
 MINING_KEYS = ("min_support", "min_lstab", "stability_method", "bound_policy", "concept_cap")
 
@@ -74,9 +76,7 @@ def check_mining_settings(settings: Any) -> None:
     check_thresholds(settings.min_support, settings.min_lstab, settings.bound_policy)
     if settings.min_lstab == math.inf:
         raise InputError(f"min_lstab {settings.min_lstab} must be finite")
-    if settings.stability_method not in STABILITY_METHODS:
-        raise InputError(f"stability_method must be one of {STABILITY_METHODS}, "
-                         f"got {settings.stability_method!r}")
+    check_stability_method(settings.stability_method)
     if settings.concept_cap < 1:
         raise InputError(f"concept_cap must be >= 1, got {settings.concept_cap}")
 
@@ -268,12 +268,9 @@ def mine(
     once every stage has succeeded.  Callers check ``settings`` first."""
     lattice = _run_stage("lattice", timings, lambda: build_pattern_lattice(
         structure, concept_cap=settings.concept_cap))
-    # Each interval attribute can be refined at its lower or upper end, so
-    # 2 * m is the count of elementary refinement directions that the
-    # bounds' lower term divides by.
-    attribute_count = max(2 * len(structure.attributes), 1)
+    # one chain per refinement direction: the count the bounds' lower term divides by
     scores = _run_stage("stability", timings, lambda: score_lattice(
-        lattice, settings.stability_method, attribute_count=attribute_count))
+        lattice, settings.stability_method, attribute_count=len(structure.chains.chains)))
     kept = _run_stage("filter", timings, lambda: filter_concepts(
         lattice, scores, min_support=settings.min_support, min_lstab=settings.min_lstab,
         bound_policy=settings.bound_policy))
@@ -312,7 +309,6 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
         context, corr_threshold=config.corr_threshold, ig_bins=config.ig_bins,
         ig_top_k=config.ig_top_k))
     lattice, patterns = mine(to_pattern_structure(selected), timings, config)
-    timings["total"] = perf_counter() - total_start
     return PatternReport(
         config=_echo_config(config),
         stages={
@@ -327,11 +323,16 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
         selection=selection_report,
         attributes=selected.attributes,
         patterns=patterns,
-        generated={
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "timings_s": timings,
-        },
+        generated=generated(timings, total_start),
     )
+
+
+def generated(timings: dict[str, float], start: float) -> dict[str, Any]:
+    """A report's ``generated`` block: the stage ``timings`` with their
+    ``total`` since ``start`` (a :func:`perf_counter` reading), and the
+    current UTC time."""
+    timings["total"] = perf_counter() - start
+    return {"timestamp": datetime.now(timezone.utc).isoformat(), "timings_s": timings}
 
 
 def _echo_config(config: PipelineConfig) -> dict[str, Any]:
@@ -352,29 +353,21 @@ def pattern_entry(
     concept = lattice.concepts[index]
     mask = lattice.extent_masks[index]
     size = mask.bit_count()
-    n = lattice.n_objects
     intent = None
     if concept.intent is not None:
         intent = dict(zip(attributes, map(list, concept.intent.intervals)))
-    stability_fields = score_to_json(scores[index], n)
-    # the entry states these once, beside its extent
-    del stability_fields["extent_size"], stability_fields["support"]
     return {
         "extent": names_in(lattice.object_names, mask),
         "extent_size": size,
-        "support": 1.0 if n == 0 else size / n,
+        "support": support(size, lattice.n_objects),
         "intent": intent,
-        "stability": stability_fields,
+        "stability": score_fields(scores[index]),
     }
 
 
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
-
-
-#: The score columns of ``summary.csv``, blank where a score has no such value.
-_SCORE_COLUMNS = ("stab", "lstab", "lower", "mid", "upper")
 
 
 def export_report(
@@ -392,7 +385,8 @@ def export_report(
         fh.write(_json_text(report.to_json_dict(), texts) + "\n")
     attributes = report.attributes
     no_intent = [""] * len(attributes)
-    rows = [["pattern", "extent_size", "support", *_SCORE_COLUMNS, "method", "extent",
+    # a score column is blank where a score has no such value
+    rows = [["pattern", "extent_size", "support", *SCORE_FIELDS, "method", "extent",
              *attributes]]
     for i, pattern in enumerate(report.patterns):
         stab = pattern["stability"]
@@ -400,7 +394,7 @@ def export_report(
         rows.append([
             i, pattern["extent_size"], texts[pattern["support"]],
             *["" if v is None else v if isinstance(v, str) else texts[v]
-              for v in map(stab.get, _SCORE_COLUMNS)],
+              for v in map(stab.get, SCORE_FIELDS)],
             stab["method"], ";".join(pattern["extent"]),
             # an interval cell as intervals.format_interval writes it
             *(no_intent if intent is None

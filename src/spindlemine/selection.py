@@ -66,12 +66,6 @@ class NumericContext:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.values[:, self.attributes.index(name)]
-        except ValueError:
-            raise InputError(f"unknown attribute {name!r}") from None
-
     def with_labels(self, labels: Mapping[str, str]) -> "NumericContext":
         """This context with each object's class taken from ``labels``,
         which must cover every object."""

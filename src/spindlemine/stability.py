@@ -40,10 +40,11 @@ derives the chain
 where ``d = |extent(c) \\ extent(child)|`` and ``dmin`` is its minimum.
 The lower bound is only as good as the ``attribute_count`` (``|M|``)
 supplied: the chain is guaranteed when ``attribute_count`` is at least
-the number of direct descendants, which holds for binary contexts with
-``|M|`` attributes and for interval pattern structures with ``2 * m``
-refinement directions (each of ``m`` interval components can tighten at
-its lower or its upper end).
+the number of direct descendants.  That holds for the structure's chain
+count ``r``, the refinement directions: one chain per binary attribute,
+two per interval attribute (each interval can tighten at its lower or its
+upper end), and one when there are none.  ``pipeline.mine`` passes
+``len(structure.chains.chains)``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,13 @@ from .fca import Concept, ConceptLattice, FormalContext, OnDemand
 from .intervals import IntervalPatternStructure, PatternConcept, interval_meet
 
 METHOD_TAGS = ("brute-force", "lattice-dp", "bounds")
+#: The mining methods :func:`score_lattice` runs.
+STABILITY_METHODS = ("exact-dp", "bounds")
 BOUND_POLICIES = ("lower", "mid", "upper")
+#: Each report key of a score and the :class:`StabilityScore` attribute it
+#: reads, in report order; a bound policy names its bound's key.
+SCORE_FIELDS = {"stab": "stab", "lstab": "lstab", "lower": "lower_bound",
+                "mid": "mid_bound", "upper": "upper_bound"}
 
 #: Largest extent size stability_bruteforce will accept (2^20 subsets).
 DEFAULT_BRUTEFORCE_CAP = 20
@@ -85,7 +92,7 @@ class StabilityScore:
 
     def __post_init__(self) -> None:
         if self.method not in METHOD_TAGS:
-            raise InputError(f"unknown stability method tag {self.method!r}")
+            raise InputError(f"method must be one of {METHOD_TAGS}, got {self.method!r}")
         if self.extent_size < 0:
             raise InputError("extent_size must be non-negative")
         if self.stab is not None:
@@ -122,11 +129,7 @@ class StabilityScore:
         if self.lstab is not None:
             return self.lstab
         _check_bound_policy(bound_policy)
-        value = {
-            "lower": self.lower_bound,
-            "mid": self.mid_bound,
-            "upper": self.upper_bound,
-        }[bound_policy]
+        value = getattr(self, SCORE_FIELDS[bound_policy])
         if value is None:
             raise InputError("score carries neither lstab nor bounds")
         return value
@@ -355,10 +358,9 @@ def score_lattice(
     covers, see :func:`stability_lattice_dp`) or ``bounds`` (see
     :func:`lstab_bounds`; needs ``attribute_count``).
     """
+    check_stability_method(method)
     if method == "exact-dp":
         return stability_lattice_dp(lattice)
-    if method != "bounds":
-        raise InputError(f"unknown stability method {method!r}")
     if attribute_count is None or attribute_count < 1:
         raise InputError("bounds method requires an attribute_count >= 1")
     return _ScoreColumn(len(lattice), lambda i: lstab_bounds(lattice, i, attribute_count))
@@ -376,6 +378,12 @@ def check_thresholds(min_support: float, min_lstab: float, bound_policy: str) ->
     if not 0.0 <= min_lstab:
         raise InputError(f"min_lstab {min_lstab} must be non-negative")
     _check_bound_policy(bound_policy)
+
+
+def check_stability_method(method: str) -> None:
+    """Raise :class:`InputError` unless ``method`` is one of :data:`STABILITY_METHODS`."""
+    if method not in STABILITY_METHODS:
+        raise InputError(f"stability_method must be one of {STABILITY_METHODS}, got {method!r}")
 
 
 def _check_bound_policy(bound_policy: str) -> None:
@@ -406,8 +414,7 @@ def filter_concepts(
     kept = []
     # extents come largest first, so the first infrequent one ends the scan
     for i, mask in enumerate(lattice.extent_masks):
-        support = 1.0 if n == 0 else mask.bit_count() / n
-        if support < min_support:
+        if support(mask.bit_count(), n) < min_support:
             break
         if scores[i].gate_value(bound_policy) < min_lstab:
             continue
@@ -415,25 +422,19 @@ def filter_concepts(
     return kept
 
 
-def _json_number(value: float) -> Any:
-    return "inf" if value == math.inf else value
+def support(size: int, n_objects: int) -> float:
+    """The relative support ``size / n_objects`` of an extent of ``size``
+    objects; 1.0 when there are no objects."""
+    return 1.0 if n_objects == 0 else size / n_objects
 
 
-def score_to_json(score: StabilityScore, n_objects: int) -> dict[str, Any]:
-    """One score as a JSON-ready mapping (``+inf`` becomes ``"inf"``)."""
-    out: dict[str, Any] = {
-        "extent_size": score.extent_size,
-        "support": 1.0 if n_objects == 0 else score.extent_size / n_objects,
-    }
-    if score.stab is not None:
-        out["stab"] = score.stab
-    if score.lstab is not None:
-        out["lstab"] = _json_number(score.lstab)
-    if score.lower_bound is not None:
-        out["lower"] = score.lower_bound
-    if score.mid_bound is not None:
-        out["mid"] = score.mid_bound
-    if score.upper_bound is not None:
-        out["upper"] = score.upper_bound
+def score_fields(score: StabilityScore) -> dict[str, Any]:
+    """A score's report entry: each :data:`SCORE_FIELDS` value it holds, in
+    order (``+inf`` becomes ``"inf"``), then its ``method``."""
+    out: dict[str, Any] = {}
+    for key, attribute in SCORE_FIELDS.items():
+        value = getattr(score, attribute)
+        if value is not None:
+            out[key] = "inf" if value == math.inf else value
     out["method"] = score.method
     return out

@@ -283,11 +283,11 @@ end_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3)
 
 
 @st.composite
-def tie_heavy_structures(draw):
+def tie_heavy_structures(draw, max_attributes: int = 3):
     """Point or real-interval descriptions over tied values, optionally with
     a repeated description; one object and zero attributes included."""
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(0, 3))
+    m = draw(st.integers(0, max_attributes))
     points = draw(st.booleans())
     rows = []
     for _ in range(n):

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, chaining, exit codes."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,7 +18,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import spindlemine
 from spindlemine import pipeline
 from spindlemine.cli import main
-from conftest import build_two_cluster_recording
+from spindlemine.errors import InputError
+from spindlemine.intervals import (
+    IntervalDescription,
+    IntervalPatternStructure,
+    build_pattern_lattice,
+)
+from spindlemine.stability import (
+    BOUND_POLICIES,
+    SCORE_FIELDS,
+    STABILITY_METHODS,
+    score_lattice,
+)
+from conftest import build_two_cluster_recording, tie_heavy_structures
 
 
 def run(argv):
@@ -390,6 +404,53 @@ def test_stage_flag_defaults_are_the_config_defaults(argv, keys):
     shared = args.keys() & defaults.keys()
     assert shared == keys
     assert {k: args[k] for k in shared} == {k: defaults[k] for k in shared}
+
+
+def test_scoring_and_report_decisions_have_one_owner(two_cluster_files, tmp_path):
+    # the stability method names and their check
+    structure = IntervalPatternStructure(("g",), (), (IntervalDescription(()),))
+    lattice = build_pattern_lattice(structure)
+    settings = SimpleNamespace(min_support=0.5, min_lstab=1.0, bound_policy="upper",
+                               stability_method="local", concept_cap=10)
+    messages = set()
+    for reject in (lambda: score_lattice(lattice, "local"),
+                   lambda: pipeline.check_mining_settings(settings),
+                   lambda: pipeline.PipelineConfig.from_mapping({
+                       "recording": "r.csv", "annotations": "a.json", "output_dir": "out",
+                       "min_support": 0.5, "min_lstab": 1.0, "stability_method": "local"})):
+        with pytest.raises(InputError) as err:
+            reject()
+        messages.add(str(err.value))
+    assert messages == {f"stability_method must be one of {STABILITY_METHODS}, got 'local'"}
+    commands = spindlemine.cli.build_parser()._subparsers._group_actions[0].choices
+    for command in ("mine", "pipeline"):
+        flag = next(a for a in commands[command]._actions if a.dest == "stability_method")
+        assert tuple(flag.choices) == STABILITY_METHODS
+
+    # the score columns and the generated block of both reports
+    mined, piped = tmp_path / "mine", tmp_path / "pipeline"
+    assert run(["mine", "--context", MINE_DOT / "context.csv", "--min-support", 0.5,
+                "--min-lstab", 1, "--stability", "bounds", "--output", mined]) == 0
+    assert run(["pipeline", "--recording", two_cluster_files["recording"],
+                "--annotations", two_cluster_files["annotations"], "--min-support", 0.4,
+                "--min-lstab", 1, "--output", piped]) == 0
+    for out in (mined, piped):
+        with open(out / "summary.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header[:3] == ["pattern", "extent_size", "support"]
+        assert tuple(header[3:3 + len(SCORE_FIELDS)]) == tuple(SCORE_FIELDS)
+        assert header[3 + len(SCORE_FIELDS):5 + len(SCORE_FIELDS)] == ["method", "extent"]
+    assert set(BOUND_POLICIES) <= SCORE_FIELDS.keys()
+    generated = [json.loads(path.read_text())["generated"]
+                 for path in (mined / "patterns.json", piped / "report.json")]
+    assert generated[0].keys() == generated[1].keys() == {"timestamp", "timings_s"}
+
+    # the refinement-direction count: one chain per interval end, one with none
+    @given(tie_heavy_structures(max_attributes=4))
+    def one_chain_per_direction(ps):
+        assert len(ps.chains.chains) == max(2 * len(ps.attributes), 1)
+
+    one_chain_per_direction()
 
 
 @pytest.mark.parametrize("fs", ["nan", "inf", "0"])

@@ -15,7 +15,6 @@ from spindlemine.intervals import (
     build_pattern_lattice,
 )
 from spindlemine.pipeline import (
-    STABILITY_METHODS,
     PatternReport,
     PipelineConfig,
     export_report,
@@ -24,7 +23,12 @@ from spindlemine.pipeline import (
     report_to_json,
     run_pipeline,
 )
-from spindlemine.stability import score_lattice, score_to_json, stability_bruteforce
+from spindlemine.stability import (
+    STABILITY_METHODS,
+    score_fields,
+    score_lattice,
+    stability_bruteforce,
+)
 
 from conftest import reference_summary_csv, tie_heavy_structures
 
@@ -128,7 +132,7 @@ def test_methods_agree_on_the_filtered_set(two_cluster_files, tmp_path, monkeypa
     index = {frozenset(lattice.extent_names(i)): i for i in range(len(lattice))}
     for p in reports["exact-dp"].patterns:
         brute = stability_bruteforce(structure, lattice.concepts[index[frozenset(p["extent"])]])
-        assert score_to_json(brute, lattice.n_objects)["lstab"] == p["stability"]["lstab"]
+        assert score_fields(brute)["lstab"] == p["stability"]["lstab"]
 
 
 def test_bounds_method_reports_the_chain(two_cluster_files, tmp_path):

@@ -18,10 +18,11 @@ from spindlemine.stability import (
     filter_concepts,
     lstab,
     lstab_bounds,
+    score_fields,
     score_lattice,
-    score_to_json,
     stability_bruteforce,
     stability_lattice_dp,
+    support,
 )
 
 from conftest import (
@@ -420,18 +421,13 @@ def test_filter_rejects_a_missing_score_of_an_infrequent_concept(scored_lattice)
 # ---------------------------------------------------------------------------
 
 
-def test_score_to_json_exact():
+def test_score_fields_exact():
     s = StabilityScore.from_exact_count("lattice-dp", 2, 2)
-    out = score_to_json(s, n_objects=4)
-    assert out == {
-        "extent_size": 2,
-        "support": 0.5,
-        "stab": 0.5,
-        "lstab": 1.0,
-        "method": "lattice-dp",
-    }
+    assert score_fields(s) == {"stab": 0.5, "lstab": 1.0, "method": "lattice-dp"}
+    assert support(s.extent_size, 4) == 0.5
+    assert support(0, 0) == 1.0
 
 
-def test_score_to_json_infinity_is_a_string():
+def test_score_fields_infinity_is_a_string():
     s = StabilityScore.from_exact_count("brute-force", 1, 2)
-    assert score_to_json(s, n_objects=2)["lstab"] == "inf"
+    assert score_fields(s)["lstab"] == "inf"
