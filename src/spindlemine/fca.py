@@ -14,21 +14,21 @@ complete lattice.  Object and attribute sets are Python integer bitmasks
 ``frozenset`` of indices.
 
 Both lattice builders, this module's for binary contexts and
-:mod:`spindlemine.intervals`'s for interval pattern structures, close and
-refine object sets on one structure, :class:`NestedChains`: per attribute
-(or attribute end), a chain of nested object masks ``G = inside[0] ⊇
+:mod:`spindlemine.intervals`'s for interval pattern structures, close
+object sets on one structure, :class:`NestedChains`: per attribute (or
+attribute end), a chain of nested object masks ``G = inside[0] ⊇
 inside[1] ⊇ …``.  The closure of ``A`` is the AND, over the chains, of
 the tightest member holding ``A``.  A binary attribute is the chain
 ``[G, column]``, so this is ``A''``; an interval attribute end is the
 chain of its distinct values ranked from the outside inward, which is
 interordinal scaling (Kaytoue et al., Information Sciences 2011) stored
 as chains rather than as one column per value.  Every closed proper
-subset of a closed ``A`` lies inside one of its *elementary
-refinements*, ``A & inside[k + 1]`` for each chain whose tightest member
-``k`` is not its last, and each of them is closed.  So the lower covers
-of ``A`` are its maximal distinct refinements, found without looking at
-any other concept: with ``c`` chains the covers of ``L`` concepts cost
-``O(L·c²)`` mask operations, not the ``O(L²)`` of comparing all pairs.
+subset of a closed ``A`` lies inside ``A & inside[k + 1]`` for a chain
+whose tightest member ``k`` is not its last, and each such set is
+closed.  So the lower covers of ``A`` are ``A`` minus its *gaps*, the
+minimal distinct sets among ``A & at[k]``, found without looking at any
+other concept.  Stability is scored from the gaps; the cover relation
+is built only for DOT output and the exact count's down-set walk.
 
 The closure never walks the chains.  Each chain owns one *slot* of ``n``
 bits (``n = |G|``) in a Python int, and object ``g``'s word holds in
@@ -167,15 +167,6 @@ class FormalContext:
                 result |= 1 << m
         return result
 
-    def closure_mask(self, extent_mask: int) -> int:
-        # A'' is the AND of the columns that contain A: one subset test per
-        # attribute, with no intent mask built in between
-        result = self.object_mask
-        for col in self.column_masks:
-            if not extent_mask & ~col:
-                result &= col
-        return result
-
 
 @dataclass(frozen=True)
 class Concept:
@@ -190,11 +181,12 @@ _UNSET: Any = object()
 
 class OnDemand(Sequence[T]):
     """A read-only sequence whose item ``i`` is ``build(i)``, computed on
-    first access and kept."""
+    first access and kept (with ``keep=False``, computed on every access)."""
 
-    def __init__(self, length: int, build: Callable[[int], T]):
+    def __init__(self, length: int, build: Callable[[int], T], keep: bool = True):
         self._values: list[Any] = [_UNSET] * length
         self._build = build
+        self._keep = keep
 
     def __len__(self) -> int:
         return len(self._values)
@@ -204,7 +196,9 @@ class OnDemand(Sequence[T]):
             return [self[i] for i in range(*index.indices(len(self._values)))]
         value = self._values[index]
         if value is _UNSET:
-            value = self._values[index] = self._build(index % len(self._values))
+            value = self._build(index % len(self._values))
+            if self._keep:
+                self._values[index] = value
         return value
 
 
@@ -217,10 +211,12 @@ class ConceptLattice:
     part computed up front.  ``concepts[i]`` (the payload: :class:`Concept`
     for binary contexts, :class:`spindlemine.intervals.PatternConcept` for
     pattern structures) and ``children[i]`` (the lower covers, ascending,
-    see :func:`assemble_lattice`) are computed the first time they are
-    read.  ``covers`` holds every ``(parent_index, child_index)`` pair,
-    sorted ascending, i.e. the transitive reduction of the extent-inclusion
-    order; reading it computes the children of every concept.
+    from an extent→index table built on the first read) are computed the
+    first time they are read, ``gaps[i]`` (:meth:`NestedChains.gaps`) on
+    every read.
+    ``covers`` holds every ``(parent_index, child_index)`` pair, sorted
+    ascending, i.e. the transitive reduction of the extent-inclusion order;
+    reading it computes the children of every concept.
     """
 
     def __init__(
@@ -228,16 +224,20 @@ class ConceptLattice:
         object_names: Sequence[str],
         extent_masks: Sequence[int],
         make_concept: Callable[[int], Any],
-        refine: Callable[[int], Iterable[int]],
+        gaps: Callable[[int], list[int]],
     ):
         self.object_names = tuple(object_names)
         self.extent_masks = masks = tuple(extent_masks)
-        index = {m: i for i, m in enumerate(masks)}
         self.concepts: Sequence[Any] = OnDemand(len(masks), lambda i: make_concept(masks[i]))
-        self.children: Sequence[tuple[int, ...]] = OnDemand(len(masks), lambda i: tuple(
-            sorted(index[c] for c in _maximal_masks(refine(masks[i])))))
+        self.gaps: Sequence[list[int]] = OnDemand(len(masks), lambda i: gaps(masks[i]), keep=False)
         self.top_index = 0
         self.bottom_index = len(masks) - 1
+
+    @cached_property
+    def children(self) -> Sequence[tuple[int, ...]]:
+        masks, gaps = self.extent_masks, self.gaps
+        index = {m: i for i, m in enumerate(masks)}
+        return OnDemand(len(masks), lambda i: tuple(sorted(index[masks[i] & ~g] for g in gaps[i])))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -323,22 +323,33 @@ class NestedChains:
             found.append(at[k] & mask)
         return found
 
-    def refine(self, mask: int) -> list[int]:
-        """The elementary refinements of the closed set ``mask``."""
+    def gaps(self, mask: int) -> list[int]:
+        """The gaps of the closed set ``mask`` to its lower covers: the
+        distinct minimal sets among ``mask & at[k]``, over the chains whose
+        tightest member ``k`` holding ``mask`` is not their last."""
         if not mask:
             return []
-        refinements = []
-        for at, inside in self.chains:
-            # find the tightest member as hits does; the last refines nothing
-            if at[0] & mask:
-                refinements.append(mask & inside[1])
-            else:
+        found = set()
+        for at, _ in self.chains:
+            # find the tightest member as hits does; the last opens no gap
+            hit = at[0] & mask
+            if not hit:
                 k = 1
                 while not at[k] & mask:
                     k += 1
-                if k + 1 < len(at):
-                    refinements.append(mask & inside[k + 1])
-        return refinements
+                if k + 1 == len(at):
+                    continue
+                hit = at[k] & mask
+            found.add(hit)
+        kept: list[int] = []
+        # a strict subset has fewer bits, so it is seen (and kept) first
+        for gap in sorted(found, key=int.bit_count):
+            for small in kept:
+                if not small & ~gap:
+                    break
+            else:
+                kept.append(gap)
+        return kept
 
 
 def enumerate_closed_extents(
@@ -412,34 +423,18 @@ def assemble_lattice(
     object_names: Sequence[str],
     extent_masks: Iterable[int],
     make_concept: Callable[[int], Any],
-    refine: Callable[[int], Iterable[int]],
+    gaps: Callable[[int], list[int]],
 ) -> ConceptLattice:
-    """Order closed extents into a lattice whose payloads and covers are
-    computed on demand.
-
-    ``make_concept`` maps an extent mask to the concept payload, and
-    ``refine`` to its elementary refinements (:meth:`NestedChains.refine`),
-    whose maximal distinct members are the lower covers.
+    """Order closed extents into a lattice whose payloads, gaps and covers
+    are computed on demand.  ``make_concept`` maps an extent mask to the
+    concept payload, and ``gaps`` to its gaps (:meth:`NestedChains.gaps`).
     """
     # format(m, "b")[::-1] spells membership from object 0 up, so among
     # extents of one size a larger string is a lexicographically smaller
     # index list: sorting both parts descending is the documented order
     masks = sorted(set(extent_masks), key=lambda m: (m.bit_count(), format(m, "b")[::-1]),
                    reverse=True)
-    return ConceptLattice(object_names, masks, make_concept, refine)
-
-
-def _maximal_masks(candidates: Iterable[int]) -> list[int]:
-    """The distinct candidates not strictly inside another candidate."""
-    kept: list[int] = []
-    # a strict superset has more bits, so it is seen (or dominated) first
-    for c in sorted(set(candidates), key=int.bit_count, reverse=True):
-        for k in kept:
-            if not c & ~k:
-                break
-        else:
-            kept.append(c)
-    return kept
+    return ConceptLattice(object_names, masks, make_concept, gaps)
 
 
 def build_lattice(
@@ -460,7 +455,7 @@ def build_lattice(
             intent=_indices_from_mask(context.derive_attr_mask(mask)),
         )
 
-    return assemble_lattice(context.objects, masks, make, chains.refine)
+    return assemble_lattice(context.objects, masks, make, chains.gaps)
 
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:

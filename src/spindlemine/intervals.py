@@ -26,7 +26,7 @@ once per structure (:attr:`IntervalPatternStructure.chains`): member
 ``k`` holds the objects whose value lies within the end's ``k``-th
 distinct value, ranked from the outside inward.  The hull of ``A`` is
 fixed by each chain's tightest member holding ``A``, so the closure and
-the elementary refinements (drop the objects that attain one end of the
+the gaps to the lower covers (the objects that attain one end of the
 hull) are the chains' own, and a concept's intent is read off the
 members at those tightest members the first time it is asked for.
 
@@ -148,10 +148,15 @@ class IntervalPatternStructure:
 @dataclass(frozen=True)
 class PatternConcept:
     """A pattern concept; ``intent is None`` marks the formal bottom
-    (empty extent, most-specific description)."""
+    (empty extent, most-specific description).  ``extent``, the object
+    indices of ``extent_mask``, is built on its first read."""
 
-    extent: frozenset[int]
+    extent_mask: int
     intent: IntervalDescription | None
+
+    @cached_property
+    def extent(self) -> frozenset[int]:
+        return _indices_from_mask(self.extent_mask)
 
 
 def build_pattern_lattice(
@@ -170,17 +175,17 @@ def build_pattern_lattice(
 
     def make(mask: int) -> PatternConcept:
         if not mask:
-            return PatternConcept(extent=frozenset(), intent=None)
+            return PatternConcept(extent_mask=0, intent=None)
         # an end's value is its lowest-index hit's, as in the member-by-member
         # hull (-0.0 and 0.0 tie alike); zip drops a no-attribute [G, ∅] chain
         values = [ps.descriptions[(hit & -hit).bit_length() - 1].intervals[j][side]
                   for (j, side), hit in zip(ends, chains.hits(mask))]
         return PatternConcept(
-            extent=_indices_from_mask(mask),
+            extent_mask=mask,
             intent=IntervalDescription(tuple(zip(values[::2], values[1::2]))),
         )
 
-    return assemble_lattice(ps.objects, masks, make, chains.refine)
+    return assemble_lattice(ps.objects, masks, make, chains.gaps)
 
 
 # ---------------------------------------------------------------------------

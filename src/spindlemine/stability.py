@@ -12,13 +12,14 @@ It measures how robust the concept is to removing objects.  Because
 ``+inf`` sentinel.
 
 Exact stability is computed one way, by :func:`stability_lattice_dp`,
-which reads each concept's lower covers: a subset of ``A`` closes to
-``A`` exactly when it lies inside no lower cover, i.e. when it meets
-every gap ``A \\ child``.  When the one-object gaps already meet every
-gap, the count is the closed form ``q = 2^(|A| - |F|)``, with ``F`` the
-union of the one-object gaps; with continuous features every gap is one
-object, so this is the common case.  Otherwise every subset of ``A``
-closes to exactly one concept with extent inside ``A``, so
+which reads each concept's gaps ``A \\ child`` to its lower covers off
+the structure's chains (``ConceptLattice.gaps``): a subset of ``A``
+closes to ``A`` exactly when it lies inside no lower cover, i.e. when it
+meets every gap.  When the one-object gaps already meet every gap, the
+count is the closed form ``q = 2^(|A| - |F|)``, with ``F`` the union of
+the one-object gaps; with continuous features every gap is one object,
+so this is the common case.  Otherwise every subset of ``A`` closes to
+exactly one concept with extent inside ``A``, so
 ``q(c) = 2^|A| - sum of q(e) over the strict down-set of c``, found by
 walking the cover relation.  Counts are kept as arbitrary-precision
 integers, so the identity ``sum of q over all concepts = 2^|G|`` is
@@ -37,7 +38,8 @@ derives the chain
     ``dmin - log2(|M|) <= -log2(sum over direct descendants of 2^-d)
     <= LStab <= dmin``
 
-where ``d = |extent(c) \\ extent(child)|`` and ``dmin`` is its minimum.
+where ``d = |extent(c) \\ extent(child)|`` is a gap's size and ``dmin``
+is its minimum.
 The lower bound is only as good as the ``attribute_count`` (``|M|``)
 supplied: the chain is guaranteed when ``attribute_count`` is at least
 the number of direct descendants.  That holds for the structure's chain
@@ -244,25 +246,24 @@ class _ScoreColumn(Mapping[int, StabilityScore]):
 
 
 def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore]:
-    """Exact stability of each concept from its lower covers, computed
-    when the concept's score is first read.
+    """Exact stability of each concept from its gaps to its lower covers,
+    computed when the concept's score is first read.
 
     A subset ``C`` of an extent ``A`` closes to ``A`` exactly when it lies
-    inside no lower cover, i.e. when it meets every gap ``A \\ child``.
-    One-object gaps force their object into ``C``; when every gap meets
-    the union ``F`` of those objects, forcing ``F`` suffices and
-    ``q = 2^(|A| - |F|)``.  Otherwise ``q`` follows from the
+    inside no lower cover, i.e. when it meets every gap ``A \\ child``
+    (``lattice.gaps``).  One-object gaps force their object into ``C``;
+    when every gap meets the union ``F`` of those objects, forcing ``F``
+    suffices and ``q = 2^(|A| - |F|)``.  Otherwise ``q`` follows from the
     subset-partition identity ``q = 2^|A| - sum of q(d)`` over the
     concept's strict down-set, found by walking ``children``; the counts
     of the down-set are computed from the bottom up (children have larger
     indices) and kept.  Counts are integers throughout, so results are
     exact for any lattice size.
 
-    The closed form costs a few mask operations per cover edge; only the
-    concepts it does not settle pay for a walk over their down-set.
+    The closed form costs a few mask operations per gap and builds no
+    cover; only the concepts it does not settle walk their down-set.
     """
     masks = lattice.extent_masks
-    children = lattice.children
     counts: list[int | None] = [None] * len(masks)
     # each concept's lower covers, read from the lattice once for all the
     # walks: down-sets overlap, so walks visit the same concepts again and again
@@ -273,8 +274,9 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
         if q is not None:
             return q
         mask = masks[i]
-        kids = children[i]
-        gaps = [mask & ~masks[j] for j in kids]
+        kids = kids_of[i]
+        # a walk that reached this concept has its covers: read the gaps off them
+        gaps = lattice.gaps[i] if kids is None else [mask & ~masks[j] for j in kids]
         forced = 0
         for gap in gaps:
             if gap & (gap - 1) == 0:  # gaps are non-empty: one object
@@ -282,13 +284,13 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
         if all(gap & forced for gap in gaps):
             q = 1 << (mask.bit_count() - forced.bit_count())
         else:
-            seen = set(kids)
+            seen = set(lattice.children[i])
             stack = list(seen)
             while stack:
                 e = stack.pop()
                 below = kids_of[e]
                 if below is None:
-                    below = kids_of[e] = children[e]
+                    below = kids_of[e] = lattice.children[e]
                 for d in below:
                     if d not in seen:
                         seen.add(d)
@@ -313,13 +315,13 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
 def lstab_bounds(
     lattice: ConceptLattice, index: int, attribute_count: int
 ) -> StabilityScore:
-    """Bound LStab from the direct descendants alone.
+    """Bound LStab from the gaps to the direct descendants alone.
 
     Returns ``lower = dmin - log2(attribute_count)``,
     ``mid = -log2(sum of 2^-d)`` and ``upper = dmin`` where ``d`` ranges
-    over extent-difference sizes to direct descendants.  A concept with no
-    descendant (the lattice bottom) has ``Stab = 1`` exactly — every
-    subset of its extent closes back onto it — so it gets the
+    over the sizes of the gaps ``lattice.gaps[index]`` (no cover is built).
+    A concept with no gap (the lattice bottom) has ``Stab = 1`` exactly —
+    every subset of its extent closes back onto it — so it gets the
     ``stab = 1 / lstab = +inf`` convention instead of bounds.
     """
     if not 0 <= index < len(lattice):
@@ -327,13 +329,10 @@ def lstab_bounds(
     if attribute_count < 1:
         raise InputError("attribute_count must be >= 1")
     size = lattice.extent_masks[index].bit_count()
-    kids = lattice.children[index]
-    if not kids:
+    deltas = [gap.bit_count() for gap in lattice.gaps[index]]
+    if not deltas:
         return StabilityScore(method="bounds", extent_size=size, stab=1.0, lstab=math.inf)
 
-    deltas = [size - lattice.extent_masks[j].bit_count() for j in kids]
-    if min(deltas) < 1:
-        raise InputError("cover edge with empty extent difference")
     dmin = min(deltas)
     dmax = max(deltas)
     # sum of 2^-d written as (sum of 2^(dmax-d)) / 2^dmax keeps it integral
@@ -354,8 +353,8 @@ def score_lattice(
     """Scores of every concept with the chosen method, each computed when
     it is first read.
 
-    ``method`` is ``exact-dp`` (exact counts from each concept's lower
-    covers, see :func:`stability_lattice_dp`) or ``bounds`` (see
+    ``method`` is ``exact-dp`` (exact counts from each concept's gaps to
+    its lower covers, see :func:`stability_lattice_dp`) or ``bounds`` (see
     :func:`lstab_bounds`; needs ``attribute_count``).
     """
     check_stability_method(method)

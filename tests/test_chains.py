@@ -1,6 +1,7 @@
-"""The chains of nested object masks that both lattice builders close and
-refine on, checked on arbitrary object sets against the brute-force
-oracles, and their bit-sliced hulls against a walk over the chains."""
+"""The chains of nested object masks that both lattice builders close
+on and read lower-cover gaps from, checked on arbitrary object sets
+against the brute-force oracles, and their bit-sliced hulls against a
+walk over the chains."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -40,40 +41,39 @@ def binary_contexts(draw):
                                    [f"m{j}" for j in range(len(columns))], rows)
 
 
-def _check_refinements(chains, extent, closed):
-    """Every refinement of ``extent`` is closed and strictly inside it, and
-    the maximal ones are its lower covers among ``closed``."""
-    refinements = chains.refine(extent)
-    for r in refinements:
-        assert chains.close(r) == r
-        assert r != extent and not r & ~extent
-    maximal = {r for r in refinements if not any(r != s and not r & ~s for s in refinements)}
+def _check_gaps(chains, extent, closed):
+    """Every gap of ``extent`` is non-empty, distinct and inside it, and
+    ``extent`` minus each gap gives exactly its lower covers among ``closed``."""
+    gaps = chains.gaps(extent)
+    assert len(set(gaps)) == len(gaps)
+    for gap in gaps:
+        assert gap and not gap & ~extent
     covers = {small for big, small in oracle_covers(closed) if big == _indices(extent)}
-    assert {_indices(r) for r in maximal} == covers
+    assert {_indices(extent & ~gap) for gap in gaps} == covers
 
 
 @settings(deadline=None, max_examples=300)
 @given(st.data())
-def test_binary_chains_close_and_refine_as_the_oracle(data):
+def test_binary_chains_close_and_gap_as_the_oracle(data):
     ctx = data.draw(binary_contexts())
     mask = data.draw(st.integers(0, ctx.object_mask))
     chains = ctx.chains
-    extent = chains.close_hull(chains.hull(mask))
-    assert extent == ctx.closure_mask(mask) == _mask(oracle_binary_closure(ctx, _indices(mask)))
-    assert chains.close(0) == ctx.closure_mask(0)
-    _check_refinements(chains, extent, oracle_binary_closed_extents(ctx))
+    extent = chains.close(mask)
+    assert extent == _mask(oracle_binary_closure(ctx, _indices(mask)))
+    assert chains.close(0) == _mask(oracle_binary_closure(ctx, frozenset()))
+    _check_gaps(chains, extent, oracle_binary_closed_extents(ctx))
 
 
 @settings(deadline=None, max_examples=300)
 @given(st.data())
-def test_interval_chains_close_and_refine_as_the_oracle(data):
+def test_interval_chains_close_and_gap_as_the_oracle(data):
     ps = data.draw(tie_heavy_structures())
     mask = data.draw(st.integers(0, (1 << ps.n_objects) - 1))
     chains = ps.chains
     extent = chains.close_hull(chains.hull(mask))
     assert extent == _mask(oracle_interval_closure(ps, _indices(mask)))
     assert chains.close(0) == 0  # the formal bottom
-    _check_refinements(chains, extent, oracle_interval_closed_extents(ps))
+    _check_gaps(chains, extent, oracle_interval_closed_extents(ps))
 
 
 def _tightest_members(chains, mask):

@@ -70,10 +70,11 @@ def test_empty_set_derivations(tiny_context):
 
 
 def test_closure_examples(tiny_context):
-    assert tiny_context.closure_mask(0b01) == 0b11  # {g1}'' = {g1, g2} (both have 'a')
-    assert tiny_context.closure_mask(0b10) == 0b10
+    close = tiny_context.chains.close
+    assert close(0b01) == 0b11  # {g1}'' = {g1, g2} (both have 'a')
+    assert close(0b10) == 0b10
     # empty set: '' goes through the full intent, landing on g2 only
-    assert tiny_context.closure_mask(0) == 0b10
+    assert close(0) == 0b10
 
 
 def test_derivation_rejects_bad_indices():
@@ -133,11 +134,13 @@ def _derive_objects(ctx, intent_mask):
 def test_closure_is_a_closure_operator(data):
     ctx, a, b = data
     ma, mb = _mask(a), _mask(b)
-    ca = ctx.closure_mask(ma)
+    close = ctx.chains.close
+    ca = close(ma)
+    assert ca == _mask(oracle_binary_closure(ctx, a))
     assert not ma & ~ca  # extensive
-    assert ctx.closure_mask(ca) == ca  # idempotent
+    assert close(ca) == ca  # idempotent
     if a <= b:
-        assert not ca & ~ctx.closure_mask(mb)  # monotone
+        assert not ca & ~close(mb)  # monotone
 
 
 @settings(deadline=None, max_examples=200)
@@ -159,9 +162,10 @@ def test_derivation_galois_laws(data):
 def test_closure_matches_oracle(data):
     ctx, a, _ = data
     mask = _mask(a)
-    assert ctx.closure_mask(mask) == _mask(oracle_binary_closure(ctx, a))
+    closed = ctx.chains.close(mask)
+    assert closed == _mask(oracle_binary_closure(ctx, a))
     assert ctx.derive_attr_mask(mask) == _mask(oracle_binary_intent(ctx, a))
-    assert ctx.closure_mask(mask) == _derive_objects(ctx, ctx.derive_attr_mask(mask))
+    assert closed == _derive_objects(ctx, ctx.derive_attr_mask(mask))
     assert ctx.derive_attr_mask(0) == (1 << ctx.n_attributes) - 1
 
 

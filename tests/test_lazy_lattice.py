@@ -16,7 +16,7 @@ from spindlemine.intervals import (
     build_pattern_lattice,
 )
 from spindlemine.pipeline import mine
-from spindlemine.stability import score_lattice, stability_lattice_dp
+from spindlemine.stability import lstab_bounds, score_lattice, stability_lattice_dp
 
 from conftest import (
     oracle_binary_closed_extents,
@@ -26,6 +26,7 @@ from conftest import (
     oracle_interval_hull,
     oracle_subset_counts,
     random_interval_structure,
+    reference_lattice_to_dot,
     tie_heavy_structures,
 )
 
@@ -184,6 +185,35 @@ def test_mine_builds_payloads_only_for_the_kept_concepts(monkeypatch):
     kept = [frozenset(ps.objects.index(name) for name in p["extent"]) for p in patterns]
     assert 0 < len(kept) < len(lattice) // 10
     assert sorted(made, key=sorted) == sorted(kept, key=sorted)
+
+
+def test_scores_on_a_tie_free_structure_build_no_cover_relation(tmp_path):
+    # tie-free points: every gap is one object, so the closed form and the
+    # bounds settle every concept from its gaps
+    rng = random.Random(9)
+    ps = IntervalPatternStructure(
+        tuple(f"g{i}" for i in range(9)), ("a", "b"),
+        tuple(IntervalDescription.from_point((rng.random(), rng.random())) for _ in range(9)))
+    lat = build_pattern_lattice(ps)
+    want = oracle_subset_counts(lat)
+    exact = stability_lattice_dp(lat)
+    for i in range(len(lat)):
+        assert exact[i].exact_count == want[i]
+        # every gap is one object; the bottom has none
+        bounds = lstab_bounds(lat, i, attribute_count=4)
+        assert bounds.upper_bound == (None if i == lat.bottom_index else 1.0)
+    # children, and the extent→index table behind them, are built on first read
+    assert "children" not in vars(lat)
+
+    dot = tmp_path / "lattice.dot"
+    flags = SimpleNamespace(min_support=0.5, min_lstab=0.0, stability_method="bounds",
+                            bound_policy="upper", concept_cap=10**6, dot=str(dot))
+    lattice, _ = mine(ps, {}, flags)
+    extents = [frozenset(_bits(m)) for m in lattice.extent_masks]
+    by_extent = {e: i for i, e in enumerate(extents)}
+    assert set(lattice.covers) == {(by_extent[big], by_extent[small])
+                                   for big, small in oracle_covers(set(extents))}
+    assert dot.read_text() == reference_lattice_to_dot(lattice) + "\n"
 
 
 def test_a_slice_builds_its_items():
