@@ -40,11 +40,11 @@ the slots still open.  Closing a set leaves its hull where it was, so
 enumeration keeps each extent's hull and closes the extension by ``g``
 from the hull OR ``g``'s word: one OR and the folds.
 
-Enumeration is Fast Close-by-One (:func:`enumerate_closed_extents`).  The
-lattice is built on demand: the closed extents are sorted once, and a
-concept's payload and lower covers are computed the first time something
-reads them, so a run that keeps only the frequent concepts never builds
-the others.
+Enumeration is Fast Close-by-One (:func:`enumerate_closed_extents`).  A
+lattice is built on demand from its structure, whose ``concept`` and
+``chains`` give each payload and gaps: the closed extents are sorted once,
+and a payload or lower covers are computed the first time something reads
+them, so a run that keeps only the frequent concepts never builds the others.
 """
 
 from __future__ import annotations
@@ -161,11 +161,12 @@ class FormalContext:
     # -- mask-level derivation ------------------------------------------
 
     def derive_attr_mask(self, extent_mask: int) -> int:
-        result = 0
-        for m, col in enumerate(self.column_masks):
-            if not extent_mask & ~col:
-                result |= 1 << m
-        return result
+        return sum(1 << m for m, col in enumerate(self.column_masks) if not extent_mask & ~col)
+
+    def concept(self, extent_mask: int) -> "Concept":
+        """The concept whose extent is the closed set ``extent_mask``."""
+        return Concept(_indices_from_mask(extent_mask),
+                       _indices_from_mask(self.derive_attr_mask(extent_mask)))
 
 
 @dataclass(frozen=True)
@@ -181,12 +182,11 @@ _UNSET: Any = object()
 
 class OnDemand(Sequence[T]):
     """A read-only sequence whose item ``i`` is ``build(i)``, computed on
-    first access and kept (with ``keep=False``, computed on every access)."""
+    first access and kept."""
 
-    def __init__(self, length: int, build: Callable[[int], T], keep: bool = True):
+    def __init__(self, length: int, build: Callable[[int], T]):
         self._values: list[Any] = [_UNSET] * length
         self._build = build
-        self._keep = keep
 
     def __len__(self) -> int:
         return len(self._values)
@@ -196,48 +196,45 @@ class OnDemand(Sequence[T]):
             return [self[i] for i in range(*index.indices(len(self._values)))]
         value = self._values[index]
         if value is _UNSET:
-            value = self._build(index % len(self._values))
-            if self._keep:
-                self._values[index] = value
+            value = self._values[index] = self._build(index % len(self._values))
         return value
 
 
 class ConceptLattice:
-    """All concepts of a context (or pattern structure), ordered by extent
-    inclusion, built on demand.
+    """All concepts of a structure (a :class:`FormalContext` or an
+    :class:`spindlemine.intervals.IntervalPatternStructure`), ordered by
+    extent inclusion, built on demand.
 
     ``extent_masks`` is sorted by (extent size descending, extent indices
     lexicographically ascending), so index 0 is the top; it is the only
-    part computed up front.  ``concepts[i]`` (the payload: :class:`Concept`
-    for binary contexts, :class:`spindlemine.intervals.PatternConcept` for
-    pattern structures) and ``children[i]`` (the lower covers, ascending,
-    from an extent→index table built on the first read) are computed the
-    first time they are read, ``gaps[i]`` (:meth:`NestedChains.gaps`) on
-    every read.
+    part computed up front.  ``concepts[i]`` (the payload
+    ``structure.concept(extent_masks[i])``: a :class:`Concept` or a
+    :class:`spindlemine.intervals.PatternConcept`) and ``children[i]`` (the
+    lower covers, ascending, from an extent→index table built on the first
+    read) are computed the first time they are read, ``gaps(i)`` (the
+    structure's :meth:`NestedChains.gaps`) on every call.
     ``covers`` holds every ``(parent_index, child_index)`` pair, sorted
     ascending, i.e. the transitive reduction of the extent-inclusion order;
     reading it computes the children of every concept.
     """
 
-    def __init__(
-        self,
-        object_names: Sequence[str],
-        extent_masks: Sequence[int],
-        make_concept: Callable[[int], Any],
-        gaps: Callable[[int], list[int]],
-    ):
-        self.object_names = tuple(object_names)
+    def __init__(self, structure: Any, extent_masks: Sequence[int]):
+        self.structure = structure
+        self.object_names = tuple(structure.objects)
         self.extent_masks = masks = tuple(extent_masks)
-        self.concepts: Sequence[Any] = OnDemand(len(masks), lambda i: make_concept(masks[i]))
-        self.gaps: Sequence[list[int]] = OnDemand(len(masks), lambda i: gaps(masks[i]), keep=False)
+        self.concepts: Sequence[Any] = OnDemand(len(masks), lambda i: structure.concept(masks[i]))
         self.top_index = 0
         self.bottom_index = len(masks) - 1
+
+    def gaps(self, index: int) -> list[int]:
+        """The gaps of concept ``index`` to its lower covers."""
+        return self.structure.chains.gaps(self.extent_masks[index])
 
     @cached_property
     def children(self) -> Sequence[tuple[int, ...]]:
         masks, gaps = self.extent_masks, self.gaps
         index = {m: i for i, m in enumerate(masks)}
-        return OnDemand(len(masks), lambda i: tuple(sorted(index[masks[i] & ~g] for g in gaps[i])))
+        return OnDemand(len(masks), lambda i: tuple(sorted(index[masks[i] & ~g] for g in gaps(i))))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -419,22 +416,16 @@ def enumerate_closed_extents(
     return out
 
 
-def assemble_lattice(
-    object_names: Sequence[str],
-    extent_masks: Iterable[int],
-    make_concept: Callable[[int], Any],
-    gaps: Callable[[int], list[int]],
-) -> ConceptLattice:
-    """Order closed extents into a lattice whose payloads, gaps and covers
-    are computed on demand.  ``make_concept`` maps an extent mask to the
-    concept payload, and ``gaps`` to its gaps (:meth:`NestedChains.gaps`).
-    """
+def assemble_lattice(structure: Any, extent_masks: Iterable[int]) -> ConceptLattice:
+    """Order the closed extents of ``structure`` into a lattice that reads
+    payloads (``structure.concept``) and gaps (``gaps(i)``, from
+    ``structure.chains``) on demand; see :class:`ConceptLattice`."""
     # format(m, "b")[::-1] spells membership from object 0 up, so among
     # extents of one size a larger string is a lexicographically smaller
     # index list: sorting both parts descending is the documented order
     masks = sorted(set(extent_masks), key=lambda m: (m.bit_count(), format(m, "b")[::-1]),
                    reverse=True)
-    return ConceptLattice(object_names, masks, make_concept, gaps)
+    return ConceptLattice(structure, masks)
 
 
 def build_lattice(
@@ -446,16 +437,8 @@ def build_lattice(
     closures, deduplicated.  Raises :class:`CapacityError` when the number
     of concepts exceeds ``concept_cap``.
     """
-    chains = context.chains
-    masks = enumerate_closed_extents(chains.up, chains.close_hull, concept_cap)
-
-    def make(mask: int) -> Concept:
-        return Concept(
-            extent=_indices_from_mask(mask),
-            intent=_indices_from_mask(context.derive_attr_mask(mask)),
-        )
-
-    return assemble_lattice(context.objects, masks, make, chains.gaps)
+    up, close = context.chains.up, context.chains.close_hull
+    return assemble_lattice(context, enumerate_closed_extents(up, close, concept_cap))
 
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:

@@ -27,8 +27,9 @@ once per structure (:attr:`IntervalPatternStructure.chains`): member
 distinct value, ranked from the outside inward.  The hull of ``A`` is
 fixed by each chain's tightest member holding ``A``, so the closure and
 the gaps to the lower covers (the objects that attain one end of the
-hull) are the chains' own, and a concept's intent is read off the
-members at those tightest members the first time it is asked for.
+hull) are the chains' own.  A lattice built from the structure reads a
+concept's intent off the members at those tightest members
+(:meth:`IntervalPatternStructure.concept`) the first time it is asked for.
 
 The lattice always includes a distinguished bottom concept with empty
 extent whose intent is a formal "most specific" description (represented
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterable
 import math
 
@@ -144,6 +146,19 @@ class IntervalPatternStructure:
         """The description of one object."""
         return self.descriptions[index]
 
+    def concept(self, extent_mask: int) -> "PatternConcept":
+        """The pattern concept whose extent is the closed set
+        ``extent_mask``; the empty extent gets the formal bottom."""
+        if not extent_mask:
+            return PatternConcept(extent_mask=0, intent=None)
+        # an end's value is its lowest-index hit's, as in the member-by-member
+        # hull (-0.0 and 0.0 tie alike); zip drops a no-attribute [G, ∅] chain
+        values = [self.descriptions[(hit & -hit).bit_length() - 1].intervals[j][side]
+                  for (j, side), hit in zip(product(range(len(self.attributes)), (0, 1)),
+                                            self.chains.hits(extent_mask))]
+        intent = IntervalDescription(tuple(zip(values[::2], values[1::2])))
+        return PatternConcept(extent_mask, intent)
+
 
 @dataclass(frozen=True)
 class PatternConcept:
@@ -169,23 +184,8 @@ def build_pattern_lattice(
     """
     if ps.n_objects == 0:
         raise InputError("pattern structure has no objects")
-    chains = ps.chains
-    masks = enumerate_closed_extents(chains.up, chains.close_hull, concept_cap)
-    ends = [(j, side) for j in range(len(ps.attributes)) for side in (0, 1)]
-
-    def make(mask: int) -> PatternConcept:
-        if not mask:
-            return PatternConcept(extent_mask=0, intent=None)
-        # an end's value is its lowest-index hit's, as in the member-by-member
-        # hull (-0.0 and 0.0 tie alike); zip drops a no-attribute [G, ∅] chain
-        values = [ps.descriptions[(hit & -hit).bit_length() - 1].intervals[j][side]
-                  for (j, side), hit in zip(ends, chains.hits(mask))]
-        return PatternConcept(
-            extent_mask=mask,
-            intent=IntervalDescription(tuple(zip(values[::2], values[1::2]))),
-        )
-
-    return assemble_lattice(ps.objects, masks, make, chains.gaps)
+    up, close = ps.chains.up, ps.chains.close_hull
+    return assemble_lattice(ps, enumerate_closed_extents(up, close, concept_cap))
 
 
 # ---------------------------------------------------------------------------

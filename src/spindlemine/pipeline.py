@@ -268,9 +268,8 @@ def mine(
     once every stage has succeeded.  Callers check ``settings`` first."""
     lattice = _run_stage("lattice", timings, lambda: build_pattern_lattice(
         structure, concept_cap=settings.concept_cap))
-    # one chain per refinement direction: the count the bounds' lower term divides by
     scores = _run_stage("stability", timings, lambda: score_lattice(
-        lattice, settings.stability_method, attribute_count=len(structure.chains.chains)))
+        lattice, settings.stability_method))
     kept = _run_stage("filter", timings, lambda: filter_concepts(
         lattice, scores, min_support=settings.min_support, min_lstab=settings.min_lstab,
         bound_policy=settings.bound_policy))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
@@ -226,6 +227,9 @@ def _check_corr_threshold(corr_threshold: float) -> None:
 def _check_ig_bins(ig_bins: int) -> None:
     if ig_bins < 2:
         raise InputError(f"ig_bins must be >= 2, got {ig_bins}")
+    # binning divides a float by it
+    if ig_bins > sys.float_info.max:
+        raise InputError(f"ig_bins must be within the float range, got {ig_bins}")
 
 
 def check_selection_settings(corr_threshold: float, ig_bins: int, ig_top_k: int | None,

@@ -353,8 +353,9 @@ def read_segments_json(path: str) -> list[tuple[SpindleAnnotation, float, np.nda
     Each segment's annotation fields are checked as an annotation's (see
     :func:`_annotations`).  Its ``sample_rate`` must pass
     :func:`check_sample_rate` and its ``samples`` be a non-empty list of
-    finite numbers; otherwise :class:`InputError` names the file, the
-    segment index and its id.
+    finite JSON numbers (not ``true``/``false``, not strings), as a time
+    must be; otherwise :class:`InputError` names the file, the segment
+    index and its id.
     """
     raw = read_json(path, "segments")
     out = []
@@ -362,10 +363,16 @@ def read_segments_json(path: str) -> list[tuple[SpindleAnnotation, float, np.nda
         where = f"{path}: segment {i} (id {ann.id!r})"
         try:
             fs = check_sample_rate(item.get("sample_rate"))
-            samples = _as_segment(item["samples"])
+            samples = item["samples"]
+            # type() is exact, so a bool (an int subclass) is no number
+            if type(samples) is list and not set(map(type, samples)) <= {int, float}:
+                bad = next(v for v in samples if type(v) not in (int, float))
+                raise InputError(f"samples must be a non-empty list of numbers, got {bad!r}")
+            samples = _as_segment(samples)
         except InputError as exc:
             raise InputError(f"{where}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
+        # OverflowError: an integer sample beyond the float range
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{where}: malformed samples: {exc}") from exc
         if not np.isfinite(samples).all():
             raise InputError(f"{where}: samples must be finite")

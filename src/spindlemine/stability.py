@@ -13,7 +13,7 @@ It measures how robust the concept is to removing objects.  Because
 
 Exact stability is computed one way, by :func:`stability_lattice_dp`,
 which reads each concept's gaps ``A \\ child`` to its lower covers off
-the structure's chains (``ConceptLattice.gaps``): a subset of ``A``
+the structure's chains (``ConceptLattice.gaps(i)``): a subset of ``A``
 closes to ``A`` exactly when it lies inside no lower cover, i.e. when it
 meets every gap.  When the one-object gaps already meet every gap, the
 count is the closed form ``q = 2^(|A| - |F|)``, with ``F`` the union of
@@ -45,8 +45,8 @@ supplied: the chain is guaranteed when ``attribute_count`` is at least
 the number of direct descendants.  That holds for the structure's chain
 count ``r``, the refinement directions: one chain per binary attribute,
 two per interval attribute (each interval can tighten at its lower or its
-upper end), and one when there are none.  ``pipeline.mine`` passes
-``len(structure.chains.chains)``.
+upper end), and one when there are none: the default ``attribute_count``,
+read from the chains of the structure the lattice was built from.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
 
     A subset ``C`` of an extent ``A`` closes to ``A`` exactly when it lies
     inside no lower cover, i.e. when it meets every gap ``A \\ child``
-    (``lattice.gaps``).  One-object gaps force their object into ``C``;
+    (``lattice.gaps(i)``).  One-object gaps force their object into ``C``;
     when every gap meets the union ``F`` of those objects, forcing ``F``
     suffices and ``q = 2^(|A| - |F|)``.  Otherwise ``q`` follows from the
     subset-partition identity ``q = 2^|A| - sum of q(d)`` over the
@@ -276,7 +276,7 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
         mask = masks[i]
         kids = kids_of[i]
         # a walk that reached this concept has its covers: read the gaps off them
-        gaps = lattice.gaps[i] if kids is None else [mask & ~masks[j] for j in kids]
+        gaps = lattice.gaps(i) if kids is None else [mask & ~masks[j] for j in kids]
         forced = 0
         for gap in gaps:
             if gap & (gap - 1) == 0:  # gaps are non-empty: one object
@@ -313,23 +313,26 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
 
 
 def lstab_bounds(
-    lattice: ConceptLattice, index: int, attribute_count: int
+    lattice: ConceptLattice, index: int, attribute_count: int | None = None
 ) -> StabilityScore:
     """Bound LStab from the gaps to the direct descendants alone.
 
     Returns ``lower = dmin - log2(attribute_count)``,
     ``mid = -log2(sum of 2^-d)`` and ``upper = dmin`` where ``d`` ranges
-    over the sizes of the gaps ``lattice.gaps[index]`` (no cover is built).
+    over the sizes of the gaps ``lattice.gaps(index)`` (no cover is built),
+    with the module docstring's default ``attribute_count``.
     A concept with no gap (the lattice bottom) has ``Stab = 1`` exactly —
     every subset of its extent closes back onto it — so it gets the
     ``stab = 1 / lstab = +inf`` convention instead of bounds.
     """
     if not 0 <= index < len(lattice):
         raise InputError(f"concept index {index} out of range")
+    if attribute_count is None:  # a binary context with no attributes has no chains
+        attribute_count = max(len(lattice.structure.chains.chains), 1)
     if attribute_count < 1:
         raise InputError("attribute_count must be >= 1")
     size = lattice.extent_masks[index].bit_count()
-    deltas = [gap.bit_count() for gap in lattice.gaps[index]]
+    deltas = [gap.bit_count() for gap in lattice.gaps(index)]
     if not deltas:
         return StabilityScore(method="bounds", extent_size=size, stab=1.0, lstab=math.inf)
 
@@ -355,12 +358,12 @@ def score_lattice(
 
     ``method`` is ``exact-dp`` (exact counts from each concept's gaps to
     its lower covers, see :func:`stability_lattice_dp`) or ``bounds`` (see
-    :func:`lstab_bounds`; needs ``attribute_count``).
+    :func:`lstab_bounds`, with its default ``attribute_count``).
     """
     check_stability_method(method)
     if method == "exact-dp":
         return stability_lattice_dp(lattice)
-    if attribute_count is None or attribute_count < 1:
+    if attribute_count is not None and attribute_count < 1:
         raise InputError("bounds method requires an attribute_count >= 1")
     return _ScoreColumn(len(lattice), lambda i: lstab_bounds(lattice, i, attribute_count))
 

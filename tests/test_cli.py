@@ -147,22 +147,40 @@ def test_mine_dot_export(two_cluster_files, tmp_path):
 MINE_DOT = Path(__file__).parent / "fixtures" / "mine_dot"
 
 
+def mine_fixture_context(tmp_path, *flags):
+    """Run ``mine`` on the fixture context in a fresh interpreter, with
+    ``flags`` after the thresholds; outputs go to ``tmp_path / "out"``."""
+    (tmp_path / "context.csv").write_bytes((MINE_DOT / "context.csv").read_bytes())
+    subprocess.run([sys.executable, "-m", "spindlemine", "mine", "--context", "context.csv",
+                    "--min-support", "0.5", "--min-lstab", "1", *flags, "--output", "out"],
+                   cwd=tmp_path, env=fresh_interpreter_env(), capture_output=True, timeout=60,
+                   check=True)
+    return tmp_path / "out"
+
+
+def assert_same_report(out, want):
+    """Same ``summary.csv``, and the same ``patterns.json`` up to the run's
+    timestamp and timings."""
+    assert (out / "summary.csv").read_bytes() == (want / "summary.csv").read_bytes()
+    got, wanted = ((d / "patterns.json").read_bytes().split(b'"generated"')[0]
+                   for d in (out, want))
+    assert got == wanted
+
+
 def test_mine_dot_matches_committed_outputs(tmp_path):
     # a tie-heavy 16 x 3 point context (with -0.0 and 0.0 in one column);
     # --dot reads the cover relation of every concept, so this pins the
     # full cover order and the kept patterns byte for byte
-    (tmp_path / "context.csv").write_bytes((MINE_DOT / "context.csv").read_bytes())
-    subprocess.run([sys.executable, "-m", "spindlemine", "mine", "--context", "context.csv",
-                    "--min-support", "0.5", "--min-lstab", "1", "--stability", "bounds",
-                    "--dot", "out/lattice.dot", "--output", "out"],
-                   cwd=tmp_path, env=fresh_interpreter_env(), capture_output=True, timeout=60,
-                   check=True)
-    out = tmp_path / "out"
+    out = mine_fixture_context(tmp_path, "--stability", "bounds", "--dot", "out/lattice.dot")
     assert (out / "lattice.dot").read_bytes() == (MINE_DOT / "lattice.dot").read_bytes()
-    # everything before the run's timestamp and timings
-    got, want = ((d / "patterns.json").read_bytes().split(b'"generated"')[0]
-                 for d in (out, MINE_DOT))
-    assert got == want
+    assert_same_report(out, MINE_DOT)
+
+
+def test_mine_exact_dp_matches_committed_outputs(tmp_path):
+    # 21 of the 23 frequent concepts are not settled by their one-object
+    # gaps, so their counts come from the down-set walk over the covers
+    out = mine_fixture_context(tmp_path, "--stability", "exact-dp")
+    assert_same_report(out, MINE_DOT / "exact_dp")
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +371,34 @@ def test_features_infinite_sample_rate_exits_2(tmp_path, capsys):
     assert not (out / "features.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["true", "false", '"1.5"', "1" + "0" * 400, "null", "[1.0]"],
+                         ids=["true", "false", "string", "beyond-float", "null", "list"])
+def test_features_rejects_bad_samples(stage_inputs, tmp_path, capsys, bad):
+    segments = json.loads(stage_inputs["segments"].read_text())
+    segments[1]["samples"][2] = "BAD"
+    path = tmp_path / "segments.json"
+    path.write_text(json.dumps(segments).replace('"BAD"', bad))
+    out = tmp_path / "out"
+    assert run(["features", "--segments", path, "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "segment 1" in err and repr(segments[1]["id"]) in err
+    assert "samples" in err
+    assert not (out / "features.csv").exists()
+
+
+def test_features_reads_integer_samples_as_their_floats(stage_inputs, tmp_path):
+    segments = json.loads(stage_inputs["segments"].read_text())
+    for segment in segments:
+        segment["samples"] = [round(v * 1000) for v in segment["samples"]]
+    for name, cast in (("int", int), ("float", float)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps([{**s, "samples": list(map(cast, s["samples"]))}
+                                    for s in segments]))
+        assert run(["features", "--segments", path, "--output", tmp_path / name]) == 0
+    assert ((tmp_path / "int" / "features.csv").read_bytes()
+            == (tmp_path / "float" / "features.csv").read_bytes())
+
+
 #: subcommand, input flag, the label its "cannot read" error gives the file
 UNDECODABLE = [
     ("extract", "--annotations", "annotations"),
@@ -381,12 +427,33 @@ def test_undecodable_input_exits_2(two_cluster_files, tmp_path, capsys, command,
     (["--ig-top-k", 0], "ig_top_k"),
     (["--corr-threshold", 0], "corr_threshold"),
     (["--ig-bins", 1], "ig_bins"),
-], ids=["ig-top-k", "corr-threshold", "ig-bins"])
+    # binning divides a float by it, which overflows
+    (["--labels", "none-labels.csv", "--ig-bins", 10 ** 400], "ig_bins"),
+], ids=["ig-top-k", "corr-threshold", "ig-bins", "ig-bins-beyond-float"])
 def test_context_rejects_bad_settings_before_reading_a_file(tmp_path, capsys, flags, setting):
     out = tmp_path / "out"
     code = run(["context", "--features", tmp_path / "none.csv", *flags, "--output", out])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {setting} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bins", [2 ** 63, 10 ** 20])
+def test_context_and_pipeline_run_with_large_ig_bins(stage_inputs, tmp_path, bins):
+    assert run(["context", "--features", stage_inputs["features"],
+                "--labels", stage_inputs["labels"], "--ig-bins", bins,
+                "--output", tmp_path / "context"]) == 0
+    assert run(["pipeline", "--config", stage_inputs["config"], "--ig-bins", bins,
+                "--output", tmp_path / "pipeline"]) == 0
+
+
+def test_pipeline_config_rejects_ig_bins_beyond_the_float_range(stage_inputs, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(stage_inputs["config"].read_text()),
+                                  "ig_bins": 10 ** 400}))
+    out = tmp_path / "out"
+    assert run(["pipeline", "--config", config, "--output", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ig_bins ")
     assert not out.exists()
 
 

@@ -352,7 +352,8 @@ def test_dot_matches_the_reference_renderer(structure):
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40))))
 def test_assemble_lattice_order_is_the_documented_key(drawn):
     n, masks = drawn
-    lattice = assemble_lattice([f"g{i}" for i in range(n)], masks, lambda m: m, lambda m: [])
+    lattice = assemble_lattice(FormalContext.from_rows([f"g{i}" for i in range(n)], [], [[]] * n),
+                               masks)
     # extent size descending, then extent indices lexicographically ascending
     assert list(lattice.extent_masks) == sorted(
         set(masks), key=lambda m: (-m.bit_count(), [g for g in range(n) if m >> g & 1]))

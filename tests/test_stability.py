@@ -26,6 +26,7 @@ from spindlemine.stability import (
 )
 
 from conftest import (
+    make_three_point_structure,
     oracle_binary_closure,
     oracle_interval_closure,
     oracle_stability,
@@ -329,8 +330,16 @@ def test_score_lattice_dispatch(tiny_context):
     assert dp[0].method == "lattice-dp"
     bounds = score_lattice(lat, "bounds", attribute_count=2)
     assert bounds[0].method == "bounds"
-    with pytest.raises(InputError):
-        score_lattice(lat, "bounds")
+    # with no attribute_count, the bounds divide by the structure's chain
+    # count: one per binary attribute, two per interval attribute, and 1
+    # for a binary context with no attributes (it has no chains)
+    no_attributes = build_lattice(FormalContext.from_rows(["g1", "g2"], [], [[], []]))
+    for lattice, chains in ((lat, 2), (build_pattern_lattice(make_three_point_structure()), 4),
+                            (no_attributes, 1)):
+        assert dict(score_lattice(lattice, "bounds")) == dict(
+            score_lattice(lattice, "bounds", attribute_count=chains))
+        assert [lstab_bounds(lattice, i) for i in range(len(lattice))] == [
+            lstab_bounds(lattice, i, attribute_count=chains) for i in range(len(lattice))]
     with pytest.raises(InputError):
         score_lattice(lat, "bounds", attribute_count=0)
     # subset enumeration is a reference (stability_bruteforce), not a method
