@@ -43,8 +43,8 @@ from the hull OR ``g``'s word: one OR and the folds.
 Enumeration is Fast Close-by-One (:func:`enumerate_closed_extents`).  A
 lattice is built on demand from its structure, whose ``concept`` and
 ``chains`` give each payload and gaps: the closed extents are sorted once,
-and a payload or lower covers are computed the first time something reads
-them, so a run that keeps only the frequent concepts never builds the others.
+a payload is made on its first read, so a run that keeps only the frequent
+concepts makes no others, and all lower covers are built on their first read.
 """
 
 from __future__ import annotations
@@ -209,13 +209,12 @@ class ConceptLattice:
     lexicographically ascending), so index 0 is the top; it is the only
     part computed up front.  ``concepts[i]`` (the payload
     ``structure.concept(extent_masks[i])``: a :class:`Concept` or a
-    :class:`spindlemine.intervals.PatternConcept`) and ``children[i]`` (the
-    lower covers, ascending, from an extent→index table built on the first
-    read) are computed the first time they are read, ``gaps(i)`` (the
-    structure's :meth:`NestedChains.gaps`) on every call.
-    ``covers`` holds every ``(parent_index, child_index)`` pair, sorted
-    ascending, i.e. the transitive reduction of the extent-inclusion order;
-    reading it computes the children of every concept.
+    :class:`spindlemine.intervals.PatternConcept`) is computed on its first
+    read, ``gaps(i)`` (the structure's :meth:`NestedChains.gaps`) on every
+    call, and ``children[i]`` (the lower covers, ascending) for every
+    concept in one pass on the first read of ``children``.  ``covers``
+    holds every ``(parent_index, child_index)`` pair, sorted ascending,
+    i.e. the transitive reduction of the extent-inclusion order.
     """
 
     def __init__(self, structure: Any, extent_masks: Sequence[int]):
@@ -231,10 +230,10 @@ class ConceptLattice:
         return self.structure.chains.gaps(self.extent_masks[index])
 
     @cached_property
-    def children(self) -> Sequence[tuple[int, ...]]:
-        masks, gaps = self.extent_masks, self.gaps
-        index = {m: i for i, m in enumerate(masks)}
-        return OnDemand(len(masks), lambda i: tuple(sorted(index[masks[i] & ~g] for g in gaps(i))))
+    def children(self) -> list[tuple[int, ...]]:
+        gaps = self.structure.chains.gaps
+        index = {m: i for i, m in enumerate(self.extent_masks)}
+        return [tuple(sorted(index[m & ~g] for g in gaps(m))) for m in self.extent_masks]
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:

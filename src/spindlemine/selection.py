@@ -112,8 +112,13 @@ def build_numeric_context(
     return ctx if labels is None else ctx.with_labels(labels)
 
 
-def _pairwise_abs_r(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
-    """|Pearson r| plus a flag marking the zero-variance-pair convention."""
+def _pairwise_abs_r(x: np.ndarray, y: np.ndarray, names: tuple[str, str]) -> tuple[float, bool]:
+    """|Pearson r| plus a flag marking the zero-variance-pair convention.
+
+    Raises :class:`InputError` naming the attribute pair when the product
+    of the two sums of squares leaves the float range, which would make r
+    0 (overflow) or divide by 0 (underflow).  An overflow leaves a sum of
+    squares inf or nan, so the caller may silence numpy's overflow warnings."""
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.dot(xc, xc))
@@ -122,7 +127,11 @@ def _pairwise_abs_r(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
         return 1.0, True
     if sx == 0.0 or sy == 0.0:
         return 0.0, False
-    r = float(np.dot(xc, yc)) / math.sqrt(sx * sy)
+    product = sx * sy
+    if not 0.0 < product < math.inf:
+        raise InputError(f"attributes {names[0]!r} and {names[1]!r}: the product of their "
+                         "sums of squares is outside the float range, so r cannot be computed")
+    r = float(np.dot(xc, yc)) / math.sqrt(product)
     # rounding can push |r| of perfectly correlated columns past 1.0,
     # which would make them "exceed" a threshold of exactly 1
     return min(abs(r), 1.0), False
@@ -145,11 +154,13 @@ def correlation_prune(
     dropped: list[dict[str, Any]] = []
     for j in range(ctx.n_attributes):
         partner = None
-        for i in kept:
-            abs_r, both_flat = _pairwise_abs_r(ctx.values[:, i], ctx.values[:, j])
-            if abs_r > threshold:
-                partner = (i, abs_r, both_flat)
-                break
+        with np.errstate(over="ignore", invalid="ignore"):  # _pairwise_abs_r rejects overflow
+            for i in kept:
+                abs_r, both_flat = _pairwise_abs_r(ctx.values[:, i], ctx.values[:, j],
+                                                   (ctx.attributes[i], ctx.attributes[j]))
+                if abs_r > threshold:
+                    partner = (i, abs_r, both_flat)
+                    break
         if partner is None:
             kept.append(j)
         else:
@@ -185,13 +196,15 @@ def _entropy_bits(labels: Sequence[str]) -> float:
 
 
 def _equal_width_bins(column: np.ndarray, bins: int) -> np.ndarray:
+    """Each value's bin index, as a float: ``bins`` may exceed any int64."""
     lo = float(column.min())
     hi = float(column.max())
     if hi == lo:
-        return np.zeros(len(column), dtype=int)
-    width = (hi - lo) / bins
-    idx = np.floor((column - lo) / width).astype(int)
-    return np.clip(idx, 0, bins - 1)
+        return np.zeros(len(column))
+    # from halves, hi - lo cannot overflow; halving a normal float is exact,
+    # so the indices are those of (column - lo) / ((hi - lo) / bins)
+    width = (hi / 2 - lo / 2) / bins
+    return np.minimum(np.floor((column / 2 - lo / 2) / width), float(bins - 1))
 
 
 def information_gain_rank(

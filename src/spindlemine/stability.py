@@ -255,28 +255,27 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
     when every gap meets the union ``F`` of those objects, forcing ``F``
     suffices and ``q = 2^(|A| - |F|)``.  Otherwise ``q`` follows from the
     subset-partition identity ``q = 2^|A| - sum of q(d)`` over the
-    concept's strict down-set, found by walking ``children``; the counts
-    of the down-set are computed from the bottom up (children have larger
-    indices) and kept.  Counts are integers throughout, so results are
-    exact for any lattice size.
+    concept's strict down-set, found by walking ``lattice.children``; the
+    counts of the down-set are computed from the bottom up (children have
+    larger indices) and kept.  Counts are integers throughout, so results
+    are exact for any lattice size.
 
     The closed form costs a few mask operations per gap and builds no
-    cover; only the concepts it does not settle walk their down-set.
+    cover.  The first concept it does not settle builds the lattice's
+    lower covers (all of them, in one pass); from then on every concept's
+    gaps are read off its covers.
     """
     masks = lattice.extent_masks
     counts: list[int | None] = [None] * len(masks)
-    # each concept's lower covers, read from the lattice once for all the
-    # walks: down-sets overlap, so walks visit the same concepts again and again
-    kids_of: list[tuple[int, ...] | None] = [None] * len(masks)
+    children: list[tuple[int, ...]] | None = None
 
     def count(i: int) -> int:
+        nonlocal children
         q = counts[i]
         if q is not None:
             return q
         mask = masks[i]
-        kids = kids_of[i]
-        # a walk that reached this concept has its covers: read the gaps off them
-        gaps = lattice.gaps(i) if kids is None else [mask & ~masks[j] for j in kids]
+        gaps = lattice.gaps(i) if children is None else [mask & ~masks[j] for j in children[i]]
         forced = 0
         for gap in gaps:
             if gap & (gap - 1) == 0:  # gaps are non-empty: one object
@@ -284,14 +283,12 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
         if all(gap & forced for gap in gaps):
             q = 1 << (mask.bit_count() - forced.bit_count())
         else:
-            seen = set(lattice.children[i])
+            if children is None:
+                children = lattice.children
+            seen = set(children[i])
             stack = list(seen)
             while stack:
-                e = stack.pop()
-                below = kids_of[e]
-                if below is None:
-                    below = kids_of[e] = lattice.children[e]
-                for d in below:
+                for d in children[stack.pop()]:
                     if d not in seen:
                         seen.add(d)
                         stack.append(d)
@@ -350,9 +347,7 @@ def lstab_bounds(
     )
 
 
-def score_lattice(
-    lattice: ConceptLattice, method: str, *, attribute_count: int | None = None
-) -> Mapping[int, StabilityScore]:
+def score_lattice(lattice: ConceptLattice, method: str) -> Mapping[int, StabilityScore]:
     """Scores of every concept with the chosen method, each computed when
     it is first read.
 
@@ -363,9 +358,7 @@ def score_lattice(
     check_stability_method(method)
     if method == "exact-dp":
         return stability_lattice_dp(lattice)
-    if attribute_count is not None and attribute_count < 1:
-        raise InputError("bounds method requires an attribute_count >= 1")
-    return _ScoreColumn(len(lattice), lambda i: lstab_bounds(lattice, i, attribute_count))
+    return _ScoreColumn(len(lattice), lambda i: lstab_bounds(lattice, i))
 
 
 # ---------------------------------------------------------------------------

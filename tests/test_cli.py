@@ -447,6 +447,47 @@ def test_context_and_pipeline_run_with_large_ig_bins(stage_inputs, tmp_path, bin
                 "--output", tmp_path / "pipeline"]) == 0
 
 
+def test_context_ranks_a_column_whose_range_overflows(tmp_path):
+    features, labels = tmp_path / "features.csv", tmp_path / "labels.csv"
+    features.write_text("id,a\ns1,-1e308\ns2,1e308\ns3,0\n")
+    labels.write_text("id,class\ns1,x\ns2,y\ns3,x\n")
+    assert run(["context", "--features", features, "--labels", labels, "--output", tmp_path]) == 0
+    # three bins of one object each: the gain is the whole label entropy
+    [entry] = json.loads((tmp_path / "selection.json").read_text())["ig_ranking"]
+    assert entry == {"attribute": "a", "gain": pytest.approx(0.9183, abs=1e-4)}
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-90], ids=["overflow", "underflow"])
+def test_context_and_pipeline_reject_a_correlation_beyond_the_float_range(
+        stage_inputs, tmp_path, capsys, scale):
+    features = tmp_path / "features.csv"
+    rows = [("s1", -1.0, -1.0), ("s2", 1.0, 1.0000001), ("s3", 0.0, 1e-100)]
+    def write(factor):
+        features.write_text("id,a,b\n" + "".join(f"{g},{a * factor!r},{b * factor!r}\n"
+                                                  for g, a, b in rows))
+    # at 1e10 the pair is measured, and b drops
+    write(1e10)
+    assert run(["context", "--features", features, "--output", tmp_path / "fine"]) == 0
+    dropped = json.loads((tmp_path / "fine" / "selection.json").read_text())["dropped"]
+    assert [(d["attribute"], d["partner"]) for d in dropped] == [("b", "a")]
+    write(scale)
+    out = tmp_path / "context"
+    assert run(["context", "--features", features, "--output", out]) == 2
+    assert capsys.readouterr().err.startswith("error: attributes 'a' and 'b': ")
+    assert not out.exists()
+    # the pipeline measures the same features on a recording scaled alike
+    recording = tmp_path / "rec.csv"
+    header, *samples = stage_inputs["recording"].read_text().splitlines()
+    recording.write_text("\n".join([header] + [f"{t},{float(x) * scale!r}" for t, x in (
+        line.split(",") for line in samples)]) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(stage_inputs["config"].read_text()),
+                                  "recording": str(recording)}))
+    assert run(["pipeline", "--config", config, "--output", tmp_path / "pipeline"]) == 2
+    assert capsys.readouterr().err.startswith("error: stage 'selection': attributes ")
+    assert not (tmp_path / "pipeline").exists()
+
+
 def test_pipeline_config_rejects_ig_bins_beyond_the_float_range(stage_inputs, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**json.loads(stage_inputs["config"].read_text()),

@@ -155,7 +155,7 @@ def test_scores_are_a_read_only_column_over_concept_indices():
     ctx = FormalContext.from_rows(["g1", "g2", "g3"], ["a", "b"], [[1, 0], [1, 1], [0, 1]])
     lat = build_lattice(ctx)
     for scores in (score_lattice(lat, "exact-dp"),
-                   score_lattice(lat, "bounds", attribute_count=2)):
+                   score_lattice(lat, "bounds")):
         assert list(scores) == list(range(len(lat))) and len(scores) == len(lat)
         assert -1 not in scores and len(lat) not in scores and "0" not in scores
         with pytest.raises(KeyError):

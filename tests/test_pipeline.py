@@ -357,8 +357,7 @@ def _report(structure, method, kept, extras=({}, {}, {}, {})) -> PatternReport:
     """A report on ``structure``'s lattice keeping the concepts ``kept``
     (indices modulo the concept count), scored by ``method``."""
     lattice = build_pattern_lattice(structure)
-    scores = score_lattice(lattice, method,
-                           attribute_count=max(2 * len(structure.attributes), 1))
+    scores = score_lattice(lattice, method)
     config, stages, selection, generated = extras
     return PatternReport(
         config=config, stages=stages, selection=selection,

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindlemine.errors import InputError
 from spindlemine.selection import (
     NumericContext,
+    _equal_width_bins,
     build_numeric_context,
     correlation_prune,
     information_gain_rank,
@@ -251,6 +253,34 @@ def test_ig_requires_labels_and_sane_bins():
     labeled = ctx_from_columns({"a": [1.0, 2.0]}, labels=["x", "y"])
     with pytest.raises(InputError, match=r"^ig_bins must be >= 2, got 1$"):
         information_gain_rank(labeled, bins=1)
+
+
+def _int64_bins(column, bins):
+    """Equal-width bins through an int64 cast, right while the column's
+    range and the bin indices fit."""
+    lo, hi = float(column.min()), float(column.max())
+    if hi == lo:
+        return np.zeros(len(column), dtype=int)
+    return np.clip(np.floor((column - lo) / ((hi - lo) / bins)).astype(int), 0, bins - 1)
+
+
+_normal_floats = st.one_of(st.just(0.0), st.floats(1e-30, 1e30), st.floats(-1e30, -1e-30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_normal_floats, min_size=1, max_size=12), bins=st.integers(2, 49))
+def test_ig_bins_match_the_int64_formula_on_normal_floats(values, bins):
+    column = np.array(values)
+    assert _equal_width_bins(column, bins).tolist() == _int64_bins(column, bins).tolist()
+
+
+@pytest.mark.parametrize("column, bins, want", [
+    ([0.0, 0.5, 1.0], 2 ** 63, [0.0, 2.0 ** 62, 2.0 ** 63]),
+    ([0.0, 0.5, 1.0], 10 ** 20, [0.0, 5e19, 1e20]),
+    ([-1e308, 1e308, 0.0], 5, [0.0, 4.0, 2.0]),  # hi - lo overflows
+], ids=["2**63-bins", "10**20-bins", "range-overflows"])
+def test_ig_bins_stay_apart_beyond_int64_and_the_float_range(column, bins, want):
+    assert _equal_width_bins(np.array(column), bins).tolist() == want
 
 
 # ---------------------------------------------------------------------------

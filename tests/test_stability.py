@@ -328,20 +328,17 @@ def test_score_lattice_dispatch(tiny_context):
     lat = build_lattice(tiny_context)
     dp = score_lattice(lat, "exact-dp")
     assert dp[0].method == "lattice-dp"
-    bounds = score_lattice(lat, "bounds", attribute_count=2)
+    bounds = score_lattice(lat, "bounds")
     assert bounds[0].method == "bounds"
-    # with no attribute_count, the bounds divide by the structure's chain
-    # count: one per binary attribute, two per interval attribute, and 1
-    # for a binary context with no attributes (it has no chains)
+    # the bounds divide by the structure's chain count: one per binary
+    # attribute, two per interval attribute, and 1 for a binary context
+    # with no attributes (it has no chains)
     no_attributes = build_lattice(FormalContext.from_rows(["g1", "g2"], [], [[], []]))
     for lattice, chains in ((lat, 2), (build_pattern_lattice(make_three_point_structure()), 4),
                             (no_attributes, 1)):
-        assert dict(score_lattice(lattice, "bounds")) == dict(
-            score_lattice(lattice, "bounds", attribute_count=chains))
-        assert [lstab_bounds(lattice, i) for i in range(len(lattice))] == [
-            lstab_bounds(lattice, i, attribute_count=chains) for i in range(len(lattice))]
-    with pytest.raises(InputError):
-        score_lattice(lat, "bounds", attribute_count=0)
+        explicit = [lstab_bounds(lattice, i, attribute_count=chains) for i in range(len(lattice))]
+        assert list(score_lattice(lattice, "bounds").values()) == explicit
+        assert [lstab_bounds(lattice, i) for i in range(len(lattice))] == explicit
     # subset enumeration is a reference (stability_bruteforce), not a method
     with pytest.raises(InputError):
         score_lattice(lat, "brute-force")
@@ -395,7 +392,7 @@ def test_filter_with_bounds_policies():
         [[1, 0], [1, 0], [0, 1], [0, 1]],
     )
     lat = build_lattice(ctx)
-    scores = score_lattice(lat, "bounds", attribute_count=2)
+    scores = score_lattice(lat, "bounds")
     # top: lower=1, mid=1, upper=2; the policy decides which one gates
     upper = filter_concepts(lat, scores, 0.0, 1.5, bound_policy="upper")
     mid = filter_concepts(lat, scores, 0.0, 1.5, bound_policy="mid")
