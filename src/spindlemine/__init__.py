@@ -67,6 +67,7 @@ from .signals import (
     mean_frequency,
     read_annotations_json,
     read_recording_csv,
+    read_recording_segments,
 )
 from .stability import (
     StabilityScore,
@@ -125,6 +126,7 @@ __all__ = [
     "read_labels_csv",
     "read_numeric_csv",
     "read_recording_csv",
+    "read_recording_segments",
     "read_report_json",
     "report_to_json",
     "run_pipeline",

@@ -119,10 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_extract(args) -> int:
-    recording, _, segments = extract(args.recording, args.annotations, args.fs)
+    sample_rate, _, segments = extract(args.recording, args.annotations, args.fs)
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "segments.json")
-    write_segments_json(path, segments, recording.sample_rate)
+    write_segments_json(path, segments, sample_rate)
     print(f"extracted {len(segments)} segments -> {path}")
     return 0
 

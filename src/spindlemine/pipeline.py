@@ -43,13 +43,12 @@ from .signals import (
     DEFAULT_BANDS,
     DEFAULT_DOMINANT_BAND,
     FeatureRow,
-    Recording,
     SpindleAnnotation,
     check_bands,
-    extract_segments,
+    check_sample_rate,
     feature_row,
     read_annotations_json,
-    read_recording_csv,
+    read_recording_segments,
 )
 from .stability import (
     SCORE_FIELDS,
@@ -226,14 +225,21 @@ def _run_stage(name: str, timings: dict[str, float], fn: Callable[[], T]) -> T:
 
 def extract(
     recording_path: str, annotations_path: str, sample_rate: float | None
-) -> tuple[Recording, list[SpindleAnnotation], list[tuple[SpindleAnnotation, Any]]]:
-    """Read the recording and its annotations and cut out each annotated
-    segment; an empty annotation list raises :class:`InputError`."""
-    recording = read_recording_csv(recording_path, sample_rate=sample_rate)
+) -> tuple[float, list[SpindleAnnotation], list[tuple[SpindleAnnotation, Any]]]:
+    """``(sample_rate, annotations, segments)``: the annotations and each
+    annotated segment, cut out of the recording in one pass that keeps
+    only the segments (:func:`read_recording_segments`).
+
+    An explicit ``sample_rate`` is checked first, then the annotations
+    are read, and an empty list raises :class:`InputError` before the
+    recording is opened."""
+    if sample_rate is not None:
+        check_sample_rate(sample_rate)
     annotations = read_annotations_json(annotations_path)
     if not annotations:
         raise InputError("no segments: the annotation list is empty")
-    return recording, annotations, extract_segments(recording, annotations)
+    sample_rate, segments = read_recording_segments(recording_path, annotations, sample_rate)
+    return sample_rate, annotations, segments
 
 
 def feature_rows(
@@ -292,11 +298,11 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
     timings: dict[str, float] = {}
     total_start = perf_counter()
 
-    recording, annotations, segments = _run_stage("extract", timings, lambda: extract(
+    sample_rate, annotations, segments = _run_stage("extract", timings, lambda: extract(
         config.recording, config.annotations, config.sample_rate))
 
     rows = _run_stage("features", timings, lambda: feature_rows(
-        ((ann, recording.sample_rate, samples) for ann, samples in segments),
+        ((ann, sample_rate, samples) for ann, samples in segments),
         config.bands, config.dominant_band, config.detrend))
 
     def _context():

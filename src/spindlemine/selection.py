@@ -13,9 +13,10 @@ labels.  Two selection mechanisms operate on it before mining:
   attributes ranked descending with ties resolved by column order, and an
   optional top-k cut applied before pruning.
 
-Zero-variance attributes have no defined correlation; against another
-zero-variance attribute they are treated as perfectly correlated (dropped
-with a warning), against a varying one as uncorrelated.
+Zero-variance attributes (all values equal) have no defined correlation;
+against another zero-variance attribute they are treated as perfectly
+correlated (dropped with a warning), against a varying one as
+uncorrelated.
 """
 
 from __future__ import annotations
@@ -112,21 +113,25 @@ def build_numeric_context(
     return ctx if labels is None else ctx.with_labels(labels)
 
 
-def _pairwise_abs_r(x: np.ndarray, y: np.ndarray, names: tuple[str, str]) -> tuple[float, bool]:
+def _pairwise_abs_r(x: np.ndarray, y: np.ndarray, names: tuple[str, str],
+                    flat: tuple[bool, bool]) -> tuple[float, bool]:
     """|Pearson r| plus a flag marking the zero-variance-pair convention.
 
+    ``flat`` tells which of the two columns holds one value only: two such
+    columns have |r| 1 by convention, one has |r| 0 against a varying one.
     Raises :class:`InputError` naming the attribute pair when the product
-    of the two sums of squares leaves the float range, which would make r
-    0 (overflow) or divide by 0 (underflow).  An overflow leaves a sum of
-    squares inf or nan, so the caller may silence numpy's overflow warnings."""
+    of the two sums of squares of varying columns leaves the float range,
+    which would make r 0 (overflow) or divide by 0 (underflow, also of a
+    single sum of squares).  An overflow leaves a sum of squares inf or
+    nan, so the caller may silence numpy's overflow warnings."""
+    if all(flat):
+        return 1.0, True
+    if any(flat):
+        return 0.0, False
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.dot(xc, xc))
     sy = float(np.dot(yc, yc))
-    if sx == 0.0 and sy == 0.0:
-        return 1.0, True
-    if sx == 0.0 or sy == 0.0:
-        return 0.0, False
     product = sx * sy
     if not 0.0 < product < math.inf:
         raise InputError(f"attributes {names[0]!r} and {names[1]!r}: the product of their "
@@ -152,12 +157,15 @@ def correlation_prune(
     _check_corr_threshold(threshold)
     kept: list[int] = []
     dropped: list[dict[str, Any]] = []
+    # a column is flat when all its values are equal, whatever its rounded mean
+    flat = (ctx.values == ctx.values[:1]).all(axis=0).tolist()
     for j in range(ctx.n_attributes):
         partner = None
         with np.errstate(over="ignore", invalid="ignore"):  # _pairwise_abs_r rejects overflow
             for i in kept:
                 abs_r, both_flat = _pairwise_abs_r(ctx.values[:, i], ctx.values[:, j],
-                                                   (ctx.attributes[i], ctx.attributes[j]))
+                                                   (ctx.attributes[i], ctx.attributes[j]),
+                                                   (flat[i], flat[j]))
                 if abs_r > threshold:
                     partner = (i, abs_r, both_flat)
                     break
@@ -204,6 +212,14 @@ def _equal_width_bins(column: np.ndarray, bins: int) -> np.ndarray:
     # from halves, hi - lo cannot overflow; halving a normal float is exact,
     # so the indices are those of (column - lo) / ((hi - lo) / bins)
     width = (hi / 2 - lo / 2) / bins
+    if not width >= sys.float_info.min:
+        # the width underflows, and halving a subnormal is not exact: bin
+        # the column scaled by an exact power of two, at least 2**54, that
+        # puts the width at 2**-968 or more and the range below 2**58, so
+        # every nonzero value and difference of halves is normal and no
+        # value overflows
+        scale = math.frexp(float(bins))[1] - math.frexp(hi - lo)[1] - 966
+        return _equal_width_bins(np.ldexp(column, scale), bins)
     return np.minimum(np.floor((column / 2 - lo / 2) / width), float(bins - 1))
 
 

@@ -6,6 +6,15 @@ uses (e.g. 10-20 labels like ``F4``).  Spindles arrive as annotations —
 ``(id, start_s, end_s, channel)`` — and are cut out of the raw signal by
 :func:`extract_segments`; detection itself is out of scope.
 
+A recording CSV is parsed in one checked pass, a block of lines at a
+time, after a cheap pre-pass over its bytes that counts the rows and
+reads the last one: with the first row, the sample rate and every
+annotated span are known before parsing starts.  Each block is copied
+into preallocated windows and dropped: :func:`read_recording_csv` keeps one window per
+channel (the whole recording, no time column), and
+:func:`read_recording_segments` keeps only the annotated spans, so its
+memory grows with the spindles, not with the recording.
+
 Each segment is then summarized into a feature row:
 
 * mean and maximum of the absolute amplitude (microvolts); the mean is of
@@ -41,7 +50,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, check_unique, input_file, lazy_import, read_json
@@ -138,40 +147,205 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
     non-finite cell raises :class:`InputError` naming the columns or the
     file line.  An explicit
     ``sample_rate`` is checked before the file is opened.
+
+    The file is read in one pass (see :func:`_read_recording`) into a
+    preallocated C-contiguous ``(channels, samples)`` array; no time
+    column and no parsed block outlives the pass.
+    """
+    def whole_channels(channels, n_rows, rate):
+        data = np.empty((len(channels), n_rows))
+        return [(0, n_rows, c, data[c]) for c in range(len(channels))], data
+
+    channels, rate, data = _read_recording(path, sample_rate, whole_channels)
+    return Recording(sample_rate=rate, channels=channels, data=data)
+
+
+def read_recording_segments(
+    path: str, annotations: Iterable[SpindleAnnotation], sample_rate: float | None = None
+) -> tuple[float, list[tuple[SpindleAnnotation, np.ndarray]]]:
+    """The sample rate and each annotated span of the recording CSV at
+    ``path``: what ``extract_segments(read_recording_csv(path,
+    sample_rate), annotations)`` gives, bit for bit, with the same errors.
+
+    The pass checks every row as :func:`read_recording_csv` does but
+    copies only the annotated rows, each span into its own array.  The
+    checks come in this order: ``sample_rate``, then every error of the
+    recording (opening and decoding it, its header, a bad or blank row,
+    no channel columns, no rows, the rate inference), then the first
+    annotation whose span :func:`extract_segments` rejects.  A rejected
+    span is never allocated: once one is found, the pass keeps nothing.
+    """
+    annotations = list(annotations)
+
+    def spans(channels, n_rows, rate):
+        try:
+            cuts = [_span(ann, channels, rate, n_rows) for ann in annotations]
+        except InputError as exc:
+            return [], exc  # raised once the whole file has passed its checks
+        segments = [(ann, np.empty(i1 - i0)) for ann, (_, i0, i1) in zip(annotations, cuts)]
+        return [(i0, i1, c, out) for (c, i0, i1), (_, out) in zip(cuts, segments)], segments
+
+    _, rate, segments = _read_recording(path, sample_rate, spans)
+    if isinstance(segments, InputError):
+        raise segments
+    return rate, segments
+
+
+def _read_recording(path: str, sample_rate: float | None, plan):
+    """``(channels, sample_rate, kept)`` of the recording CSV at ``path``,
+    read in one checked pass.
+
+    A pre-pass over the bytes counts the rows and reads the last one; the
+    header and the first row come from the text pass itself.  With those,
+    ``plan(channels, n_rows, rate)`` is called before the first block is
+    parsed and returns ``(windows, kept)``: each window
+    ``(first_row, stop_row, channel, out)`` receives that channel's
+    samples of rows ``[first_row, stop_row)`` in ``out``, and ``kept`` is
+    returned as it is.  ``plan`` is not called, and nothing is kept, when
+    the rate is neither given nor inferable from the first and last rows,
+    or when the file's size cannot hold its rows as numbers (a valid row
+    takes at least two bytes per column): such a file fails a check.
+
+    The rows are checked as the docstring of :func:`read_recording_csv`
+    says; uniform time steps are checked from their running minimum and
+    maximum, the step across each block border included.  A pass that
+    reads other rows than the pre-pass counted, or infers another rate,
+    raises :class:`InputError`: the file changed while it was read.
     """
     if sample_rate is not None:
-        check_sample_rate(sample_rate)
+        sample_rate = check_sample_rate(sample_rate)
     with input_file(path, "recording") as fh:
         header = [h.strip() for h in next(csv.reader([fh.readline()]), [])]
         check_unique(f"{path}: header name", header, "in columns", 1)
         has_time = bool(header) and header[0].lower() == "time"
         channel_names = tuple(header[1:] if has_time else header)
-        blocks, row = [], 2  # row: the file line of the block's first line
-        while block := list(islice(fh, _BLOCK)):
+        first = fh.readline()
+        n_lines, size, last = _scan_lines(path, fh.encoding)
+        n_rows = max(n_lines - 1, 0)
+        rate = sample_rate
+        if rate is None and has_time and n_rows >= 2:
+            rate = _pre_pass_rate(len(header), n_rows, first, last)
+        windows, kept = [], None
+        if rate is not None and 2 * len(header) * n_rows <= size:
+            windows, kept = plan(channel_names, n_rows, rate)
+            windows.sort(key=lambda window: window[0])
+        pending, active = iter(windows), []
+        upcoming = next(pending, None)
+        infer = sample_rate is None and has_time
+        t_first, t_tail = None, np.empty(0)  # the time of the first and of the last row read
+        step_min, step_max = math.inf, -math.inf
+        lines = chain([first] if first else [], fh)
+        index, row = 0, 2  # rows read so far; the file line of the block's first line
+        while block := list(islice(lines, _BLOCK)):
             if not channel_names:
                 raise InputError(f"{path}: no channel columns")
             matrix = None if "\n" in block else _parse_rows(block, len(header))
             if matrix is None:
                 raise _bad_row_error(path, header, block, row)
-            blocks.append(matrix)
-            row += len(block)
-    if not blocks:
+            stop = index + len(block)
+            if stop > n_rows:
+                raise _changed(path)
+            if infer:
+                steps = np.diff(np.concatenate((t_tail, matrix[:, 0])))
+                if steps.size:
+                    step_min, step_max = min(step_min, steps.min()), max(step_max, steps.max())
+                t_first = t_first if index else matrix[0, 0]
+                t_tail = matrix[-1:, 0]
+            while upcoming is not None and upcoming[0] < stop:
+                active.append(upcoming)
+                upcoming = next(pending, None)
+            for first_row, stop_row, channel, out in active:
+                lo, hi = max(first_row, index), min(stop_row, stop)
+                out[lo - first_row:hi - first_row] = matrix[lo - index:hi - index,
+                                                            channel + has_time]
+            active = [window for window in active if window[1] > stop]
+            index, row = stop, row + len(block)
+    if not index:
         raise InputError(f"{path}: recording needs a header and at least one sample row")
-    matrix = np.concatenate(blocks)
-
-    if sample_rate is None:
-        if not has_time:
-            raise InputError(f"{path}: no time column; a sample rate must be supplied")
-        t = matrix[:, 0]
-        if len(t) < 2:
+    if index != n_rows:
+        raise _changed(path)
+    if infer:
+        if index < 2:
             raise InputError(f"{path}: cannot infer sample rate from a single sample")
-        steps = np.diff(t)
-        if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-6 * steps.max():
+        if step_min <= 0 or (step_max - step_min) > 1e-6 * step_max:
             raise InputError(f"{path}: time column is not uniformly increasing")
-        sample_rate = (len(t) - 1) / (t[-1] - t[0])
+        sample_rate = check_sample_rate(_rate(index, t_first, t_tail[0]))
+    elif sample_rate is None:
+        raise InputError(f"{path}: no time column; a sample rate must be supplied")
+    if kept is None or rate != sample_rate:
+        raise _changed(path)
+    return channel_names, sample_rate, kept
 
-    data = matrix[:, 1:].T if has_time else matrix.T
-    return Recording(sample_rate=float(sample_rate), channels=channel_names, data=data)
+
+def _rate(n_rows: int, t_first: float, t_last: float) -> float:
+    """The sample rate of ``n_rows`` rows from time ``t_first`` to ``t_last``."""
+    return (n_rows - 1) / (float(t_last) - float(t_first))
+
+
+def _pre_pass_rate(width: int, n_rows: int, first: str, last: str | None) -> float | None:
+    """The rate :func:`_rate` infers from the ``first`` and ``last`` rows
+    (as the text pass yields them) of ``width`` cells, or None where it is
+    not a valid rate: a row that is blank, undecodable or that
+    :func:`_parse_rows` rejects, or times that do not increase."""
+    times = []
+    for line in (first, last):
+        matrix = None if line in ("", "\n", None) else _parse_rows([line], width)
+        if matrix is None:
+            return None
+        times.append(matrix[0, 0])
+    if not times[0] < times[1]:
+        return None
+    rate = _rate(n_rows, *times)
+    return rate if 0.0 < rate <= sys.float_info.max else None
+
+
+def _changed(path: str) -> InputError:
+    return InputError(f"{path}: the recording changed while it was read")
+
+
+#: Bytes read at a time by the line count of :func:`_scan_lines`.
+_CHUNK = 1 << 17
+
+#: Bytes first read from the end of the file for its last line.
+_TAIL = 1 << 12
+
+
+def _scan_lines(path: str, encoding: str) -> tuple[int, int, str | None]:
+    """The number of lines of the file at ``path``, its size in bytes and
+    its last line (None where it does not decode as ``encoding``).
+
+    Lines end where text mode ends them, at ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``; the last line is returned without its line end.
+    """
+    lines = size = 0
+    end = b""
+    with input_file(path, "recording", mode="rb") as fh:
+        while chunk := fh.read(_CHUNK):
+            # numpy counts one byte value several times faster than bytes.count
+            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if end == b"\r" and chunk[:1] == b"\n":
+                lines -= 1  # a \r\n split between two chunks
+            end = chunk[-1:]
+            size += len(chunk)
+        if end not in (b"", b"\n", b"\r"):
+            lines += 1  # the last line has no line end
+        window = _TAIL
+        while True:
+            start = max(size - window, 0)
+            fh.seek(start)
+            tail = fh.read(size - start)
+            ending = 2 if tail.endswith(b"\r\n") else int(tail.endswith((b"\n", b"\r")))
+            body = tail[:len(tail) - ending]
+            cut = max(body.rfind(b"\n"), body.rfind(b"\r"))
+            if cut >= 0 or not start:
+                break
+            window *= 16
+    try:
+        return lines, size, body[cut + 1:].decode(encoding)
+    except UnicodeDecodeError:
+        return lines, size, None
 
 
 #: ``np.loadtxt`` arguments for the sample rows: comma-separated cells,
@@ -294,23 +468,33 @@ def extract_segments(
     """
     out = []
     for ann in annotations:
-        if ann.channel not in rec.channels:
-            raise InputError(f"annotation {ann.id!r}: unknown channel {ann.channel!r}")
-        if not (0.0 <= ann.start_s < ann.end_s):
-            raise InputError(
-                f"annotation {ann.id!r}: invalid span [{ann.start_s}, {ann.end_s}]"
-            )
-        i0 = math.floor(ann.start_s * rec.sample_rate)
-        i1 = math.floor(ann.end_s * rec.sample_rate)
-        if i1 > rec.n_samples:
-            raise InputError(
-                f"annotation {ann.id!r}: end {ann.end_s} s beyond recording "
-                f"duration {rec.duration_s} s"
-            )
-        if i1 <= i0:
-            raise InputError(f"annotation {ann.id!r}: span holds no complete sample")
-        out.append((ann, rec.channel(ann.channel)[i0:i1].copy()))
+        channel, i0, i1 = _span(ann, rec.channels, rec.sample_rate, rec.n_samples)
+        out.append((ann, rec.data[channel, i0:i1].copy()))
     return out
+
+
+def _span(ann: SpindleAnnotation, channels: Sequence[str], sample_rate: float,
+          n_samples: int) -> tuple[int, int, int]:
+    """``(channel index, i0, i1)`` of the samples ``ann`` spans in a
+    recording of ``n_samples`` samples per channel: the rule and the
+    errors of :func:`extract_segments`."""
+    if ann.channel not in channels:
+        raise InputError(f"annotation {ann.id!r}: unknown channel {ann.channel!r}")
+    if not (0.0 <= ann.start_s < ann.end_s):
+        raise InputError(
+            f"annotation {ann.id!r}: invalid span [{ann.start_s}, {ann.end_s}]"
+        )
+    end = ann.end_s * sample_rate
+    # floor(end) > n_samples, tested before an infinite end reaches floor()
+    if end >= n_samples + 1:
+        raise InputError(
+            f"annotation {ann.id!r}: end {ann.end_s} s beyond recording "
+            f"duration {n_samples / sample_rate} s"
+        )
+    i0, i1 = math.floor(ann.start_s * sample_rate), math.floor(end)
+    if i1 <= i0:
+        raise InputError(f"annotation {ann.id!r}: span holds no complete sample")
+    return channels.index(ann.channel), i0, i1
 
 
 def write_segments_json(

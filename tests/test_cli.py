@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ import spindlemine
 from spindlemine import pipeline
 from spindlemine.cli import main
 from spindlemine.errors import InputError
+from spindlemine.signals import ZeroPowerWarning
 from spindlemine.intervals import (
     IntervalDescription,
     IntervalPatternStructure,
@@ -341,6 +343,24 @@ def test_extract_empty_annotation_list_exits_2(two_cluster_files, tmp_path, caps
     assert not (out / "segments.json").exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "pipeline"])
+@pytest.mark.parametrize("annotations, message", [
+    ("[]", "no segments: the annotation list is empty"),
+    (json.dumps([{"id": "x", "start_s": "soon", "end_s": 2.0, "channel": "C3"}]),
+     "annotation 0 key 'start_s'"),
+], ids=["empty", "bad-start"])
+def test_annotations_are_checked_before_the_recording_is_read(tmp_path, capsys, command,
+                                                              annotations, message):
+    anns = tmp_path / "anns.json"
+    anns.write_text(annotations)
+    mining = ["--min-support", 0.5, "--min-lstab", 1] if command == "pipeline" else []
+    code = run([command, "--recording", tmp_path / "missing.csv", "--annotations", anns,
+                *mining, "--output", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "missing.csv" not in err
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--ig-top-k", 0], "ig_top_k must be >= 1, got 0"),
     (["--ig-top-k", 3], "ig_top_k requires labels"),
@@ -457,7 +477,8 @@ def test_context_ranks_a_column_whose_range_overflows(tmp_path):
     assert entry == {"attribute": "a", "gain": pytest.approx(0.9183, abs=1e-4)}
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e-90], ids=["overflow", "underflow"])
+@pytest.mark.parametrize("scale", [1e100, 1e-90, 1e-170],
+                         ids=["overflow", "underflow", "sum-of-squares-underflows"])
 def test_context_and_pipeline_reject_a_correlation_beyond_the_float_range(
         stage_inputs, tmp_path, capsys, scale):
     features = tmp_path / "features.csv"
@@ -483,7 +504,10 @@ def test_context_and_pipeline_reject_a_correlation_beyond_the_float_range(
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**json.loads(stage_inputs["config"].read_text()),
                                   "recording": str(recording)}))
-    assert run(["pipeline", "--config", config, "--output", tmp_path / "pipeline"]) == 2
+    with warnings.catch_warnings():
+        # at 1e-170 the power of every segment underflows to 0
+        warnings.simplefilter("ignore", ZeroPowerWarning)
+        assert run(["pipeline", "--config", config, "--output", tmp_path / "pipeline"]) == 2
     assert capsys.readouterr().err.startswith("error: stage 'selection': attributes ")
     assert not (tmp_path / "pipeline").exists()
 

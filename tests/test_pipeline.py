@@ -104,8 +104,12 @@ def test_two_cluster_run(two_cluster_files, tmp_path):
 def test_stages_count_the_input_annotations(two_cluster_files, tmp_path, monkeypatch):
     # an extractor that cuts fewer segments than there are annotations
     # shows that the two counts are read from different lists
-    cut = pipeline.extract_segments
-    monkeypatch.setattr(pipeline, "extract_segments", lambda rec, anns: cut(rec, anns)[:-1])
+    def fewer(*args):
+        sample_rate, segments = cut(*args)
+        return sample_rate, segments[:-1]
+
+    cut = pipeline.read_recording_segments
+    monkeypatch.setattr(pipeline, "read_recording_segments", fewer)
     report = run_pipeline(fixture_config(two_cluster_files, tmp_path / "out"))
     assert (report.stages["annotations"], report.stages["segments"]) == (12, 11)
     assert report.stages["context_objects"] == 11

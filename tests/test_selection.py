@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,16 +152,24 @@ def test_prune_is_idempotent():
     assert again["dropped"] == []
 
 
-def test_prune_zero_variance_pair_warns_and_drops():
+@pytest.mark.parametrize("flat1, flat2", [(3.0, 7.0), (0.1, 0.1)])  # 0.1: the mean rounds
+def test_prune_zero_variance_pair_warns_and_drops(flat1, flat2):
     ctx = ctx_from_columns({
-        "flat1": [3.0, 3.0, 3.0],
-        "flat2": [7.0, 7.0, 7.0],
+        "flat1": [flat1] * 3,
+        "flat2": [flat2] * 3,
         "vary": [1.0, 2.0, 3.0],
     })
     with pytest.warns(UserWarning, match="zero variance"):
         pruned, report = correlation_prune(ctx)
     assert pruned.attributes == ("flat1", "vary")
     assert report["dropped"][0] == {"attribute": "flat2", "partner": "flat1", "abs_r": 1.0}
+
+
+def test_prune_rejects_varying_columns_whose_sum_of_squares_underflows():
+    # each squared deviation underflows to 0, yet neither column is flat
+    ctx = ctx_from_columns({"a": [0.0, 1e-170, 2e-170], "b": [0.0, 3e-170, 1e-170]})
+    with pytest.raises(InputError, match=r"^attributes 'a' and 'b': "):
+        correlation_prune(ctx)
 
 
 def test_prune_zero_variance_against_varying_is_kept():
@@ -278,9 +287,29 @@ def test_ig_bins_match_the_int64_formula_on_normal_floats(values, bins):
     ([0.0, 0.5, 1.0], 2 ** 63, [0.0, 2.0 ** 62, 2.0 ** 63]),
     ([0.0, 0.5, 1.0], 10 ** 20, [0.0, 5e19, 1e20]),
     ([-1e308, 1e308, 0.0], 5, [0.0, 4.0, 2.0]),  # hi - lo overflows
-], ids=["2**63-bins", "10**20-bins", "range-overflows"])
+    ([0.0, 5e-324, 1e-323], 5, [0.0, 2.0, 4.0]),  # the width underflows
+    ([0.0, 1e-300], 10 ** 300, [0.0, float(10 ** 300 - 1)]),
+], ids=["2**63-bins", "10**20-bins", "range-overflows", "subnormal-width", "tiny-width"])
 def test_ig_bins_stay_apart_beyond_int64_and_the_float_range(column, bins, want):
-    assert _equal_width_bins(np.array(column), bins).tolist() == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _equal_width_bins(np.array(column), bins).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=2, max_size=12),
+       labels=st.data(), bins=st.integers(2, 49))
+def test_ig_gains_of_a_subnormal_column_equal_its_scaled_copy(steps, labels, bins):
+    # multiples of the smallest subnormal, and the same column scaled by
+    # 2**1000 into the normal range, where the width no longer underflows
+    column = np.array(steps) * 5e-324
+    names = labels.draw(st.lists(st.sampled_from("xyz"), min_size=len(steps),
+                                 max_size=len(steps)))
+    tiny = ctx_from_columns({"a": column}, labels=names)
+    normal = ctx_from_columns({"a": column * 2.0 ** 1000}, labels=names)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert information_gain_rank(tiny, bins) == information_gain_rank(normal, bins)
 
 
 # ---------------------------------------------------------------------------

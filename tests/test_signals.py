@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -21,6 +22,7 @@ from spindlemine.signals import (
     extract_segments,
     read_annotations_json,
     read_recording_csv,
+    read_recording_segments,
     read_segments_json,
     write_segments_json,
 )
@@ -76,10 +78,13 @@ def test_extract_errors_carry_the_annotation_id():
     rec = make_recording(fs=10.0, n=100)
     cases = [
         SpindleAnnotation(id="beyond", start_s=9.0, end_s=11.0, channel="C3"),
+        SpindleAnnotation(id="one-beyond", start_s=9.0, end_s=10.1, channel="C3"),  # 101 samples
         SpindleAnnotation(id="badspan", start_s=2.0, end_s=2.0, channel="C3"),
         SpindleAnnotation(id="negative", start_s=-1.0, end_s=1.0, channel="C3"),
         SpindleAnnotation(id="nochan", start_s=0.0, end_s=1.0, channel="Oz"),
         SpindleAnnotation(id="tiny", start_s=0.01, end_s=0.02, channel="C3"),
+        # end * fs overflows to inf, which has no floor
+        SpindleAnnotation(id="endless", start_s=0.0, end_s=1e308, channel="C3"),
     ]
     for ann in cases:
         with pytest.raises(InputError, match=ann.id):
@@ -300,15 +305,163 @@ def test_block_size_does_not_change_the_bad_row(n_rows, data, bad, block, newlin
     assert got == want
 
 
-@pytest.mark.parametrize("extra", [0, 1])
-def test_read_recording_of_one_block_and_one_more_row(tmp_path, extra):
+@pytest.mark.parametrize("extra", [-1, 0, 1, signals._BLOCK + 3])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("last_newline", [True, False])
+def test_read_recording_around_block_borders(tmp_path, extra, newline, last_newline):
     n = signals._BLOCK + extra
     path = tmp_path / "rec.csv"
-    path.write_text("time,C3\n" + "".join(f"{i / 4},{i * 0.1!r}\n" for i in range(n)))
+    text = newline.join(["time,C3,C4"] + [f"{i / 4},{i * 0.1!r},{-i}" for i in range(n)])
+    with open(path, "w", newline="") as fh:
+        fh.write(text + newline * last_newline)
     rec = read_recording_csv(str(path))
     _, matrix = oracle_recording_matrix(path)
-    assert rec.data.shape == (1, n) and rec.sample_rate == 4.0
+    assert rec.data.shape == (2, n) and rec.sample_rate == 4.0
     assert np.array_equal(rec.data, matrix[:, 1:].T)
+    assert rec.data.flags.c_contiguous
+
+
+def outcome(read):
+    """``read()``'s result, or the message of the InputError it raises."""
+    try:
+        return read()
+    except InputError as exc:
+        return str(exc)
+
+
+def segments_outcome(read):
+    got = outcome(read)
+    if isinstance(got, str):
+        return got
+    sample_rate, segments = got
+    return sample_rate, [(ann, samples.tobytes(), samples.flags.c_contiguous)
+                         for ann, samples in segments]
+
+
+def reference_segments(path, annotations, sample_rate):
+    rec = read_recording_csv(path, sample_rate=sample_rate)
+    return rec.sample_rate, extract_segments(rec, annotations)
+
+
+@settings(deadline=None, max_examples=200)
+@given(recording_texts(), st.integers(1, 5), st.data())
+def test_read_recording_segments_equals_reading_then_cutting(drawn, block, data):
+    # spans that cross block borders, overlap, touch the first or the last
+    # row, or fail one of extract_segments' checks
+    text, has_time = drawn
+    rate = None if has_time else 256.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rec.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        rec = read_recording_csv(path, sample_rate=rate)
+        n, fs = rec.n_samples, rec.sample_rate
+        rows = st.integers(0, n)
+        annotations = [
+            SpindleAnnotation(id=f"s{k}", start_s=i0 / fs + shift, end_s=i1 / fs + shift,
+                              channel=data.draw(st.sampled_from(rec.channels + ("Oz",))))
+            for k, (i0, i1, shift) in enumerate(data.draw(st.lists(
+                st.tuples(rows, rows, st.sampled_from([0.0, 0.0, 0.25 / fs, -1e-9])),
+                min_size=1, max_size=5)))]
+        with mock.patch.object(signals, "_BLOCK", block):
+            got = segments_outcome(lambda: read_recording_segments(path, annotations, rate))
+        want = segments_outcome(lambda: reference_segments(path, annotations, rate))
+    assert got == want
+
+
+_ROWS = ["time,C3,C4"] + [f"{i / 4},{i}.5,-{i}" for i in range(10)]  # 2.5 s at 4 Hz
+# in blocks of 3 rows, only the step across the second border is not 0.25 s
+_SHIFTED = _ROWS[:7] + [f"{i / 4 + 0.1},{i}.5,-{i}" for i in range(6, 10)]
+
+
+@pytest.mark.parametrize("lines, annotations", [
+    (_ROWS[:-1] + ["2.25,high,-9"], [("s", 0.0, 1.0, "C3")]),  # bad last line
+    (_ROWS[:-1] + ["2.25,1.0"], [("s", 0.0, 1.0, "C3")]),
+    (_ROWS[:-1] + [""], [("s", 0.0, 1.0, "C3")]),
+    (_SHIFTED, [("s", 0.0, 1.0, "C3")]),
+    (_ROWS[:1] + _ROWS[:0:-1], [("s", 0.0, 1.0, "C3")]),  # decreasing
+    (_ROWS[:2], [("s", 0.0, 1.0, "C3")]),  # a single row
+    (_ROWS[:1], [("s", 0.0, 1.0, "C3")]),  # no rows
+    (["C3,C4"] + ["1,2"] * 3, [("s", 0.0, 1.0, "C3")]),  # no time column, no rate
+    (["time"] + ["0", "0.25"], [("s", 0.0, 1.0, "C3")]),  # no channel columns
+    (_ROWS, [("ok", 0.0, 1.0, "C3"), ("beyond", 2.0, 2.75, "C4"), ("nochan", 0.0, 1.0, "Oz")]),
+    (_ROWS, [("nochan", 0.0, 1.0, "Oz"), ("beyond", 2.0, 2.75, "C4")]),
+    (_ROWS, [("one-beyond", 2.0, 2.75, "C4")]),  # ends at sample 11 of 10
+    (_ROWS, [("empty", 1.0, 1.0, "C3")]),
+    (_ROWS, [("negative", -0.5, 1.0, "C3")]),
+    (_ROWS, [("tiny", 0.01, 0.02, "C3")]),
+    (_ROWS, [("endless", 0.0, 1e308, "C4")]),
+    # a recording error comes before a span error
+    (_ROWS[:-1] + ["2.25,high,-9"], [("beyond", 2.0, 2.75, "C4")]),
+    (_SHIFTED, [("nochan", 0.0, 1.0, "Oz")]),
+], ids=["bad-last-line", "short-last-line", "blank-last-line", "non-uniform", "decreasing",
+        "single-row", "no-rows", "no-rate", "no-channels", "beyond", "unknown-channel",
+        "one-beyond",
+        "empty-span", "negative-start", "no-complete-sample", "end-overflows",
+        "bad-row-before-span", "non-uniform-before-span"])
+def test_read_recording_segments_raises_what_reading_then_cutting_raises(
+        tmp_path, lines, annotations):
+    path = tmp_path / "rec.csv"
+    path.write_text("\n".join(lines) + "\n")
+    annotations = [SpindleAnnotation(*fields) for fields in annotations]
+    with mock.patch.object(signals, "_BLOCK", 3):
+        got = outcome(lambda: read_recording_segments(str(path), annotations))
+    want = outcome(lambda: reference_segments(str(path), annotations, None))
+    assert isinstance(got, str) and got == want
+
+
+@pytest.mark.parametrize("miscount", [-1, 1])
+def test_rows_other_than_the_counted_ones_raise(tmp_path, monkeypatch, miscount):
+    # as when the file changes between the row count and the parse
+    path = tmp_path / "rec.csv"
+    path.write_text("\n".join(_ROWS) + "\n")
+    scan = signals._scan_lines
+    monkeypatch.setattr(signals, "_scan_lines", lambda *args: (
+        lambda lines, size, last: (lines + miscount, size, last))(*scan(*args)))
+    for read in (lambda: read_recording_csv(str(path), sample_rate=4.0),
+                 lambda: read_recording_segments(
+                     str(path), [SpindleAnnotation("s", 0.0, 1.0, "C3")], 4.0)):
+        assert outcome(read) == f"{path}: the recording changed while it was read"
+
+
+@pytest.mark.parametrize("data, lines", [
+    (b"", 0), (b"a", 1), (b"a\n", 1), (b"a\nb", 2), (b"a\r\nb\r\n", 2), (b"a\rb\r", 2),
+    (b"a\r\r\nb", 3), (b"\n\n", 2), (b"\r", 1), (b"a\r\n\r\n", 2),
+])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 18])
+def test_line_count_and_last_line_match_text_mode(tmp_path, monkeypatch, data, lines, chunk):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with open(path) as fh:
+        text_lines = fh.readlines()
+    monkeypatch.setattr(signals, "_CHUNK", chunk)
+    monkeypatch.setattr(signals, "_TAIL", 1)
+    count, size, last = signals._scan_lines(str(path), "utf-8")
+    assert count == len(text_lines) == lines and size == len(data)
+    assert last == (text_lines[-1].removesuffix("\n") if text_lines else "")
+
+
+def _extract_peak(tmp_path, n_rows):
+    """tracemalloc peak of one ``extract`` of the same three spans out of
+    an ``n_rows``-row recording."""
+    rec, anns = tmp_path / f"rec{n_rows}.csv", tmp_path / "anns.json"
+    rec.write_text("time,C3,C4\n" + "".join(f"{i / 256!r},{i % 7}.25,{i % 5}.5\n"
+                                              for i in range(n_rows)))
+    anns.write_text(json.dumps([{"id": f"s{k}", "channel": "C4", "start_s": k + 0.5,
+                                 "end_s": k + 1.5} for k in range(3)]))
+    tracemalloc.start()
+    try:
+        assert main(["extract", "--recording", str(rec), "--annotations", str(anns),
+                     "--output", str(tmp_path / f"out{n_rows}")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extract_memory_does_not_grow_with_the_recording(tmp_path):
+    # a reader that keeps every row holds 24 bytes of each: 4.3 MB more here
+    small, large = _extract_peak(tmp_path, 20_000), _extract_peak(tmp_path, 200_000)
+    assert large - small < 0.5e6
 
 
 def test_read_recording_rejects_rows_wider_than_the_header(tmp_path):
