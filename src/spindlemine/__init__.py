@@ -2,10 +2,10 @@
 
 The package turns annotated sleep-spindle segments of an EEG recording
 into spectral/amplitude feature rows, builds an interval pattern lattice
-over them, scores every pattern concept with (exact or bounded)
-stability, and filters by support and LStab thresholds.  The formal
-machinery — binary concept lattices, interval pattern structures,
-stability — is usable on its own.
+over them, scores the pattern concepts of at least a minimum support with
+(exact or bounded) stability, and keeps those of at least a minimum
+LStab.  The formal machinery — binary concept lattices, interval pattern
+structures, stability — is usable on its own.
 
 numpy is loaded on first use by the signal and selection stages, so the
 package, the ``mine`` command, ``--help`` and the formal-concept-analysis

@@ -41,10 +41,12 @@ enumeration keeps each extent's hull and closes the extension by ``g``
 from the hull OR ``g``'s word: one OR and the folds.
 
 Enumeration is Fast Close-by-One (:func:`enumerate_closed_extents`).  A
-lattice is built on demand from its structure, whose ``concept`` and
-``chains`` give each payload and gaps: the closed extents are sorted once,
-a payload is made on its first read, so a run that keeps only the frequent
-concepts makes no others, and all lower covers are built on their first read.
+lattice holds its structure and the closed extents, sorted largest first,
+so the concepts of at least a given support are a prefix of it (the
+iceberg of Stumme et al., DKE 2002).  The structure's ``concept`` and
+``chains`` give any extent's payload and gaps, so a run that reports only
+a few concepts builds only their payloads; the list of every payload and
+the lower covers are each built in one pass on their first read.
 """
 
 from __future__ import annotations
@@ -177,57 +179,39 @@ class Concept:
     intent: frozenset[int]
 
 
-_UNSET: Any = object()
-
-
-class OnDemand(Sequence[T]):
-    """A read-only sequence whose item ``i`` is ``build(i)``, computed on
-    first access and kept."""
-
-    def __init__(self, length: int, build: Callable[[int], T]):
-        self._values: list[Any] = [_UNSET] * length
-        self._build = build
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, index: int | slice) -> Any:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self._values)))]
-        value = self._values[index]
-        if value is _UNSET:
-            value = self._values[index] = self._build(index % len(self._values))
-        return value
-
-
 class ConceptLattice:
     """All concepts of a structure (a :class:`FormalContext` or an
     :class:`spindlemine.intervals.IntervalPatternStructure`), ordered by
-    extent inclusion, built on demand.
+    extent inclusion.
 
     ``extent_masks`` is sorted by (extent size descending, extent indices
-    lexicographically ascending), so index 0 is the top; it is the only
-    part computed up front.  ``concepts[i]`` (the payload
+    lexicographically ascending), so index 0 is the top and the concepts
+    of at least a given support are a prefix; it is the only part computed
+    up front.  ``gaps(i)`` (the structure's :meth:`NestedChains.gaps`) is
+    computed on every call.  ``concepts[i]`` (the payload
     ``structure.concept(extent_masks[i])``: a :class:`Concept` or a
-    :class:`spindlemine.intervals.PatternConcept`) is computed on its first
-    read, ``gaps(i)`` (the structure's :meth:`NestedChains.gaps`) on every
-    call, and ``children[i]`` (the lower covers, ascending) for every
-    concept in one pass on the first read of ``children``.  ``covers``
-    holds every ``(parent_index, child_index)`` pair, sorted ascending,
-    i.e. the transitive reduction of the extent-inclusion order.
+    :class:`spindlemine.intervals.PatternConcept`) and ``children[i]`` (the
+    lower covers, ascending) are each built for every concept in one pass
+    on the first read; a caller that needs a few payloads asks the
+    structure for them.  ``covers`` holds every ``(parent_index,
+    child_index)`` pair, sorted ascending, i.e. the transitive reduction
+    of the extent-inclusion order.
     """
 
     def __init__(self, structure: Any, extent_masks: Sequence[int]):
         self.structure = structure
         self.object_names = tuple(structure.objects)
-        self.extent_masks = masks = tuple(extent_masks)
-        self.concepts: Sequence[Any] = OnDemand(len(masks), lambda i: structure.concept(masks[i]))
+        self.extent_masks = tuple(extent_masks)
         self.top_index = 0
-        self.bottom_index = len(masks) - 1
+        self.bottom_index = len(self.extent_masks) - 1
 
     def gaps(self, index: int) -> list[int]:
         """The gaps of concept ``index`` to its lower covers."""
         return self.structure.chains.gaps(self.extent_masks[index])
+
+    @cached_property
+    def concepts(self) -> list[Any]:
+        return list(map(self.structure.concept, self.extent_masks))
 
     @cached_property
     def children(self) -> list[tuple[int, ...]]:
@@ -243,8 +227,8 @@ class ConceptLattice:
         """Same objects, extents, payloads and covers (reading them all)."""
         if not isinstance(other, ConceptLattice):
             return NotImplemented
-        return (self.object_names, self.extent_masks, tuple(self.concepts), self.covers) == (
-            other.object_names, other.extent_masks, tuple(other.concepts), other.covers)
+        return (self.object_names, self.extent_masks, self.concepts, self.covers) == (
+            other.object_names, other.extent_masks, other.concepts, other.covers)
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -27,9 +27,9 @@ once per structure (:attr:`IntervalPatternStructure.chains`): member
 distinct value, ranked from the outside inward.  The hull of ``A`` is
 fixed by each chain's tightest member holding ``A``, so the closure and
 the gaps to the lower covers (the objects that attain one end of the
-hull) are the chains' own.  A lattice built from the structure reads a
-concept's intent off the members at those tightest members
-(:meth:`IntervalPatternStructure.concept`) the first time it is asked for.
+hull) are the chains' own.  A concept's intent is read off the members
+at those tightest members (:meth:`IntervalPatternStructure.concept`)
+when its payload is built.
 
 The lattice always includes a distinguished bottom concept with empty
 extent whose intent is a formal "most specific" description (represented

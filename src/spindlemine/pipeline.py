@@ -7,8 +7,8 @@ Stages (each independently available through the CLI):
 2. assemble the numeric context and select attributes (correlation prune,
    optional information-gain top-k when labels exist);
 3. build the interval pattern lattice of the selected context;
-4. score concepts with the chosen stability method and filter by relative
-   support and minimum LStab.
+4. score the concepts of at least the minimum relative support with the
+   chosen stability method and keep those of at least the minimum LStab.
 
 A failure is re-raised as :class:`StageError` carrying the stage name and
 the offending record; no output files are written for a failed run.  The
@@ -266,20 +266,21 @@ def mine(
     timings: dict[str, float],
     settings: Any,
 ) -> tuple[ConceptLattice, tuple[dict[str, Any], ...]]:
-    """Run the ``lattice``, ``stability`` and ``filter`` stages on
-    ``structure``, each timed into ``timings``; return the lattice and the
-    kept pattern entries.  ``settings`` (a :class:`PipelineConfig` or parsed
-    ``mine`` flags) gives the :data:`MINING_KEYS` and ``dot``; with ``dot``
-    set, the cover relation is written there, parent directories included,
-    once every stage has succeeded.  Callers check ``settings`` first."""
+    """Run the ``lattice``, ``stability`` (which scores the concepts of at
+    least ``min_support``) and ``filter`` stages on ``structure``, each
+    timed into ``timings``; return the lattice and the kept pattern
+    entries.  ``settings`` (a :class:`PipelineConfig` or parsed ``mine``
+    flags) gives the :data:`MINING_KEYS` and ``dot``; with ``dot`` set, the
+    cover relation is written there, parent directories included, once
+    every stage has succeeded.  Callers check ``settings`` first."""
     lattice = _run_stage("lattice", timings, lambda: build_pattern_lattice(
         structure, concept_cap=settings.concept_cap))
     scores = _run_stage("stability", timings, lambda: score_lattice(
-        lattice, settings.stability_method))
+        lattice, settings.stability_method, settings.min_support))
     kept = _run_stage("filter", timings, lambda: filter_concepts(
         lattice, scores, min_support=settings.min_support, min_lstab=settings.min_lstab,
         bound_policy=settings.bound_policy))
-    patterns = tuple(pattern_entry(lattice, scores, structure.attributes, i) for i in kept)
+    patterns = tuple(pattern_entry(lattice, scores, i) for i in kept)
     if settings.dot:
         os.makedirs(os.path.dirname(settings.dot) or ".", exist_ok=True)
         with open(settings.dot, "w") as fh:
@@ -348,19 +349,17 @@ def _echo_config(config: PipelineConfig) -> dict[str, Any]:
 
 
 def pattern_entry(
-    lattice: ConceptLattice,
-    scores: Mapping[int, StabilityScore],
-    attributes: Sequence[str],
-    index: int,
+    lattice: ConceptLattice, scores: Mapping[int, StabilityScore], index: int
 ) -> dict[str, Any]:
-    """One report entry for concept ``index``; ``attributes`` names the
-    intervals of its intent."""
-    concept = lattice.concepts[index]
+    """One report entry for concept ``index``, with the intent its
+    structure gives the extent; ``lattice.concepts`` is not read, so only
+    the reported payloads are built."""
     mask = lattice.extent_masks[index]
+    concept = lattice.structure.concept(mask)
     size = mask.bit_count()
     intent = None
     if concept.intent is not None:
-        intent = dict(zip(attributes, map(list, concept.intent.intervals)))
+        intent = dict(zip(lattice.structure.attributes, map(list, concept.intent.intervals)))
     return {
         "extent": names_in(lattice.object_names, mask),
         "extent_size": size,

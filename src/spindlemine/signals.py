@@ -214,7 +214,8 @@ def _read_recording(path: str, sample_rate: float | None, plan):
     """
     if sample_rate is not None:
         sample_rate = check_sample_rate(sample_rate)
-    with input_file(path, "recording") as fh:
+    # a time step beyond the float range is inf: the rate check below names the file
+    with input_file(path, "recording") as fh, np.errstate(over="ignore"):
         header = [h.strip() for h in next(csv.reader([fh.readline()]), [])]
         check_unique(f"{path}: header name", header, "in columns", 1)
         has_time = bool(header) and header[0].lower() == "time"
@@ -267,9 +268,14 @@ def _read_recording(path: str, sample_rate: float | None, plan):
     if infer:
         if index < 2:
             raise InputError(f"{path}: cannot infer sample rate from a single sample")
-        if step_min <= 0 or (step_max - step_min) > 1e-6 * step_max:
+        # as Python floats, inf - inf is nan without a warning, and an inf
+        # step makes the span inf: the rate is then 0.0
+        if step_min <= 0 or float(step_max) - float(step_min) > 1e-6 * step_max:
             raise InputError(f"{path}: time column is not uniformly increasing")
-        sample_rate = check_sample_rate(_rate(index, t_first, t_tail[0]))
+        try:
+            sample_rate = check_sample_rate(_rate(index, t_first, t_tail[0]))
+        except InputError as exc:
+            raise InputError(f"{path}: inferred from the time column, {exc}") from exc
     elif sample_rate is None:
         raise InputError(f"{path}: no time column; a sample rate must be supplied")
     if kept is None or rate != sample_rate:

@@ -27,10 +27,12 @@ exact at any size.  :func:`stability_bruteforce` enumerates the subsets
 of one concept's extent (capped, since there are ``2^|A|``); it is the
 reference the exact counts are checked against, not a mining method.
 
-:func:`score_lattice` returns a read-only mapping from concept index to
-score that scores a concept the first time it is read, so a caller that
-tests support first (:func:`filter_concepts`) scores only the frequent
-concepts.
+:func:`score_lattice` scores the frequent concepts, those whose support
+is at least ``min_support``, and returns a dict from concept index to
+score.  Extents are sorted largest first, so these concepts are a prefix
+of the lattice, its iceberg (Stumme et al., DKE 2002), and
+:func:`frequent_count` gives its length; :func:`filter_concepts` reads
+the scores of the same prefix.
 
 When the lattice is too large for exact work, :func:`lstab_bounds`
 derives the chain
@@ -52,12 +54,12 @@ read from the chains of the structure the lattice was built from.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import filterfalse
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import CapacityError, InputError
-from .fca import Concept, ConceptLattice, FormalContext, OnDemand
+from .fca import Concept, ConceptLattice, FormalContext
 from .intervals import IntervalPatternStructure, PatternConcept, interval_meet
 
 METHOD_TAGS = ("brute-force", "lattice-dp", "bounds")
@@ -222,32 +224,12 @@ def stability_bruteforce(
     return StabilityScore.from_exact_count("brute-force", size, count)
 
 
-class _ScoreColumn(Mapping[int, StabilityScore]):
-    """Scores by concept index ``0..length-1``; ``score(i)`` runs on the
-    first read of ``i`` and its result is kept."""
-
-    def __init__(self, length: int, score: Callable[[int], StabilityScore]):
-        self._scores = OnDemand(length, score)
-        self._length = length
-
-    def __getitem__(self, index: int) -> StabilityScore:
-        if index not in self:
-            raise KeyError(index)
-        return self._scores[index]
-
-    def __contains__(self, index: object) -> bool:
-        return isinstance(index, int) and 0 <= index < self._length
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._length))
-
-    def __len__(self) -> int:
-        return self._length
-
-
-def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore]:
-    """Exact stability of each concept from its gaps to its lower covers,
-    computed when the concept's score is first read.
+def stability_lattice_dp(
+    lattice: ConceptLattice, min_support: float = 0.0
+) -> dict[int, StabilityScore]:
+    """Exact stability, by concept index, of each concept whose support is
+    at least ``min_support`` (every concept by default), from its gaps to
+    its lower covers.
 
     A subset ``C`` of an extent ``A`` closes to ``A`` exactly when it lies
     inside no lower cover, i.e. when it meets every gap ``A \\ child``
@@ -257,8 +239,8 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
     subset-partition identity ``q = 2^|A| - sum of q(d)`` over the
     concept's strict down-set, found by walking ``lattice.children``; the
     counts of the down-set are computed from the bottom up (children have
-    larger indices) and kept.  Counts are integers throughout, so results
-    are exact for any lattice size.
+    larger indices) and kept for the concepts scored later.  Counts are
+    integers throughout, so results are exact for any lattice size.
 
     The closed form costs a few mask operations per gap and builds no
     cover.  The first concept it does not settle builds the lattice's
@@ -300,8 +282,8 @@ def stability_lattice_dp(lattice: ConceptLattice) -> Mapping[int, StabilityScore
         counts[i] = q
         return q
 
-    return _ScoreColumn(len(masks), lambda i: StabilityScore.from_exact_count(
-        "lattice-dp", masks[i].bit_count(), count(i)))
+    return {i: StabilityScore.from_exact_count("lattice-dp", masks[i].bit_count(), count(i))
+            for i in range(frequent_count(lattice, min_support))}
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +329,12 @@ def lstab_bounds(
     )
 
 
-def score_lattice(lattice: ConceptLattice, method: str) -> Mapping[int, StabilityScore]:
-    """Scores of every concept with the chosen method, each computed when
-    it is first read.
+def score_lattice(
+    lattice: ConceptLattice, method: str, min_support: float = 0.0
+) -> dict[int, StabilityScore]:
+    """Scores, by concept index, of the concepts whose support is at least
+    ``min_support`` (the first :func:`frequent_count`; every concept by
+    default), with the chosen method.
 
     ``method`` is ``exact-dp`` (exact counts from each concept's gaps to
     its lower covers, see :func:`stability_lattice_dp`) or ``bounds`` (see
@@ -357,8 +342,8 @@ def score_lattice(lattice: ConceptLattice, method: str) -> Mapping[int, Stabilit
     """
     check_stability_method(method)
     if method == "exact-dp":
-        return stability_lattice_dp(lattice)
-    return _ScoreColumn(len(lattice), lambda i: lstab_bounds(lattice, i))
+        return stability_lattice_dp(lattice, min_support)
+    return {i: lstab_bounds(lattice, i) for i in range(frequent_count(lattice, min_support))}
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +353,7 @@ def score_lattice(lattice: ConceptLattice, method: str) -> Mapping[int, Stabilit
 
 def check_thresholds(min_support: float, min_lstab: float, bound_policy: str) -> None:
     """Raise :class:`InputError` for a :func:`filter_concepts` setting outside its domain."""
-    if not 0.0 <= min_support <= 1.0:
-        raise InputError(f"min_support {min_support} outside [0, 1]")
+    _check_min_support(min_support)
     if not 0.0 <= min_lstab:
         raise InputError(f"min_lstab {min_lstab} must be non-negative")
     _check_bound_policy(bound_policy)
@@ -379,6 +363,11 @@ def check_stability_method(method: str) -> None:
     """Raise :class:`InputError` unless ``method`` is one of :data:`STABILITY_METHODS`."""
     if method not in STABILITY_METHODS:
         raise InputError(f"stability_method must be one of {STABILITY_METHODS}, got {method!r}")
+
+
+def _check_min_support(min_support: float) -> None:
+    if not 0.0 <= min_support <= 1.0:
+        raise InputError(f"min_support {min_support} outside [0, 1]")
 
 
 def _check_bound_policy(bound_policy: str) -> None:
@@ -399,18 +388,13 @@ def filter_concepts(
     scores, ``bound_policy`` picks which bound is compared against
     ``min_lstab``; the default ``upper`` keeps any concept that could
     still meet the threshold.  Only the frequent concepts' scores are
-    read, but ``scores`` must hold every concept's index.
+    read (:func:`frequent_count`), and each of them must be in ``scores``.
     """
     check_thresholds(min_support, min_lstab, bound_policy)
-    missing = next(filterfalse(scores.__contains__, range(len(lattice))), None)
-    if missing is not None:
-        raise InputError(f"missing stability score for concept {missing}")
-    n = lattice.n_objects
     kept = []
-    # extents come largest first, so the first infrequent one ends the scan
-    for i, mask in enumerate(lattice.extent_masks):
-        if support(mask.bit_count(), n) < min_support:
-            break
+    for i in range(frequent_count(lattice, min_support)):
+        if i not in scores:
+            raise InputError(f"missing stability score for concept {i}")
         if scores[i].gate_value(bound_policy) < min_lstab:
             continue
         kept.append(i)
@@ -421,6 +405,16 @@ def support(size: int, n_objects: int) -> float:
     """The relative support ``size / n_objects`` of an extent of ``size``
     objects; 1.0 when there are no objects."""
     return 1.0 if n_objects == 0 else size / n_objects
+
+
+def frequent_count(lattice: ConceptLattice, min_support: float) -> int:
+    """The number of concepts whose support is at least ``min_support``.
+    Extents come largest first, so these are the concepts ``0`` to
+    ``frequent_count - 1``: the lattice's iceberg."""
+    _check_min_support(min_support)
+    n = lattice.n_objects
+    return bisect_left(lattice.extent_masks, True,
+                       key=lambda mask: support(mask.bit_count(), n) < min_support)
 
 
 def score_fields(score: StabilityScore) -> dict[str, Any]:

@@ -1,6 +1,7 @@
-"""On-demand lattices: payloads, lower covers and stability scores are
-computed when they are read, and equal the brute-force oracles whatever
-the order of reading."""
+"""What a lattice builds and what a run reads: payloads and lower covers
+equal the brute-force oracles whatever the order of reading, the scores
+cover exactly the frequent concepts, and ``mine`` builds payloads only for
+the kept concepts and scores only the frequent ones."""
 
 import random
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spindlemine import intervals
+from spindlemine import intervals, stability
 from spindlemine.fca import Concept, FormalContext, build_lattice
 from spindlemine.intervals import (
     IntervalDescription,
@@ -16,7 +17,14 @@ from spindlemine.intervals import (
     build_pattern_lattice,
 )
 from spindlemine.pipeline import mine
-from spindlemine.stability import lstab_bounds, score_lattice, stability_lattice_dp
+from spindlemine.stability import (
+    BOUND_POLICIES,
+    STABILITY_METHODS,
+    filter_concepts,
+    lstab_bounds,
+    score_lattice,
+    stability_lattice_dp,
+)
 
 from conftest import (
     oracle_binary_closed_extents,
@@ -151,7 +159,7 @@ def test_exact_dp_counts_read_in_any_order_match_the_oracle(order):
     assert closed_form > 0 and walked > 0
 
 
-def test_scores_are_a_read_only_column_over_concept_indices():
+def test_scores_are_a_dict_over_concept_indices():
     ctx = FormalContext.from_rows(["g1", "g2", "g3"], ["a", "b"], [[1, 0], [1, 1], [0, 1]])
     lat = build_lattice(ctx)
     for scores in (score_lattice(lat, "exact-dp"),
@@ -160,17 +168,64 @@ def test_scores_are_a_read_only_column_over_concept_indices():
         assert -1 not in scores and len(lat) not in scores and "0" not in scores
         with pytest.raises(KeyError):
             scores[len(lat)]
-        with pytest.raises(TypeError):
-            scores[0] = scores[1]  # type: ignore[index]
+
+
+#: A support threshold, often exactly the support of some extent.
+_min_supports = st.floats(0.0, 1.0) | st.integers(1, 7).flatmap(
+    lambda n: st.integers(0, n).map(lambda k: k / n))
+
+
+@settings(deadline=None, max_examples=150)
+@given(ps=tie_heavy_structures(), min_support=_min_supports, min_lstab=st.floats(0.0, 4.0))
+def test_scores_of_the_frequent_prefix_equal_the_full_run(ps, min_support, min_lstab):
+    lat = build_pattern_lattice(ps)
+    frequent = [i for i, mask in enumerate(lat.extent_masks)
+                if mask.bit_count() / ps.n_objects >= min_support]
+    assert frequent == list(range(len(frequent)))
+    for method in STABILITY_METHODS:
+        full = score_lattice(build_pattern_lattice(ps), method)
+        scores = score_lattice(lat, method, min_support)
+        assert list(scores) == frequent
+        assert all(scores[i] == full[i] for i in frequent)
+        for policy in BOUND_POLICIES:
+            assert (filter_concepts(lat, scores, min_support, min_lstab, policy)
+                    == filter_concepts(lat, full, min_support, min_lstab, policy))
+    assert list(stability_lattice_dp(lat, min_support)) == frequent
+
+
+def _random_points(n):
+    """``n`` random points in the unit square, seeded with ``n``."""
+    rng = random.Random(n)
+    return IntervalPatternStructure(
+        tuple(f"g{i}" for i in range(n)), ("a", "b"),
+        tuple(IntervalDescription.from_point((rng.random(), rng.random())) for _ in range(n)))
+
+
+@pytest.mark.parametrize("method", STABILITY_METHODS)
+def test_mine_scores_only_the_frequent_concepts(monkeypatch, method):
+    # 11 random points; support 0.75 leaves the concepts with at least 9 of
+    # the 11 objects, a small share of the lattice
+    made = []
+
+    class SpyScore(stability.StabilityScore):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self.extent_size)
+
+    monkeypatch.setattr(stability, "StabilityScore", SpyScore)
+    flags = SimpleNamespace(min_support=0.75, min_lstab=0.0, stability_method=method,
+                            bound_policy="upper", concept_cap=10**6, dot=None)
+    lattice, patterns = mine(_random_points(11), {}, flags)
+    frequent = sum(mask.bit_count() >= 9 for mask in lattice.extent_masks)
+    assert 0 < frequent < len(lattice) // 10
+    assert len(made) == frequent and min(made) >= 9
+    assert len(patterns) == frequent
 
 
 def test_mine_builds_payloads_only_for_the_kept_concepts(monkeypatch):
-    # 11 random points; support 0.75 keeps only the concepts with at least
-    # 9 of the 11 objects, a small share of the lattice
-    rng = random.Random(11)
-    ps = IntervalPatternStructure(
-        tuple(f"g{i}" for i in range(11)), ("a", "b"),
-        tuple(IntervalDescription.from_point((rng.random(), rng.random())) for _ in range(11)))
+    # support 0.75 keeps only the concepts with at least 9 of the 11
+    # objects, a small share of the lattice
+    ps = _random_points(11)
     made = []
 
     class SpyConcept(intervals.PatternConcept):
@@ -190,10 +245,7 @@ def test_mine_builds_payloads_only_for_the_kept_concepts(monkeypatch):
 def test_scores_on_a_tie_free_structure_build_no_cover_relation(tmp_path):
     # tie-free points: every gap is one object, so the closed form and the
     # bounds settle every concept from its gaps
-    rng = random.Random(9)
-    ps = IntervalPatternStructure(
-        tuple(f"g{i}" for i in range(9)), ("a", "b"),
-        tuple(IntervalDescription.from_point((rng.random(), rng.random())) for _ in range(9)))
+    ps = _random_points(9)
     lat = build_pattern_lattice(ps)
     want = oracle_subset_counts(lat)
     exact = stability_lattice_dp(lat)
@@ -215,12 +267,3 @@ def test_scores_on_a_tie_free_structure_build_no_cover_relation(tmp_path):
                                    for big, small in oracle_covers(set(extents))}
     assert dot.read_text() == reference_lattice_to_dot(lattice) + "\n"
 
-
-def test_a_slice_builds_its_items():
-    ctx = FormalContext.from_rows(["a", "b", "c"], ["m", "n"], [[1, 0], [0, 1], [1, 1]])
-    sliced, read = build_lattice(ctx), build_lattice(ctx)
-    n = len(read)
-    assert sliced.concepts[0:2] == [read.concepts[0], read.concepts[1]]
-    assert sliced.children[::-1] == [read.children[i] for i in reversed(range(n))]
-    assert sliced.concepts[-2:] == [read.concepts[n - 2], read.concepts[n - 1]]
-    assert sliced.concepts[n:] == []

@@ -366,8 +366,7 @@ def _report(structure, method, kept, extras=({}, {}, {}, {})) -> PatternReport:
     return PatternReport(
         config=config, stages=stages, selection=selection,
         attributes=structure.attributes,
-        patterns=tuple(pattern_entry(lattice, scores, structure.attributes, i % len(lattice))
-                       for i in kept),
+        patterns=tuple(pattern_entry(lattice, scores, i % len(lattice)) for i in kept),
         generated=generated,
     )
 

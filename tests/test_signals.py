@@ -138,6 +138,27 @@ def test_read_recording_rejects_garbage(tmp_path):
     text.write_text("time,C3\n0.0,high\n")
     with pytest.raises(InputError):
         read_recording_csv(str(text))
+
+
+@pytest.mark.parametrize("times, rate", [
+    (["0", "5e-324"], "inf"),  # 1 / 5e-324 overflows
+    (["-1e308", "1e308"], "0.0"),  # the step overflows, so the span does too
+    (["-1e308", "0", "1e308"], "0.0"),  # finite steps, an overflowing span
+], ids=["tiny-step", "huge-step", "huge-span"])
+def test_a_rate_beyond_the_float_range_exits_2_naming_the_file(tmp_path, capsys, times, rate):
+    rec, anns = tmp_path / "rec.csv", tmp_path / "anns.json"
+    rec.write_text("time,C3\n" + "".join(f"{t},{k}\n" for k, t in enumerate(times)))
+    anns.write_text(json.dumps([{"id": "s", "start_s": 0.0, "end_s": 1.0, "channel": "C3"}]))
+    want = (f"{rec}: inferred from the time column, "
+            f"sample_rate must be finite and positive, got {rate}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(lambda: read_recording_csv(str(rec))) == want
+        assert outcome(lambda: read_recording_segments(
+            str(rec), [SpindleAnnotation("s", 0.0, 1.0, "C3")])) == want
+        assert main(["extract", "--recording", str(rec), "--annotations", str(anns),
+                     "--output", str(tmp_path / "out")]) == 2
+    assert want in capsys.readouterr().err
     empty = tmp_path / "empty.csv"
     empty.write_text("time,C3\n")
     with pytest.raises(InputError):

@@ -344,6 +344,11 @@ def test_score_lattice_dispatch(tiny_context):
         score_lattice(lat, "brute-force")
     with pytest.raises(InputError):
         score_lattice(lat, "guesswork")
+    for bad in (-0.1, 1.5, float("nan")):
+        for score in (lambda: score_lattice(lat, "bounds", bad),
+                      lambda: stability_lattice_dp(lat, bad)):
+            with pytest.raises(InputError, match="min_support"):
+                score()
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +419,14 @@ def test_filter_validation(scored_lattice):
         filter_concepts(lat, {0: scores[0]}, min_support=0.0, min_lstab=0.0)
 
 
-def test_filter_rejects_a_missing_score_of_an_infrequent_concept(scored_lattice):
+def test_filter_rejects_a_missing_score_of_a_frequent_concept(scored_lattice):
     lat, scores = scored_lattice
-    # the scan stops at concept 1 ({g2}, support 0.5), but its score is still required
-    assert filter_concepts(lat, scores, min_support=1.0, min_lstab=0.0) == [0]
+    # concept 1 ({g2}) has support 0.5: at 0.5 its score is read, at 1.0 not
+    assert filter_concepts(lat, {0: scores[0]}, min_support=1.0, min_lstab=0.0) == [0]
     with pytest.raises(InputError, match="concept 1"):
-        filter_concepts(lat, {0: scores[0]}, min_support=1.0, min_lstab=0.0)
+        filter_concepts(lat, {0: scores[0]}, min_support=0.5, min_lstab=0.0)
+    with pytest.raises(InputError, match="concept 0"):
+        filter_concepts(lat, {1: scores[1]}, min_support=0.5, min_lstab=0.0)
 
 
 # ---------------------------------------------------------------------------
