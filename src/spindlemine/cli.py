@@ -26,6 +26,7 @@ from .pipeline import (
     PatternReport,
     PipelineConfig,
     check_mining_settings,
+    check_output_dir,
     export_report,
     extract,
     feature_rows,
@@ -163,25 +164,30 @@ def cmd_context(args) -> int:
 
 def cmd_mine(args) -> int:
     check_mining_settings(args)
+    check_output_dir(args.output)
     timings: dict[str, float] = {}
     total_start = perf_counter()
     structure = read_interval_csv(args.context)
-    lattice, patterns = mine(structure, timings, args)
-    report = PatternReport(
-        config={"context": args.context, **{k: getattr(args, k) for k in MINING_KEYS}},
-        stages={
-            "context_objects": structure.n_objects,
-            "context_attributes": len(structure.attributes),
-            "concepts": len(lattice),
-            "patterns_kept": len(patterns),
-        },
-        selection={},
-        attributes=structure.attributes,
-        patterns=patterns,
-        generated=generated(timings, total_start),
-    )
-    json_path, _ = export_report(report, args.output, json_name="patterns.json")
-    print(f"kept {len(patterns)}/{len(lattice)} concepts -> {json_path}")
+    paths = []
+
+    def export(lattice, patterns):
+        report = PatternReport(
+            config={"context": args.context, **{k: getattr(args, k) for k in MINING_KEYS}},
+            stages={
+                "context_objects": structure.n_objects,
+                "context_attributes": len(structure.attributes),
+                "concepts": len(lattice),
+                "patterns_kept": len(patterns),
+            },
+            selection={},
+            attributes=structure.attributes,
+            patterns=patterns,
+            generated=generated(timings, total_start),
+        )
+        paths.extend(export_report(report, args.output, json_name="patterns.json"))
+
+    lattice, patterns = mine(structure, timings, args, export)
+    print(f"kept {len(patterns)}/{len(lattice)} concepts -> {paths[0]}")
     return 0
 
 
@@ -191,9 +197,11 @@ def cmd_pipeline(args) -> int:
                  if k in PipelineConfig.__dataclass_fields__ and v is not None}
     config = (PipelineConfig.from_file(args.config, overrides) if args.config
               else PipelineConfig.from_mapping(overrides))
-    report = run_pipeline(config)
-    json_path, csv_path = export_report(report, config.output_dir)
-    print(f"{len(report.patterns)} patterns -> {json_path}, {csv_path}")
+    check_output_dir(config.output_dir)
+    paths = []
+    report = run_pipeline(config, lambda report: paths.extend(
+        export_report(report, config.output_dir)))
+    print(f"{len(report.patterns)} patterns -> {paths[0]}, {paths[1]}")
     return 0
 
 

@@ -45,8 +45,10 @@ lattice holds its structure and the closed extents, sorted largest first,
 so the concepts of at least a given support are a prefix of it (the
 iceberg of Stumme et al., DKE 2002).  The structure's ``concept`` and
 ``chains`` give any extent's payload and gaps, so a run that reports only
-a few concepts builds only their payloads; the list of every payload and
-the lower covers are each built in one pass on their first read.
+a few concepts reads only theirs; the list of every payload and the lower
+covers are each built in one pass on their first read.  Once the covers
+are built, a concept's gaps are read off them instead of the chains, so
+a run that needs the covers anyway (DOT output) pays for one cover pass.
 """
 
 from __future__ import annotations
@@ -187,13 +189,16 @@ class ConceptLattice:
     ``extent_masks`` is sorted by (extent size descending, extent indices
     lexicographically ascending), so index 0 is the top and the concepts
     of at least a given support are a prefix; it is the only part computed
-    up front.  ``gaps(i)`` (the structure's :meth:`NestedChains.gaps`) is
-    computed on every call.  ``concepts[i]`` (the payload
+    up front.  ``concepts[i]`` (the payload
     ``structure.concept(extent_masks[i])``: a :class:`Concept` or a
     :class:`spindlemine.intervals.PatternConcept`) and ``children[i]`` (the
     lower covers, ascending) are each built for every concept in one pass
     on the first read; a caller that needs a few payloads asks the
-    structure for them.  ``covers`` holds every ``(parent_index,
+    structure for them.  ``gaps(i)`` is computed on every call: from the
+    structure's :meth:`NestedChains.gaps` until ``children`` has been
+    read, and as ``extent - child`` over the covers after that (the same
+    set, in cover order).  ``down_set(i)`` walks the covers for the
+    concepts below ``i``.  ``covers`` holds every ``(parent_index,
     child_index)`` pair, sorted ascending, i.e. the transitive reduction
     of the extent-inclusion order.
     """
@@ -206,8 +211,14 @@ class ConceptLattice:
         self.bottom_index = len(self.extent_masks) - 1
 
     def gaps(self, index: int) -> list[int]:
-        """The gaps of concept ``index`` to its lower covers."""
-        return self.structure.chains.gaps(self.extent_masks[index])
+        """The gaps of concept ``index`` to its lower covers: read off
+        ``children`` once it has been built, else off the chains."""
+        masks = self.extent_masks
+        mask = masks[index]
+        children = self.__dict__.get("children")
+        if children is None:
+            return self.structure.chains.gaps(mask)
+        return [mask & ~masks[j] for j in children[index]]
 
     @cached_property
     def concepts(self) -> list[Any]:
@@ -218,6 +229,19 @@ class ConceptLattice:
         gaps = self.structure.chains.gaps
         index = {m: i for i, m in enumerate(self.extent_masks)}
         return [tuple(sorted(index[m & ~g] for g in gaps(m))) for m in self.extent_masks]
+
+    def down_set(self, index: int) -> set[int]:
+        """The indices of the concepts strictly below concept ``index``,
+        walked over ``children``."""
+        children = self.children
+        seen = set(children[index])
+        stack = list(seen)
+        while stack:
+            for d in children[stack.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        return seen
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:

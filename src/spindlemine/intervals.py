@@ -130,32 +130,42 @@ class IntervalPatternStructure:
         (see the module docstring), closed by an empty member, the formal
         bottom; with no attributes the chain ``[G, ∅]`` gives ``{G, ∅}``."""
         chains = []
-        for j in range(len(self.attributes)):
-            for side in (0, 1):
-                by_value: dict[float, int] = {}  # -0.0 and 0.0 share one key
-                for g, d in enumerate(self.descriptions):
-                    v = d.intervals[j][side]
-                    by_value[v] = by_value.get(v, 0) | 1 << g
-                inside = [0]  # from the empty member outward: a low end's largest value first
-                for v in sorted(by_value, reverse=not side):
-                    inside.append(inside[-1] | by_value[v])
-                chains.append(inside[::-1])
+        for k, values in enumerate(self._end_values):
+            by_value: dict[float, int] = {}  # -0.0 and 0.0 share one key
+            for g, v in enumerate(values):
+                by_value[v] = by_value.get(v, 0) | 1 << g
+            inside = [0]  # from the empty member outward: a low end's largest value first
+            for v in sorted(by_value, reverse=k % 2 == 0):
+                inside.append(inside[-1] | by_value[v])
+            chains.append(inside[::-1])
         return NestedChains(len(self.objects), chains or [[(1 << len(self.objects)) - 1, 0]])
 
     def delta(self, index: int) -> IntervalDescription:
         """The description of one object."""
         return self.descriptions[index]
 
+    @cached_property
+    def _end_values(self) -> list[tuple[float, ...]]:
+        """Per chain, low then high end of each attribute, every object's
+        value at that end."""
+        return [tuple(d.intervals[j][side] for d in self.descriptions)
+                for j, side in product(range(len(self.attributes)), (0, 1))]
+
+    def ends(self, extent_mask: int) -> list[float]:
+        """The hull of the non-empty closed set ``extent_mask``: per chain
+        (low then high end of each attribute), the value of its tightest
+        member holding the set.  An end's value is that of the lowest-index
+        object the set has at that member, as in the member-by-member hull
+        (-0.0 and 0.0 tie alike); zip drops a no-attribute ``[G, ∅]`` chain."""
+        return [values[(hit & -hit).bit_length() - 1]
+                for values, hit in zip(self._end_values, self.chains.hits(extent_mask))]
+
     def concept(self, extent_mask: int) -> "PatternConcept":
         """The pattern concept whose extent is the closed set
         ``extent_mask``; the empty extent gets the formal bottom."""
         if not extent_mask:
             return PatternConcept(extent_mask=0, intent=None)
-        # an end's value is its lowest-index hit's, as in the member-by-member
-        # hull (-0.0 and 0.0 tie alike); zip drops a no-attribute [G, ∅] chain
-        values = [self.descriptions[(hit & -hit).bit_length() - 1].intervals[j][side]
-                  for (j, side), hit in zip(product(range(len(self.attributes)), (0, 1)),
-                                            self.chains.hits(extent_mask))]
+        values = self.ends(extent_mask)
         intent = IntervalDescription(tuple(zip(values[::2], values[1::2])))
         return PatternConcept(extent_mask, intent)
 

@@ -25,9 +25,11 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InputError, SpindlemineError, StageError, read_json
 from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot, names_in
@@ -265,22 +267,34 @@ def mine(
     structure: IntervalPatternStructure,
     timings: dict[str, float],
     settings: Any,
+    export: Callable[[ConceptLattice, tuple[dict[str, Any], ...]], Any] | None = None,
 ) -> tuple[ConceptLattice, tuple[dict[str, Any], ...]]:
     """Run the ``lattice``, ``stability`` (which scores the concepts of at
     least ``min_support``) and ``filter`` stages on ``structure``, each
     timed into ``timings``; return the lattice and the kept pattern
     entries.  ``settings`` (a :class:`PipelineConfig` or parsed ``mine``
-    flags) gives the :data:`MINING_KEYS` and ``dot``; with ``dot`` set, the
-    cover relation is written there, parent directories included, once
-    every stage has succeeded.  Callers check ``settings`` first."""
-    lattice = _run_stage("lattice", timings, lambda: build_pattern_lattice(
-        structure, concept_cap=settings.concept_cap))
+    flags) gives the :data:`MINING_KEYS` and ``dot``.  Once every stage has
+    succeeded, ``export`` (if given) is called with the lattice and the
+    entries, and then, with ``dot`` set, the cover relation is written
+    there, parent directories included: a failed export leaves no DOT
+    behind.  With ``dot`` set the lattice stage builds the lower covers,
+    so scoring reads its gaps off the covers that the DOT needs anyway.
+    Callers check ``settings`` first."""
+    def _lattice() -> ConceptLattice:
+        lattice = build_pattern_lattice(structure, concept_cap=settings.concept_cap)
+        if settings.dot:
+            lattice.children  # one cover pass for the scores and the DOT
+        return lattice
+
+    lattice = _run_stage("lattice", timings, _lattice)
     scores = _run_stage("stability", timings, lambda: score_lattice(
         lattice, settings.stability_method, settings.min_support))
     kept = _run_stage("filter", timings, lambda: filter_concepts(
         lattice, scores, min_support=settings.min_support, min_lstab=settings.min_lstab,
         bound_policy=settings.bound_policy))
     patterns = tuple(pattern_entry(lattice, scores, i) for i in kept)
+    if export is not None:
+        export(lattice, patterns)
     if settings.dot:
         os.makedirs(os.path.dirname(settings.dot) or ".", exist_ok=True)
         with open(settings.dot, "w") as fh:
@@ -289,12 +303,15 @@ def mine(
     return lattice, patterns
 
 
-def run_pipeline(config: PipelineConfig) -> PatternReport:
+def run_pipeline(
+    config: PipelineConfig, export: Callable[[PatternReport], Any] | None = None
+) -> PatternReport:
     """Execute all stages and assemble the report.
 
-    Raises :class:`StageError` on any failure; writes nothing except the
-    optional DOT export of the cover relation (``config.dot``), which
-    happens only after every stage has succeeded.
+    Raises :class:`StageError` on any failure.  Once every stage has
+    succeeded, ``export`` (if given) is called with the report, and then
+    the optional DOT export of the cover relation (``config.dot``) is
+    written; nothing else is written.
     """
     timings: dict[str, float] = {}
     total_start = perf_counter()
@@ -314,23 +331,31 @@ def run_pipeline(config: PipelineConfig) -> PatternReport:
     selected, selection_report = _run_stage("selection", timings, lambda: select_attributes(
         context, corr_threshold=config.corr_threshold, ig_bins=config.ig_bins,
         ig_top_k=config.ig_top_k))
-    lattice, patterns = mine(to_pattern_structure(selected), timings, config)
-    return PatternReport(
-        config=_echo_config(config),
-        stages={
-            "annotations": len(annotations),
-            "segments": len(segments),
-            "context_objects": context.n_objects,
-            "context_attributes": context.n_attributes,
-            "selected_attributes": selected.n_attributes,
-            "concepts": len(lattice),
-            "patterns_kept": len(patterns),
-        },
-        selection=selection_report,
-        attributes=selected.attributes,
-        patterns=patterns,
-        generated=generated(timings, total_start),
-    )
+    report = None
+
+    def _report(lattice: ConceptLattice, patterns: tuple[dict[str, Any], ...]) -> None:
+        nonlocal report
+        report = PatternReport(
+            config=_echo_config(config),
+            stages={
+                "annotations": len(annotations),
+                "segments": len(segments),
+                "context_objects": context.n_objects,
+                "context_attributes": context.n_attributes,
+                "selected_attributes": selected.n_attributes,
+                "concepts": len(lattice),
+                "patterns_kept": len(patterns),
+            },
+            selection=selection_report,
+            attributes=selected.attributes,
+            patterns=patterns,
+            generated=generated(timings, total_start),
+        )
+        if export is not None:
+            export(report)
+
+    mine(to_pattern_structure(selected), timings, config, _report)
+    return report
 
 
 def generated(timings: dict[str, float], start: float) -> dict[str, Any]:
@@ -351,15 +376,16 @@ def _echo_config(config: PipelineConfig) -> dict[str, Any]:
 def pattern_entry(
     lattice: ConceptLattice, scores: Mapping[int, StabilityScore], index: int
 ) -> dict[str, Any]:
-    """One report entry for concept ``index``, with the intent its
-    structure gives the extent; ``lattice.concepts`` is not read, so only
-    the reported payloads are built."""
+    """One report entry for concept ``index``, with the hull its structure
+    gives the extent (:meth:`IntervalPatternStructure.ends`); no payload
+    object is built."""
     mask = lattice.extent_masks[index]
-    concept = lattice.structure.concept(mask)
+    structure = lattice.structure
     size = mask.bit_count()
     intent = None
-    if concept.intent is not None:
-        intent = dict(zip(lattice.structure.attributes, map(list, concept.intent.intervals)))
+    if mask:
+        ends = iter(structure.ends(mask))
+        intent = dict(zip(structure.attributes, map(list, zip(ends, ends))))
     return {
         "extent": names_in(lattice.object_names, mask),
         "extent_size": size,
@@ -374,6 +400,18 @@ def pattern_entry(
 # ---------------------------------------------------------------------------
 
 
+def check_output_dir(path: str) -> None:
+    """Raise :class:`InputError` naming the output directory ``path`` unless
+    it is a directory or can be made one: its nearest existing ancestor
+    must be a directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise InputError(f"output directory {path!r} cannot be made: "
+                         f"{probe!r} is not a directory")
+
+
 def export_report(
     report: PatternReport,
     output_dir: str,
@@ -386,7 +424,7 @@ def export_report(
     csv_path = os.path.join(output_dir, "summary.csv")
     texts = _JsonText()
     with open(json_path, "w") as fh:
-        fh.write(_json_text(report.to_json_dict(), texts) + "\n")
+        fh.writelines(_report_pieces(report, texts))
     attributes = report.attributes
     no_intent = [""] * len(attributes)
     # a score column is blank where a score has no such value
@@ -435,7 +473,21 @@ def report_to_json(report: PatternReport) -> str:
     indent=2, allow_nan=False)`` plus a newline; non-finite numbers are
     not allowed to leak in (``+inf`` LStab values are already strings by
     this point)."""
-    return _json_text(report.to_json_dict(), _JsonText()) + "\n"
+    return "".join(_report_pieces(report, _JsonText()))
+
+
+def _report_pieces(report: PatternReport, texts: _JsonText) -> Iterator[str]:
+    """:func:`report_to_json`'s text, one top-level item (and one item of
+    a top-level list) at a time, so a writer never holds all of it."""
+    for n, (key, value) in enumerate(report.to_json_dict().items()):
+        yield ("{\n  " if n == 0 else ",\n  ") + texts[key] + ": "
+        if type(value) is list and value:
+            for m, item in enumerate(value):
+                yield ("[\n    " if m == 0 else ",\n    ") + _json_text(item, texts, "    ")
+            yield "\n  ]"
+        else:
+            yield _json_text(value, texts, "  ")
+    yield "\n}\n"
 
 
 def _json_text(value: Any, texts: _JsonText, indent: str = "") -> str:
@@ -446,9 +498,10 @@ def _json_text(value: Any, texts: _JsonText, indent: str = "") -> str:
     and float's text comes from ``texts``, so it is built once per
     distinct value.  A list of only strings and floats is joined in one
     ``map``, and a dict's string and float values are looked up in place:
-    only the other values recurse.  Any other value goes through
-    :func:`json.dumps` and is re-indented, which is exact because an
-    encoded string never holds a raw newline."""
+    only the other values recurse.  A dict with :func:`pattern_entry`'s
+    keys is tried with :func:`_entry_text` first.  Any other value goes
+    through :func:`json.dumps` and is re-indented, which is exact because
+    an encoded string never holds a raw newline."""
     kind = type(value)
     if kind is str or kind is float:
         return texts[value]
@@ -463,13 +516,82 @@ def _json_text(value: Any, texts: _JsonText, indent: str = "") -> str:
             items = [_json_text(v, texts, inner) for v in value]
         return f"[\n{inner}{sep.join(items)}\n{indent}]"
     if kind is dict and value and set(map(type, value)) == {str}:
+        if tuple(value) == _ENTRY_KEYS:
+            text = _entry_text(value, texts, indent)
+            if text is not None:
+                return text
         items = []
         for k, v in value.items():
             v_kind = type(v)
             items.append(f"{texts[k]}: " + (texts[v] if v_kind is str or v_kind is float
                                             else _json_text(v, texts, inner)))
-        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+        return _object_text(items, indent)
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
+
+
+#: The keys of a :func:`pattern_entry`, in order.
+_ENTRY_KEYS = ("extent", "extent_size", "support", "intent", "stability")
+_STR_FLOAT, _LIST, _PAIR = {str, float}, {list}, {2}
+
+
+def _entry_text(entry: dict[str, Any], texts: _JsonText, indent: str) -> str | None:
+    """A :func:`pattern_entry` as :func:`_json_text` writes it, in one
+    flat join, or ``None`` when ``entry`` is not of that shape: a list
+    extent, an int size, an intent of ``None`` or a dict of two-item lists,
+    a dict stability, string keys, and strings and floats everywhere else.
+    The types are checked a whole container at a time, and the text around
+    the values comes from :func:`_entry_format`."""
+    extent, size, share, intent, stability = entry.values()
+    if not (type(extent) is list and type(size) is int and type(stability) is dict
+            and (intent is None or type(intent) is dict)):
+        return None
+    if intent is None:
+        ends = []
+    else:
+        pairs = [*intent.values()]
+        if not ({*map(type, pairs)} <= _LIST and {*map(len, pairs)} <= _PAIR):
+            return None
+        ends = [*chain(*pairs)]
+    values = [*stability.values()]
+    if not {type(share), *map(type, extent), *map(type, ends), *map(type, values)} <= _STR_FLOAT:
+        return None
+    form = _entry_format(indent, intent if intent is None else (*intent,), (*stability,))
+    if form is None:
+        return None
+    at = texts.__getitem__
+    inner = indent + "    "
+    return form(f"[\n{inner}" + f",\n{inner}".join(map(at, extent)) + f"\n{indent}  ]"
+                if extent else "[]",
+                int.__repr__(size), at(share), *map(at, ends), *map(at, values))
+
+
+@lru_cache(maxsize=256)
+def _entry_format(indent: str, intent_keys: tuple[Any, ...] | None,
+                  stability_keys: tuple[Any, ...]) -> Callable[..., str] | None:
+    """The ``str.format`` of a :func:`pattern_entry` nested at ``indent``
+    whose intent (``None`` for a null one) and stability have these keys,
+    with a field for the extent's text, the size, the support, each intent
+    end and each stability value; ``None`` unless every key is a string."""
+    if not {*map(type, intent_keys or ()), *map(type, stability_keys)} <= {str}:
+        return None
+    field = "\0"  # an encoded key never holds a raw NUL
+    i2 = indent + "    "
+    i3 = i2 + "  "
+    intent = "null" if intent_keys is None else _object_text(
+        [f"{encode_basestring_ascii(key)}: [\n{i3}{field},\n{i3}{field}\n{i2}]"
+         for key in intent_keys], indent + "  ")
+    stability = _object_text([f"{encode_basestring_ascii(key)}: {field}"
+                              for key in stability_keys], indent + "  ")
+    text = _object_text([f'"extent": {field}', f'"extent_size": {field}',
+                         f'"support": {field}', f'"intent": {intent}',
+                         f'"stability": {stability}'], indent)
+    return text.replace("{", "{{").replace("}", "}}").replace(field, "{}").format
+
+
+def _object_text(items: list[str], indent: str) -> str:
+    """A JSON object of the rendered ``key: value`` ``items``, nested at ``indent``."""
+    inner = indent + "  "
+    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if items else "{}"
 
 
 def read_report_json(path: str) -> dict[str, Any]:

@@ -13,8 +13,9 @@ It measures how robust the concept is to removing objects.  Because
 
 Exact stability is computed one way, by :func:`stability_lattice_dp`,
 which reads each concept's gaps ``A \\ child`` to its lower covers off
-the structure's chains (``ConceptLattice.gaps(i)``): a subset of ``A``
-closes to ``A`` exactly when it lies inside no lower cover, i.e. when it
+the chains, or off the covers once they are built
+(``ConceptLattice.gaps(i)``): a subset of ``A`` closes to ``A`` exactly
+when it lies inside no lower cover, i.e. when it
 meets every gap.  When the one-object gaps already meet every gap, the
 count is the closed form ``q = 2^(|A| - |F|)``, with ``F`` the union of
 the one-object gaps; with continuous features every gap is one object,
@@ -237,27 +238,26 @@ def stability_lattice_dp(
     when every gap meets the union ``F`` of those objects, forcing ``F``
     suffices and ``q = 2^(|A| - |F|)``.  Otherwise ``q`` follows from the
     subset-partition identity ``q = 2^|A| - sum of q(d)`` over the
-    concept's strict down-set, found by walking ``lattice.children``; the
-    counts of the down-set are computed from the bottom up (children have
-    larger indices) and kept for the concepts scored later.  Counts are
-    integers throughout, so results are exact for any lattice size.
+    concept's strict down-set (``lattice.down_set(i)``, a walk over the
+    lower covers); the counts of the down-set are computed from the bottom
+    up (children have larger indices) and kept for the concepts scored
+    later.  Counts are integers throughout, so results are exact for any
+    lattice size.
 
     The closed form costs a few mask operations per gap and builds no
-    cover.  The first concept it does not settle builds the lattice's
-    lower covers (all of them, in one pass); from then on every concept's
-    gaps are read off its covers.
+    cover.  The first concept it does not settle walks its down-set, which
+    builds every lower cover in one pass (``lattice.children``); from then
+    on ``lattice.gaps(i)`` reads each concept's gaps off its covers.
     """
     masks = lattice.extent_masks
     counts: list[int | None] = [None] * len(masks)
-    children: list[tuple[int, ...]] | None = None
 
     def count(i: int) -> int:
-        nonlocal children
         q = counts[i]
         if q is not None:
             return q
         mask = masks[i]
-        gaps = lattice.gaps(i) if children is None else [mask & ~masks[j] for j in children[i]]
+        gaps = lattice.gaps(i)
         forced = 0
         for gap in gaps:
             if gap & (gap - 1) == 0:  # gaps are non-empty: one object
@@ -265,15 +265,7 @@ def stability_lattice_dp(
         if all(gap & forced for gap in gaps):
             q = 1 << (mask.bit_count() - forced.bit_count())
         else:
-            if children is None:
-                children = lattice.children
-            seen = set(children[i])
-            stack = list(seen)
-            while stack:
-                for d in children[stack.pop()]:
-                    if d not in seen:
-                        seen.add(d)
-                        stack.append(d)
+            seen = lattice.down_set(i)
             # from the largest index down, every count that a member's own
             # walk reads is already known, so the recursion stays shallow
             for d in sorted((d for d in seen if counts[d] is None), reverse=True):
@@ -298,33 +290,41 @@ def lstab_bounds(
 
     Returns ``lower = dmin - log2(attribute_count)``,
     ``mid = -log2(sum of 2^-d)`` and ``upper = dmin`` where ``d`` ranges
-    over the sizes of the gaps ``lattice.gaps(index)`` (no cover is built),
-    with the module docstring's default ``attribute_count``.
+    over the sizes of the gaps ``lattice.gaps(index)``, with the module
+    docstring's default ``attribute_count``.
     A concept with no gap (the lattice bottom) has ``Stab = 1`` exactly —
     every subset of its extent closes back onto it — so it gets the
     ``stab = 1 / lstab = +inf`` convention instead of bounds.
     """
     if not 0 <= index < len(lattice):
         raise InputError(f"concept index {index} out of range")
-    if attribute_count is None:  # a binary context with no attributes has no chains
-        attribute_count = max(len(lattice.structure.chains.chains), 1)
+    if attribute_count is None:
+        attribute_count = _chain_count(lattice)
     if attribute_count < 1:
         raise InputError("attribute_count must be >= 1")
-    size = lattice.extent_masks[index].bit_count()
-    deltas = [gap.bit_count() for gap in lattice.gaps(index)]
+    return _bounds(lattice.extent_masks[index].bit_count(), lattice.gaps(index),
+                   attribute_count)
+
+
+def _chain_count(lattice: ConceptLattice) -> int:
+    # a binary context with no attributes has no chains
+    return max(len(lattice.structure.chains.chains), 1)
+
+
+def _bounds(size: int, gaps: list[int], attribute_count: int) -> StabilityScore:
+    """:func:`lstab_bounds` of an extent of ``size`` objects with ``gaps``."""
+    deltas = [gap.bit_count() for gap in gaps]
     if not deltas:
         return StabilityScore(method="bounds", extent_size=size, stab=1.0, lstab=math.inf)
-
     dmin = min(deltas)
     dmax = max(deltas)
     # sum of 2^-d written as (sum of 2^(dmax-d)) / 2^dmax keeps it integral
-    numerator = sum(1 << (dmax - d) for d in deltas)
-    mid = dmax - math.log2(numerator) + 0.0
+    numerator = sum([1 << (dmax - d) for d in deltas])
     return StabilityScore(
         method="bounds",
         extent_size=size,
         lower_bound=dmin - math.log2(attribute_count) + 0.0,
-        mid_bound=mid,
+        mid_bound=dmax - math.log2(numerator) + 0.0,
         upper_bound=float(dmin),
     )
 
@@ -343,7 +343,9 @@ def score_lattice(
     check_stability_method(method)
     if method == "exact-dp":
         return stability_lattice_dp(lattice, min_support)
-    return {i: lstab_bounds(lattice, i) for i in range(frequent_count(lattice, min_support))}
+    masks, gaps, attribute_count = lattice.extent_masks, lattice.gaps, _chain_count(lattice)
+    return {i: _bounds(masks[i].bit_count(), gaps(i), attribute_count)
+            for i in range(frequent_count(lattice, min_support))}
 
 
 # ---------------------------------------------------------------------------

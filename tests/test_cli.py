@@ -185,6 +185,64 @@ def test_mine_exact_dp_matches_committed_outputs(tmp_path):
     assert_same_report(out, MINE_DOT / "exact_dp")
 
 
+def test_mine_exact_dp_with_dot_matches_committed_outputs(tmp_path):
+    # the lattice stage builds the covers for the DOT, so every gap the
+    # scores read comes off the covers, not the chains
+    out = mine_fixture_context(tmp_path, "--stability", "exact-dp", "--dot", "out/lattice.dot")
+    assert (out / "lattice.dot").read_bytes() == (MINE_DOT / "lattice.dot").read_bytes()
+    assert_same_report(out, MINE_DOT / "exact_dp")
+
+
+@pytest.mark.parametrize("method", STABILITY_METHODS)
+@pytest.mark.parametrize("thresholds", [(0.5, 1), (0, 0)], ids=["frequent", "all"])
+def test_dot_does_not_change_the_report(tmp_path, method, thresholds):
+    min_support, min_lstab = thresholds
+    for name, flags in (("plain", []), ("dot", ["--dot", tmp_path / "dot" / "lattice.dot"])):
+        assert run(["mine", "--context", MINE_DOT / "context.csv", "--min-support", min_support,
+                    "--min-lstab", min_lstab, "--stability", method, *flags,
+                    "--output", tmp_path / name]) == 0
+    assert_same_report(tmp_path / "dot", tmp_path / "plain")
+
+
+def _dot_run_argv(command, files):
+    if command == "mine":
+        return ["mine", "--context", MINE_DOT / "context.csv", "--min-support", 0,
+                "--min-lstab", 0]
+    return ["pipeline", "--recording", files["recording"], "--annotations",
+            files["annotations"], "--min-support", 0.4, "--min-lstab", 1]
+
+
+@pytest.mark.parametrize("command", ["mine", "pipeline"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_an_output_that_cannot_be_a_directory_exits_2_before_mining(
+        two_cluster_files, tmp_path, capsys, monkeypatch, command, below):
+    built = []
+    build = pipeline.build_pattern_lattice
+    monkeypatch.setattr(pipeline, "build_pattern_lattice",
+                        lambda *args, **kwargs: built.append(1) or build(*args, **kwargs))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    output = afile / "sub" if below else afile
+    dot = tmp_path / "o2" / "l.dot"
+    assert run([*_dot_run_argv(command, two_cluster_files), "--dot", dot,
+                "--output", output]) == 2
+    assert f"output directory {str(output)!r}" in capsys.readouterr().err
+    assert built == []
+    assert not dot.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["mine", "pipeline"])
+def test_a_failed_export_leaves_no_dot_behind(two_cluster_files, tmp_path, capsys, command):
+    # the report's own path is a directory: the export fails after mining
+    out = tmp_path / "out"
+    (out / ("patterns.json" if command == "mine" else "report.json")).mkdir(parents=True)
+    dot = tmp_path / "o2" / "l.dot"
+    assert run([*_dot_run_argv(command, two_cluster_files), "--dot", dot,
+                "--output", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not dot.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

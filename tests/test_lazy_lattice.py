@@ -1,7 +1,8 @@
 """What a lattice builds and what a run reads: payloads and lower covers
 equal the brute-force oracles whatever the order of reading, the scores
-cover exactly the frequent concepts, and ``mine`` builds payloads only for
-the kept concepts and scores only the frequent ones."""
+cover exactly the frequent concepts, gaps read off the covers equal those
+read off the chains, and ``mine`` builds no payload object for the kept
+concepts and scores only the frequent ones."""
 
 import random
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from spindlemine.intervals import (
     IntervalPatternStructure,
     build_pattern_lattice,
 )
-from spindlemine.pipeline import mine
+from spindlemine.pipeline import mine, pattern_entry
 from spindlemine.stability import (
     BOUND_POLICIES,
     STABILITY_METHODS,
@@ -70,8 +71,9 @@ def _reprs(intent):
 
 
 def _check_lazy_lattice(build, structure, closed, payload, same, order, rng):
-    """Read ``children[i]`` and ``concepts[i]`` in ``order`` on a fresh
-    lattice, then ``covers``; and ``covers`` first on another."""
+    """Read ``children[i]``, ``concepts[i]`` and ``down_set(i)`` in
+    ``order`` on a fresh lattice, then ``covers``; and ``covers`` first on
+    another."""
     lat = build(structure)
     assert {frozenset(_bits(m)) for m in lat.extent_masks} == closed
     n = len(lat)
@@ -82,6 +84,7 @@ def _check_lazy_lattice(build, structure, closed, payload, same, order, rng):
         kids = lat.children[i]
         assert list(kids) == sorted(j for p, j in want_covers if p == i)
         assert same(lat.concepts[i], payload(extents[i]))
+        assert lat.down_set(i) == {j for j, e in enumerate(extents) if e < extents[i]}
     assert lat.covers == tuple(sorted(want_covers))
 
     fresh = build(structure)
@@ -222,24 +225,77 @@ def test_mine_scores_only_the_frequent_concepts(monkeypatch, method):
     assert len(patterns) == frequent
 
 
-def test_mine_builds_payloads_only_for_the_kept_concepts(monkeypatch):
+def test_mine_builds_no_payload_for_the_kept_concepts(monkeypatch):
     # support 0.75 keeps only the concepts with at least 9 of the 11
-    # objects, a small share of the lattice
+    # objects, a small share of the lattice; their entries read the hull
+    # off the chains, and match the payloads the structure would build
     ps = _random_points(11)
     made = []
 
     class SpyConcept(intervals.PatternConcept):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            made.append(self.extent)
+            made.append(self)
+
+    class SpyDescription(intervals.IntervalDescription):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
 
     monkeypatch.setattr(intervals, "PatternConcept", SpyConcept)
+    monkeypatch.setattr(intervals, "IntervalDescription", SpyDescription)
     flags = SimpleNamespace(min_support=0.75, min_lstab=0.0, stability_method="exact-dp",
                             bound_policy="upper", concept_cap=10**6, dot=None)
     lattice, patterns = mine(ps, {}, flags)
-    kept = [frozenset(ps.objects.index(name) for name in p["extent"]) for p in patterns]
-    assert 0 < len(kept) < len(lattice) // 10
-    assert sorted(made, key=sorted) == sorted(kept, key=sorted)
+    assert 0 < len(patterns) < len(lattice) // 10
+    assert made == []
+    # tie-free points with no --dot: the scores build no cover either
+    assert "children" not in vars(lattice)
+
+
+@settings(deadline=None, max_examples=150)
+@given(ps=tie_heavy_structures())
+def test_entries_hold_the_payloads_hull(ps):
+    # repr tells -0.0 from 0.0: an entry picks each end's value as the
+    # payload and the member-by-member hull do
+    lat = build_pattern_lattice(ps)
+    scores = score_lattice(lat, "bounds")
+    for i, mask in enumerate(lat.extent_masks):
+        entry = pattern_entry(lat, scores, i)
+        concept = ps.concept(mask)
+        assert entry["extent"] == [ps.objects[g] for g in sorted(concept.extent)]
+        want = _reprs(oracle_interval_hull(ps, concept.extent))
+        assert _reprs(concept.intent) == want
+        if entry["intent"] is None:
+            assert want is None
+        else:
+            assert list(entry["intent"]) == list(ps.attributes)
+            assert [(repr(lo), repr(hi)) for lo, hi in entry["intent"].values()] == want
+
+
+def _check_gaps_from_either_source(lat):
+    """``lattice.gaps(i)`` is the chains' set of gaps before and after the
+    lower covers are built."""
+    chains = lat.structure.chains
+    want = [set(chains.gaps(mask)) for mask in lat.extent_masks]
+    assert [set(lat.gaps(i)) for i in range(len(lat))] == want
+    assert "children" not in vars(lat)
+    lat.children
+    got = [lat.gaps(i) for i in range(len(lat))]
+    assert [set(gaps) for gaps in got] == want
+    assert all(len(gaps) == len(set(gaps)) for gaps in got)
+
+
+@settings(deadline=None, max_examples=150)
+@given(ps=tie_heavy_structures())
+def test_pattern_gaps_are_the_same_from_chains_and_covers(ps):
+    _check_gaps_from_either_source(build_pattern_lattice(ps))
+
+
+@settings(deadline=None, max_examples=150)
+@given(ctx=binary_contexts())
+def test_binary_gaps_are_the_same_from_chains_and_covers(ctx):
+    _check_gaps_from_either_source(build_lattice(ctx))
 
 
 def test_scores_on_a_tie_free_structure_build_no_cover_relation(tmp_path):

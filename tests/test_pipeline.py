@@ -1,5 +1,7 @@
 """End-to-end pipeline runs on a synthetic two-population recording."""
 
+import copy
+import dataclasses
 import json
 import math
 import tempfile
@@ -371,11 +373,56 @@ def _report(structure, method, kept, extras=({}, {}, {}, {})) -> PatternReport:
     )
 
 
+#: The changes :func:`_edit_entry` draws from.
+_EDITS = ("int or bool", "null", "extra key", "reordered key", "empty extent",
+          "empty intent", "nested list", "other interval")
+
+
+def _edit_entry(draw, entry: dict) -> dict:
+    """A copy of a pattern entry with one drawn change.  An empty extent or
+    intent keeps the shape ``pattern_entry`` makes; most other changes
+    leave it."""
+    entry = copy.deepcopy(entry)
+    stability, intent = entry["stability"], entry["intent"]
+    edit = draw(st.sampled_from(_EDITS))
+    if edit in ("int or bool", "null"):
+        value = None if edit == "null" else draw(st.integers() | st.booleans())
+        places = ([(entry, key) for key in entry] + [(stability, key) for key in stability]
+                  + [(pair, end) for pair in (intent or {}).values() for end in (0, 1)])
+        place, key = draw(st.sampled_from(places))
+        place[key] = value
+    elif edit == "extra key":
+        place = draw(st.sampled_from([entry, stability] + ([intent] if intent else [])))
+        place[draw(_names.filter(lambda name: name not in place))] = draw(_json_values)
+    elif edit == "reordered key":
+        place = draw(st.sampled_from([entry, stability] + ([intent] if intent else [])))
+        key = draw(st.sampled_from(list(place)))
+        place[key] = place.pop(key)
+    elif edit == "empty extent":
+        entry["extent"] = []
+    elif edit == "empty intent":
+        entry["intent"] = {}
+    elif edit == "other interval" and intent:
+        # two items that the encoder does not write as a list of two, or a
+        # list of floats of another length
+        intent[draw(st.sampled_from(list(intent)))] = draw(
+            st.text(min_size=2, max_size=2)
+            | st.dictionaries(st.text(max_size=2), st.floats(0, 1), min_size=2, max_size=2)
+            | st.tuples(st.floats(0, 1), st.floats(0, 1))
+            | st.lists(st.floats(0, 1), max_size=3).filter(lambda ends: len(ends) != 2))
+    elif edit == "nested list":
+        stability[draw(st.sampled_from(list(stability)))] = draw(st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=2),
+                     max_size=2), max_size=2))
+    return entry
+
+
 @st.composite
-def reports(draw) -> PatternReport:
+def reports(draw, edits: bool = False) -> PatternReport:
     """Patterns of a tie-heavy structure with drawn object and attribute
     names, by either stability method, and drawn values for the other
-    report fields."""
+    report fields; with ``edits``, some entries get a drawn change
+    (:func:`_edit_entry`)."""
     drawn = draw(tie_heavy_structures())
     objects = draw(st.lists(_names, min_size=drawn.n_objects, max_size=drawn.n_objects,
                             unique=True))
@@ -384,7 +431,12 @@ def reports(draw) -> PatternReport:
     structure = IntervalPatternStructure(tuple(objects), tuple(attributes), drawn.descriptions)
     kept = draw(st.lists(st.integers(0, 64), max_size=8))
     extras = draw(st.tuples(*[st.dictionaries(_names, _json_values, max_size=3)] * 4))
-    return _report(structure, draw(st.sampled_from(STABILITY_METHODS)), kept, extras)
+    report = _report(structure, draw(st.sampled_from(STABILITY_METHODS)), kept, extras)
+    if not edits:
+        return report
+    return dataclasses.replace(report, patterns=tuple(
+        _edit_entry(draw, entry) if draw(st.booleans()) else entry
+        for entry in report.patterns))
 
 
 def _edge_case_report(method: str) -> PatternReport:
@@ -402,7 +454,7 @@ def _edge_case_report(method: str) -> PatternReport:
 
 
 @settings(deadline=None, max_examples=150)
-@given(reports())
+@given(reports(edits=True))
 @example(_edge_case_report("exact-dp"))
 @example(_edge_case_report("bounds"))
 @example(_report(IntervalPatternStructure(("g",), (), (IntervalDescription(()),)),
@@ -413,11 +465,15 @@ def test_report_json_bytes_match_the_json_encoder(report):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["pattern", "intent", "config"])
+@pytest.mark.parametrize("where", ["pattern", "intent", "edited pattern", "config"])
 def test_report_json_rejects_non_finite_numbers(bad, where):
     report = _edge_case_report("bounds")
     if where == "pattern":
         report.patterns[0]["stability"]["upper"] = bad
+    elif where == "edited pattern":
+        # a bool size: no longer the shape pattern_entry makes
+        report.patterns[0]["extent_size"] = True
+        report.patterns[0]["support"] = bad
     elif where == "intent":
         # an interval end, in a list of only floats
         report.patterns[0]["intent"]["a\tb"][1] = bad
