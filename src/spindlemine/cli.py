@@ -43,7 +43,7 @@ from .selection import (
     write_numeric_csv,
     write_selection_json,
 )
-from .signals import read_segments_json, write_segments_json
+from .signals import check_sample_rate, read_segments_json, write_segments_json
 from .stability import BOUND_POLICIES, STABILITY_METHODS
 
 
@@ -120,6 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_extract(args) -> int:
+    if args.fs is not None:
+        check_sample_rate(args.fs)
+    check_output_dir(args.output)
     sample_rate, _, segments = extract(args.recording, args.annotations, args.fs)
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "segments.json")
@@ -129,6 +132,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_features(args) -> int:
+    check_output_dir(args.output)
     triples = read_segments_json(args.segments)
     if not triples:
         raise InputError("no segments in input")
@@ -144,6 +148,7 @@ def cmd_features(args) -> int:
 
 def cmd_context(args) -> int:
     check_selection_settings(args.corr_threshold, args.ig_bins, args.ig_top_k, bool(args.labels))
+    check_output_dir(args.output)
     ctx = read_numeric_csv(args.features)
     if args.labels:
         ctx = ctx.with_labels(read_labels_csv(args.labels))

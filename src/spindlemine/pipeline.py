@@ -208,7 +208,7 @@ class PatternReport:
             "stages": self.stages,
             "selection": self.selection,
             "attributes": list(self.attributes),
-            "patterns": [dict(p) for p in self.patterns],
+            "patterns": list(self.patterns),
             "generated": self.generated,
         }
 
@@ -470,63 +470,34 @@ class _JsonText(dict):
 
 def report_to_json(report: PatternReport) -> str:
     """Serialize a report, byte for byte as ``json.dumps(...,
-    indent=2, allow_nan=False)`` plus a newline; non-finite numbers are
-    not allowed to leak in (``+inf`` LStab values are already strings by
-    this point)."""
+    indent=2, allow_nan=False)`` plus a newline (:func:`_report_pieces`):
+    a NaN or an infinity raises ``ValueError`` (``+inf`` LStab values are
+    already strings by this point)."""
     return "".join(_report_pieces(report, _JsonText()))
 
 
 def _report_pieces(report: PatternReport, texts: _JsonText) -> Iterator[str]:
-    """:func:`report_to_json`'s text, one top-level item (and one item of
-    a top-level list) at a time, so a writer never holds all of it."""
+    """:func:`report_to_json`'s text, one top-level item (and one pattern)
+    at a time, so a writer never holds all of it.  A pattern of the shape
+    the miner makes is written by :func:`_entry_text`; any other pattern,
+    and every other top-level value, goes through :func:`json.dumps` and
+    is re-indented, which is exact because an encoded string never holds
+    a raw newline."""
     for n, (key, value) in enumerate(report.to_json_dict().items()):
         yield ("{\n  " if n == 0 else ",\n  ") + texts[key] + ": "
-        if type(value) is list and value:
+        if key == "patterns" and value:
             for m, item in enumerate(value):
-                yield ("[\n    " if m == 0 else ",\n    ") + _json_text(item, texts, "    ")
+                yield ("[\n    " if m == 0 else ",\n    ") + (
+                    _entry_text(item, texts) or _dumps(item, "\n    "))
             yield "\n  ]"
         else:
-            yield _json_text(value, texts, "  ")
+            yield _dumps(value, "\n  ")
     yield "\n}\n"
 
 
-def _json_text(value: Any, texts: _JsonText, indent: str = "") -> str:
-    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
-    it, nested at ``indent``, without CPython's pure-Python indenting
-    encoder.  Strings, floats, ints, lists and string-keyed dicts are
-    joined from pieces encoded as the encoder encodes them; each string's
-    and float's text comes from ``texts``, so it is built once per
-    distinct value.  A list of only strings and floats is joined in one
-    ``map``, and a dict's string and float values are looked up in place:
-    only the other values recurse.  A dict with :func:`pattern_entry`'s
-    keys is tried with :func:`_entry_text` first.  Any other value goes
-    through :func:`json.dumps` and is re-indented, which is exact because
-    an encoded string never holds a raw newline."""
-    kind = type(value)
-    if kind is str or kind is float:
-        return texts[value]
-    if kind is int:
-        return int.__repr__(value)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is list and value:
-        if set(map(type, value)) <= {str, float}:
-            items = map(texts.__getitem__, value)
-        else:
-            items = [_json_text(v, texts, inner) for v in value]
-        return f"[\n{inner}{sep.join(items)}\n{indent}]"
-    if kind is dict and value and set(map(type, value)) == {str}:
-        if tuple(value) == _ENTRY_KEYS:
-            text = _entry_text(value, texts, indent)
-            if text is not None:
-                return text
-        items = []
-        for k, v in value.items():
-            v_kind = type(v)
-            items.append(f"{texts[k]}: " + (texts[v] if v_kind is str or v_kind is float
-                                            else _json_text(v, texts, inner)))
-        return _object_text(items, indent)
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
+def _dumps(value: Any, newline: str) -> str:
+    """``value`` as ``json.dumps`` writes it, each line break followed by ``newline``."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", newline)
 
 
 #: The keys of a :func:`pattern_entry`, in order.
@@ -534,13 +505,16 @@ _ENTRY_KEYS = ("extent", "extent_size", "support", "intent", "stability")
 _STR_FLOAT, _LIST, _PAIR = {str, float}, {list}, {2}
 
 
-def _entry_text(entry: dict[str, Any], texts: _JsonText, indent: str) -> str | None:
-    """A :func:`pattern_entry` as :func:`_json_text` writes it, in one
-    flat join, or ``None`` when ``entry`` is not of that shape: a list
-    extent, an int size, an intent of ``None`` or a dict of two-item lists,
-    a dict stability, string keys, and strings and floats everywhere else.
-    The types are checked a whole container at a time, and the text around
+def _entry_text(entry: Any, texts: _JsonText) -> str | None:
+    """A :func:`pattern_entry` as ``json.dumps`` writes it in a report's
+    ``patterns`` list, in one flat join, or ``None`` when ``entry`` is not
+    of that shape: a dict with the entry's keys in order, a list extent,
+    an int size, an intent of ``None`` or a dict of two-item lists, a dict
+    stability, string keys, and strings and floats everywhere else.  The
+    types are checked a whole container at a time, and the text around
     the values comes from :func:`_entry_format`."""
+    if type(entry) is not dict or tuple(entry) != _ENTRY_KEYS:
+        return None
     extent, size, share, intent, stability = entry.values()
     if not (type(extent) is list and type(size) is int and type(stability) is dict
             and (intent is None or type(intent) is dict)):
@@ -555,36 +529,34 @@ def _entry_text(entry: dict[str, Any], texts: _JsonText, indent: str) -> str | N
     values = [*stability.values()]
     if not {type(share), *map(type, extent), *map(type, ends), *map(type, values)} <= _STR_FLOAT:
         return None
-    form = _entry_format(indent, intent if intent is None else (*intent,), (*stability,))
+    form = _entry_format(intent if intent is None else (*intent,), (*stability,))
     if form is None:
         return None
     at = texts.__getitem__
-    inner = indent + "    "
-    return form(f"[\n{inner}" + f",\n{inner}".join(map(at, extent)) + f"\n{indent}  ]"
+    return form("[\n        " + ",\n        ".join(map(at, extent)) + "\n      ]"
                 if extent else "[]",
                 int.__repr__(size), at(share), *map(at, ends), *map(at, values))
 
 
 @lru_cache(maxsize=256)
-def _entry_format(indent: str, intent_keys: tuple[Any, ...] | None,
+def _entry_format(intent_keys: tuple[Any, ...] | None,
                   stability_keys: tuple[Any, ...]) -> Callable[..., str] | None:
-    """The ``str.format`` of a :func:`pattern_entry` nested at ``indent``
-    whose intent (``None`` for a null one) and stability have these keys,
-    with a field for the extent's text, the size, the support, each intent
-    end and each stability value; ``None`` unless every key is a string."""
+    """The ``str.format`` of a :func:`pattern_entry` in a report's
+    ``patterns`` list whose intent (``None`` for a null one) and stability
+    have these keys, with a field for the extent's text, the size, the
+    support, each intent end and each stability value; ``None`` unless
+    every key is a string."""
     if not {*map(type, intent_keys or ()), *map(type, stability_keys)} <= {str}:
         return None
     field = "\0"  # an encoded key never holds a raw NUL
-    i2 = indent + "    "
-    i3 = i2 + "  "
     intent = "null" if intent_keys is None else _object_text(
-        [f"{encode_basestring_ascii(key)}: [\n{i3}{field},\n{i3}{field}\n{i2}]"
-         for key in intent_keys], indent + "  ")
+        [f"{encode_basestring_ascii(key)}: [\n          {field},\n          {field}\n        ]"
+         for key in intent_keys], "      ")
     stability = _object_text([f"{encode_basestring_ascii(key)}: {field}"
-                              for key in stability_keys], indent + "  ")
+                              for key in stability_keys], "      ")
     text = _object_text([f'"extent": {field}', f'"extent_size": {field}',
                          f'"support": {field}', f'"intent": {intent}',
-                         f'"stability": {stability}'], indent)
+                         f'"stability": {stability}'], "    ")
     return text.replace("{", "{{").replace("}", "}}").replace(field, "{}").format
 
 

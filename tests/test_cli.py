@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spindlemine
-from spindlemine import pipeline
+from spindlemine import cli, pipeline
 from spindlemine.cli import main
 from spindlemine.errors import InputError
 from spindlemine.signals import ZeroPowerWarning
@@ -212,22 +212,37 @@ def _dot_run_argv(command, files):
             files["annotations"], "--min-support", 0.4, "--min-lstab", 1]
 
 
-@pytest.mark.parametrize("command", ["mine", "pipeline"])
+#: the stage commands' arguments besides ``--output`` (keys of
+#: ``stage_inputs`` stand for their files)
+STAGE_ARGV = {
+    "extract": ["--recording", "recording", "--annotations", "annotations"],
+    "features": ["--segments", "segments"],
+    "context": ["--features", "features", "--labels", "labels"],
+}
+#: the functions that read a command's input files, and the lattice builder
+INPUT_WORK = [(cli, "read_segments_json"), (cli, "read_numeric_csv"), (cli, "read_labels_csv"),
+              (cli, "read_interval_csv"), (pipeline, "read_annotations_json"),
+              (pipeline, "read_recording_segments"), (pipeline, "read_labels_csv"),
+              (pipeline, "build_pattern_lattice")]
+
+
+@pytest.mark.parametrize("command", [*STAGE_ARGV, "mine", "pipeline"])
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 def test_an_output_that_cannot_be_a_directory_exits_2_before_mining(
-        two_cluster_files, tmp_path, capsys, monkeypatch, command, below):
-    built = []
-    build = pipeline.build_pattern_lattice
-    monkeypatch.setattr(pipeline, "build_pattern_lattice",
-                        lambda *args, **kwargs: built.append(1) or build(*args, **kwargs))
+        stage_inputs, tmp_path, capsys, monkeypatch, command, below):
+    done = []
+    for module, name in INPUT_WORK:
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=getattr(module, name),
+                            **kwargs: done.append(name) or real(*args, **kwargs))
     afile = tmp_path / "afile"
     afile.write_text("")
     output = afile / "sub" if below else afile
     dot = tmp_path / "o2" / "l.dot"
-    assert run([*_dot_run_argv(command, two_cluster_files), "--dot", dot,
-                "--output", output]) == 2
+    argv = ([command, *(stage_inputs.get(a, a) for a in STAGE_ARGV[command])]
+            if command in STAGE_ARGV else [*_dot_run_argv(command, stage_inputs), "--dot", dot])
+    assert run([*argv, "--output", output]) == 2
     assert f"output directory {str(output)!r}" in capsys.readouterr().err
-    assert built == []
+    assert done == []
     assert not dot.parent.exists()
 
 

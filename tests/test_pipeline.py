@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -453,15 +454,43 @@ def _edge_case_report(method: str) -> PatternReport:
     return _report(structure, method, range(len(build_pattern_lattice(structure))), extras)
 
 
+def _entries_elsewhere(report: PatternReport) -> PatternReport:
+    """``report`` with its first entry also under ``selection`` and nested
+    in ``config``: dicts of an entry's shape outside ``patterns``."""
+    entry = report.patterns[0]
+    return dataclasses.replace(report, selection={"entry": entry},
+                               config={"runs": [{"entry": entry}]})
+
+
 @settings(deadline=None, max_examples=150)
 @given(reports(edits=True))
 @example(_edge_case_report("exact-dp"))
 @example(_edge_case_report("bounds"))
 @example(_report(IntervalPatternStructure(("g",), (), (IntervalDescription(()),)),
                  "exact-dp", []))
+@example(_entries_elsewhere(_edge_case_report("bounds")))
+# a pattern that is no dict, though it iterates as an entry's keys
+@example(dataclasses.replace(_edge_case_report("exact-dp"), patterns=(
+    ["extent", "extent_size", "support", "intent", "stability"],)))
 def test_report_json_bytes_match_the_json_encoder(report):
     assert report_to_json(report) == (
         json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
+
+
+@settings(deadline=None, max_examples=50)
+@given(reports())
+@example(_edge_case_report("exact-dp"))
+@example(_edge_case_report("bounds"))
+def test_the_miners_entries_never_reach_the_fallback(report):
+    # every entry pattern_entry makes, the bottom's null intent and "inf"
+    # LStab included, is written by the template: the re-indented
+    # json.dumps sees only the other top-level values
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(pipeline, "_dumps", wraps=pipeline._dumps) as fallback:
+        export_report(report, tmp)
+    assert [call.args[0] for call in fallback.call_args_list] == [
+        value for key, value in report.to_json_dict().items()
+        if key != "patterns" or not value]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
