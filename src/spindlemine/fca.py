@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import and_, or_
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 import csv
@@ -71,6 +71,10 @@ T = TypeVar("T")
 
 #: Maps the digits of ``format(mask, "b")`` to the bytes 0 and 1.
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+#: Byte ``b`` with its bit order reversed, at index ``b``.
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _bit_flags(mask: int) -> bytes:
@@ -427,11 +431,14 @@ def assemble_lattice(structure: Any, extent_masks: Iterable[int]) -> ConceptLatt
     """Order the closed extents of ``structure`` into a lattice that reads
     payloads (``structure.concept``) and gaps (``gaps(i)``, from
     ``structure.chains``) on demand; see :class:`ConceptLattice`."""
-    # format(m, "b")[::-1] spells membership from object 0 up, so among
-    # extents of one size a larger string is a lexicographically smaller
-    # index list: sorting both parts descending is the documented order
-    masks = sorted(set(extent_masks), key=lambda m: (m.bit_count(), format(m, "b")[::-1]),
-                   reverse=True)
+    # the key puts the size above the mask's bits reversed over whole bytes,
+    # object 0 highest: among extents of one size, the one holding the
+    # lowest object of their first difference has the larger key, so sorting
+    # descending is the documented order
+    width = (len(structure.objects) + 7) // 8
+    shift = 8 * width
+    masks = sorted(set(extent_masks), reverse=True, key=lambda m: m.bit_count() << shift | (
+        int.from_bytes(m.to_bytes(width, "little").translate(_REVERSED_BITS), "big")))
     return ConceptLattice(structure, masks)
 
 
@@ -480,7 +487,9 @@ def read_object_table(
     repeated header name or id, a ragged row or a cell ``parse`` rejects
     names the file, the columns or rows (file lines) and a cell's column."""
     with input_file(path, what, newline="") as fh:
-        rows = list(csv.reader(fh))
+        # an Excel "CSV UTF-8" export starts with a byte-order mark
+        first = fh.readline().removeprefix("\ufeff")
+        rows = list(csv.reader(chain([first] if first else [], fh)))
     if not rows:
         raise InputError(f"{path}: empty file")
     header = rows[0]

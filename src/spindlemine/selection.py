@@ -113,25 +113,29 @@ def build_numeric_context(
     return ctx if labels is None else ctx.with_labels(labels)
 
 
-def _pairwise_abs_r(x: np.ndarray, y: np.ndarray, names: tuple[str, str],
-                    flat: tuple[bool, bool]) -> tuple[float, bool]:
-    """|Pearson r| plus a flag marking the zero-variance-pair convention.
+def _centred(column: np.ndarray) -> tuple[np.ndarray, float]:
+    """A column minus its mean, and its sum of squares (inf or nan once it
+    overflows, so the caller may silence numpy's overflow warnings)."""
+    centred = column - column.mean()
+    return centred, float(np.dot(centred, centred))
+
+
+def _pairwise_abs_r(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float],
+                    names: tuple[str, str], flat: tuple[bool, bool]) -> tuple[float, bool]:
+    """|Pearson r| of two columns given as :func:`_centred` pairs, plus a
+    flag marking the zero-variance-pair convention.
 
     ``flat`` tells which of the two columns holds one value only: two such
     columns have |r| 1 by convention, one has |r| 0 against a varying one.
     Raises :class:`InputError` naming the attribute pair when the product
     of the two sums of squares of varying columns leaves the float range,
     which would make r 0 (overflow) or divide by 0 (underflow, also of a
-    single sum of squares).  An overflow leaves a sum of squares inf or
-    nan, so the caller may silence numpy's overflow warnings."""
+    single sum of squares)."""
     if all(flat):
         return 1.0, True
     if any(flat):
         return 0.0, False
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(np.dot(xc, xc))
-    sy = float(np.dot(yc, yc))
+    (xc, sx), (yc, sy) = x, y
     product = sx * sy
     if not 0.0 < product < math.inf:
         raise InputError(f"attributes {names[0]!r} and {names[1]!r}: the product of their "
@@ -156,14 +160,16 @@ def correlation_prune(
         raise InputError("correlation pruning needs at least 2 objects")
     _check_corr_threshold(threshold)
     kept: list[int] = []
+    centred: list[tuple[np.ndarray, float]] = []  # _centred of each kept column
     dropped: list[dict[str, Any]] = []
     # a column is flat when all its values are equal, whatever its rounded mean
     flat = (ctx.values == ctx.values[:1]).all(axis=0).tolist()
     for j in range(ctx.n_attributes):
         partner = None
         with np.errstate(over="ignore", invalid="ignore"):  # _pairwise_abs_r rejects overflow
-            for i in kept:
-                abs_r, both_flat = _pairwise_abs_r(ctx.values[:, i], ctx.values[:, j],
+            column = _centred(ctx.values[:, j])
+            for i, kept_column in zip(kept, centred):
+                abs_r, both_flat = _pairwise_abs_r(kept_column, column,
                                                    (ctx.attributes[i], ctx.attributes[j]),
                                                    (flat[i], flat[j]))
                 if abs_r > threshold:
@@ -171,6 +177,7 @@ def correlation_prune(
                     break
         if partner is None:
             kept.append(j)
+            centred.append(column)
         else:
             i, abs_r, both_flat = partner
             if both_flat:

@@ -216,7 +216,9 @@ def _read_recording(path: str, sample_rate: float | None, plan):
         sample_rate = check_sample_rate(sample_rate)
     # a time step beyond the float range is inf: the rate check below names the file
     with input_file(path, "recording") as fh, np.errstate(over="ignore"):
-        header = [h.strip() for h in next(csv.reader([fh.readline()]), [])]
+        # an Excel "CSV UTF-8" export starts with a byte-order mark
+        line = fh.readline().removeprefix("\ufeff")
+        header = [h.strip() for h in next(csv.reader([line]), [])]
         check_unique(f"{path}: header name", header, "in columns", 1)
         has_time = bool(header) and header[0].lower() == "time"
         channel_names = tuple(header[1:] if has_time else header)

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from spindlemine.errors import InputError
 from spindlemine.fca import FormalContext
 from spindlemine.intervals import (
     IntervalDescription,
@@ -177,6 +179,51 @@ def oracle_integrate_cells(energy, cell_lo, cell_hi, lo: float, hi: float) -> fl
     with np.errstate(invalid="ignore", divide="ignore"):
         fraction = np.where(width > 0.0, overlap / np.where(width > 0.0, width, 1.0), 0.0)
     return float(np.sum(energy * fraction))
+
+
+def reference_correlation_prune(ctx, threshold: float) -> tuple[list[str], list[dict]]:
+    """Greedy correlation pruning that centres both columns of every pair
+    it compares: ``(retained, dropped)`` as in ``correlation_prune``'s
+    report, with the same zero-variance warnings and the same
+    :class:`InputError` for a product of sums of squares outside the float
+    range.  The reference for the pruner that centres each column once."""
+    kept: list[int] = []
+    dropped: list[dict] = []
+    flat = (ctx.values == ctx.values[:1]).all(axis=0).tolist()
+    for j in range(ctx.n_attributes):
+        partner = None
+        for i in kept:
+            if flat[i] and flat[j]:
+                abs_r, both_flat = 1.0, True
+            elif flat[i] or flat[j]:
+                abs_r, both_flat = 0.0, False
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x, y = ctx.values[:, i], ctx.values[:, j]
+                    xc = x - x.mean()
+                    yc = y - y.mean()
+                    sx = float(np.dot(xc, xc))
+                    sy = float(np.dot(yc, yc))
+                    if not 0.0 < sx * sy < math.inf:
+                        raise InputError(
+                            f"attributes {ctx.attributes[i]!r} and {ctx.attributes[j]!r}: the "
+                            "product of their sums of squares is outside the float range, "
+                            "so r cannot be computed")
+                    abs_r = min(abs(float(np.dot(xc, yc)) / math.sqrt(sx * sy)), 1.0)
+                both_flat = False
+            if abs_r > threshold:
+                partner = (i, abs_r, both_flat)
+                break
+        if partner is None:
+            kept.append(j)
+            continue
+        i, abs_r, both_flat = partner
+        if both_flat:
+            warnings.warn(f"attribute {ctx.attributes[j]!r} has zero variance (as does "
+                          f"{ctx.attributes[i]!r}); treated as |r|=1 and dropped", UserWarning)
+        dropped.append({"attribute": ctx.attributes[j], "partner": ctx.attributes[i],
+                        "abs_r": abs_r})
+    return [ctx.attributes[j] for j in kept], dropped
 
 
 # ---------------------------------------------------------------------------

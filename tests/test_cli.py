@@ -516,6 +516,39 @@ def test_undecodable_input_exits_2(two_cluster_files, tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+#: subcommand, the flag of a CSV input, the other arguments (keys of
+#: ``stage_inputs`` stand for their files); extract gets no --fs, so it
+#: must find the time column to infer the rate
+CSV_INPUTS = [
+    ("extract", "--recording", ["--annotations", "annotations"]),
+    ("context", "--features", ["--labels", "labels"]),
+    ("context", "--labels", ["--features", "features"]),
+    ("mine", "--context", ["--min-support", "0.3", "--min-lstab", "1"]),
+]
+
+
+@pytest.mark.parametrize("command, flag, rest", CSV_INPUTS,
+                         ids=[f"{command}-{flag}" for command, flag, _ in CSV_INPUTS])
+def test_a_byte_order_mark_before_a_csv_header_is_ignored(stage_inputs, tmp_path, command,
+                                                          flag, rest):
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark;
+    # both copies take one path, which a report's config block records
+    plain = Path(stage_inputs[flag[2:]]).read_bytes()
+    path = tmp_path / "input.csv"
+    args = [stage_inputs.get(arg, arg) for arg in rest]
+    outputs = []
+    for name, data in (("plain", plain), ("bom", b"\xef\xbb\xbf" + plain)):
+        path.write_bytes(data)
+        assert run([command, flag, path, *args, "--output", tmp_path / name]) == 0
+        # a report's generated block holds its timings
+        outputs.append({p.name: p.read_bytes().split(b'"generated"')[0]
+                        for p in sorted((tmp_path / name).iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]
+    if command == "extract":
+        segments = json.loads((tmp_path / "bom" / "segments.json").read_text())
+        assert [s["sample_rate"] for s in segments] == [pytest.approx(200.0)] * len(segments)
+
+
 @pytest.mark.parametrize("flags, setting", [
     (["--ig-top-k", 0], "ig_top_k"),
     (["--corr-threshold", 0], "corr_threshold"),

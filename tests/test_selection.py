@@ -24,7 +24,7 @@ from spindlemine.selection import (
 )
 from spindlemine.signals import feature_columns, feature_row
 
-from conftest import sine
+from conftest import reference_correlation_prune, sine
 
 
 def ctx_from_columns(columns: dict[str, list[float]], labels=None) -> NumericContext:
@@ -198,6 +198,58 @@ def test_prune_validation():
         correlation_prune(two, threshold=0.0)
     with pytest.raises(InputError, match=r"^corr_threshold 1.5 outside \(0, 1\]$"):
         correlation_prune(two, threshold=1.5)
+
+
+@st.composite
+def pruning_contexts(draw) -> NumericContext:
+    """Contexts of 2-24 objects whose columns are drawn, flat, or an earlier
+    column copied, negated, nudged in one cell or scaled by 1e170 or
+    1e-170 (whose sums of squares overflow or underflow)."""
+    n = draw(st.integers(2, 24))
+    cell = st.one_of(st.integers(-5, 5).map(float),
+                     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    columns: list[list[float]] = []
+    unscaled: list[list[float]] = []  # scaling one of these twice would overflow
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["drawn", "flat", "copy", "negated", "nudged", "scaled"])
+                    if columns else st.sampled_from(["drawn", "flat"]))
+        if kind == "scaled":
+            factor = draw(st.sampled_from([1e170, 1e-170, -1e170]))
+            columns.append([factor * v for v in draw(st.sampled_from(unscaled))])
+            continue
+        if kind == "drawn":
+            column = draw(st.lists(cell, min_size=n, max_size=n))
+        elif kind == "flat":
+            column = [draw(cell)] * n
+        else:  # a copy, negation or nudge of an unscaled column stays unscaled
+            sign = -1.0 if kind == "negated" else 1.0
+            column = [sign * v for v in draw(st.sampled_from(unscaled))]
+            if kind == "nudged":  # |r| near 1 but below it: abs_r keeps its last bits
+                column[draw(st.integers(0, n - 1))] += draw(st.floats(0.01, 100.0))
+        columns.append(column)
+        unscaled.append(column)
+    return ctx_from_columns({f"c{k}": column for k, column in enumerate(columns)})
+
+
+@settings(deadline=None, max_examples=300)
+@given(pruning_contexts(), st.sampled_from([0.5, 0.9, 0.95, 0.999999, 1.0]))
+def test_prune_matches_the_per_pair_reference(ctx, threshold):
+    # a column centred once gives every pair the bits of centring both per pair
+    def outcome(prune):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = prune()
+            except InputError as exc:
+                result = str(exc)
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    def pruned():
+        context, report = correlation_prune(ctx, threshold)
+        assert report["retained"] == list(context.attributes)
+        return report["retained"], report["dropped"]
+
+    assert outcome(pruned) == outcome(lambda: reference_correlation_prune(ctx, threshold))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,21 @@ def test_read_recording_without_time_column(tmp_path):
         read_recording_csv(str(path))  # no rate available anywhere
 
 
+@pytest.mark.parametrize("header", ["time,C3", "C3,C4"])
+def test_read_recording_ignores_a_byte_order_mark(tmp_path, header):
+    # Excel's "CSV UTF-8" export starts the file with one; with the rate
+    # given, it must not make the first column a channel named "\ufefftime"
+    # or "\ufeffC3"
+    text = (header + "\n0.0,1.0\n0.25,2.0\n0.5,4.0\n").encode()
+    recordings = []
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        rec = read_recording_csv(str(path), sample_rate=100.0)
+        recordings.append((rec.sample_rate, rec.channels, rec.data.tolist()))
+    assert recordings[0] == recordings[1]
+
+
 def test_read_recording_rejects_garbage(tmp_path):
     nonuniform = tmp_path / "nu.csv"
     nonuniform.write_text("time,C3\n0.0,1.0\n0.1,2.0\n0.35,3.0\n")
