@@ -69,9 +69,10 @@ def read_json(path: str, what: str) -> Any:
     :func:`input_file`.  Text ``json`` cannot parse, an integer literal
     longer than ``int`` converts (``sys.get_int_max_str_digits``) and
     nesting deeper than the parser recurses raise :class:`InputError`
-    naming the file.  Every JSON input is read here."""
+    naming the file.  One leading byte-order mark is dropped, as a "UTF-8
+    with BOM" save starts with one.  Every JSON input is read here."""
     with input_file(path, what) as fh:
-        text = fh.read()
+        text = fh.read().removeprefix("\ufeff")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -40,10 +40,15 @@ the slots still open.  Closing a set leaves its hull where it was, so
 enumeration keeps each extent's hull and closes the extension by ``g``
 from the hull OR ``g``'s word: one OR and the folds.
 
-Enumeration is Fast Close-by-One (:func:`enumerate_closed_extents`).  A
-lattice holds its structure and the closed extents, sorted largest first,
-so the concepts of at least a given support are a prefix of it (the
-iceberg of Stumme et al., DKE 2002).  The structure's ``concept`` and
+Enumeration is Fast Close-by-One (:func:`enumerate_closed_extents`),
+which branches once per object.  A binary context with fewer attributes
+than objects is enumerated on its transpose, whose chains are
+``[M, row]`` per object and whose fixpoints are the closed intents; each
+intent ``B`` is then mapped to its extent ``B'`` through per-byte tables
+of column intersections (:func:`build_lattice`).  A lattice holds its
+structure and the closed extents, sorted largest first, so the concepts
+of at least a given support are a prefix of it (the iceberg of Stumme
+et al., DKE 2002).  The structure's ``concept`` and
 ``chains`` give any extent's payload and gaps, so a run that reports only
 a few concepts reads only theirs; the list of every payload and the lower
 covers are each built in one pass on their first read.  Once the covers
@@ -55,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from operator import and_, or_
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 import csv
@@ -201,8 +206,7 @@ class ConceptLattice:
     structure for them.  ``gaps(i)`` is computed on every call: from the
     structure's :meth:`NestedChains.gaps` until ``children`` has been
     read, and as ``extent - child`` over the covers after that (the same
-    set, in cover order).  ``down_set(i)`` walks the covers for the
-    concepts below ``i``.  ``covers`` holds every ``(parent_index,
+    set, in cover order).  ``covers`` holds every ``(parent_index,
     child_index)`` pair, sorted ascending, i.e. the transitive reduction
     of the extent-inclusion order.
     """
@@ -233,19 +237,6 @@ class ConceptLattice:
         gaps = self.structure.chains.gaps
         index = {m: i for i, m in enumerate(self.extent_masks)}
         return [tuple(sorted(index[m & ~g] for g in gaps(m))) for m in self.extent_masks]
-
-    def down_set(self, index: int) -> set[int]:
-        """The indices of the concepts strictly below concept ``index``,
-        walked over ``children``."""
-        children = self.children
-        seen = set(children[index])
-        stack = list(seen)
-        while stack:
-            for d in children[stack.pop()]:
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return seen
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -450,9 +441,41 @@ def build_lattice(
     The result matches brute-force enumeration of all ``2^|G|`` extent
     closures, deduplicated.  Raises :class:`CapacityError` when the number
     of concepts exceeds ``concept_cap``.
+
+    Fast Close-by-One runs over the smaller side.  With at least as many
+    attributes as objects it closes object sets on ``context.chains``.
+    With fewer attributes it closes attribute sets on the transposed
+    context, one chain ``[M, row]`` per object, which gives each concept's
+    closed intent once, and maps each intent to its extent
+    (:func:`_extents_of`).  The extents are the same set either way, so the
+    lattice, its order and the concept count the cap is checked against do
+    not change.
     """
-    up, close = context.chains.up, context.chains.close_hull
-    return assemble_lattice(context, enumerate_closed_extents(up, close, concept_cap))
+    if context.n_attributes < context.n_objects:
+        # the transposed context: one chain [M, row] per object
+        full = (1 << context.n_attributes) - 1
+        chains = NestedChains(context.n_attributes, [[full, row] for row in context.row_masks])
+        intents = enumerate_closed_extents(chains.up, chains.close_hull, concept_cap)
+        return assemble_lattice(context, _extents_of(context, intents))
+    chains = context.chains
+    return assemble_lattice(
+        context, enumerate_closed_extents(chains.up, chains.close_hull, concept_cap))
+
+
+def _extents_of(context: FormalContext, intents: list[int]) -> list[int]:
+    """The extent ``B'`` of each attribute mask ``B``.  Per byte of
+    attributes, a table holds the AND of the columns of each of its 256
+    values (one AND per entry), so an extent is one lookup per byte."""
+    columns = context.column_masks
+    width = (len(columns) + 7) // 8
+    data = b"".join(map(int.to_bytes, intents, repeat(width), repeat("little")))
+    extents: Iterable[int] = [context.object_mask] * len(intents)
+    for j in range(width):
+        table = [context.object_mask]
+        for column in columns[8 * j:8 * j + 8]:
+            table += [t & column for t in table]
+        extents = map(and_, extents, map(table.__getitem__, data[j::width]))
+    return list(extents)
 
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:

@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
@@ -198,13 +199,12 @@ def correlation_prune(
     return pruned, report
 
 
-def _entropy_bits(labels: Sequence[str]) -> float:
-    n = len(labels)
-    counts: dict[str, int] = {}
-    for item in labels:
-        counts[item] = counts.get(item, 0) + 1
+def _entropy_bits(counts: Sequence[int]) -> float:
+    """The entropy in bits of the distribution with these counts, summed
+    in their order: callers pass labels in order of first occurrence."""
+    n = sum(counts)
     h = 0.0
-    for c in counts.values():
+    for c in counts:
         p = c / n
         h -= p * math.log2(p)
     return h + 0.0
@@ -241,15 +241,20 @@ def information_gain_rank(
     if ctx.labels is None:
         raise InputError("information gain requires class labels")
     _check_ig_bins(bins)
-    base = _entropy_bits(ctx.labels)
+    base = _entropy_bits(list(Counter(ctx.labels).values()))
     n = ctx.n_objects
     gains: list[tuple[str, float]] = []
     for j, name in enumerate(ctx.attributes):
-        binned = _equal_width_bins(ctx.values[:, j], bins)
+        # one pass counts the (bin, label) pairs; within a bin, the labels
+        # keep the order of their first occurrence
+        per_bin: dict[float, list[int]] = {}
+        pairs = Counter(zip(_equal_width_bins(ctx.values[:, j], bins).tolist(), ctx.labels))
+        for (b, _), c in pairs.items():
+            per_bin.setdefault(b, []).append(c)
         conditional = 0.0
-        for b in np.unique(binned):
-            members = [ctx.labels[i] for i in np.flatnonzero(binned == b)]
-            conditional += len(members) / n * _entropy_bits(members)
+        for b in sorted(per_bin):
+            counts = per_bin[b]
+            conditional += sum(counts) / n * _entropy_bits(counts)
         gains.append((name, max(base - conditional, 0.0) + 0.0))
     order = sorted(range(len(gains)), key=lambda j: (-gains[j][1], j))
     return [gains[j] for j in order]

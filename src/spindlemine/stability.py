@@ -21,12 +21,17 @@ count is the closed form ``q = 2^(|A| - |F|)``, with ``F`` the union of
 the one-object gaps; with continuous features every gap is one object,
 so this is the common case.  Otherwise every subset of ``A`` closes to
 exactly one concept with extent inside ``A``, so
-``q(c) = 2^|A| - sum of q(e) over the strict down-set of c``, found by
-walking the cover relation.  Counts are kept as arbitrary-precision
-integers, so the identity ``sum of q over all concepts = 2^|G|`` is
-exact at any size.  :func:`stability_bruteforce` enumerates the subsets
-of one concept's extent (capped, since there are ``2^|A|``); it is the
-reference the exact counts are checked against, not a mining method.
+``q(c) = 2^|A| - sum of q(e) over the strict down-set of c`` (the
+down-set count of Roth, Obiedkov & Kourie, 2008).  The subsets of the
+largest lower cover ``A_k`` are ``2^|A_k|`` of those, all closing inside
+``A_k``, so the walk over the cover relation starts from the other lower
+covers and skips every concept inside ``A_k``:
+``q(c) = 2^|A| - 2^|A_k| - sum of q(e)`` over the rest.  Counts are
+kept as arbitrary-precision integers, so the identity ``sum of q over
+all concepts = 2^|G|`` is exact at any size.
+:func:`stability_bruteforce` enumerates the subsets of one concept's
+extent (capped, since there are ``2^|A|``); it is the reference the
+exact counts are checked against, not a mining method.
 
 :func:`score_lattice` scores the frequent concepts, those whose support
 is at least ``min_support``, and returns a dict from concept index to
@@ -237,42 +242,64 @@ def stability_lattice_dp(
     (``lattice.gaps(i)``).  One-object gaps force their object into ``C``;
     when every gap meets the union ``F`` of those objects, forcing ``F``
     suffices and ``q = 2^(|A| - |F|)``.  Otherwise ``q`` follows from the
-    subset-partition identity ``q = 2^|A| - sum of q(d)`` over the
-    concept's strict down-set (``lattice.down_set(i)``, a walk over the
-    lower covers); the counts of the down-set are computed from the bottom
-    up (children have larger indices) and kept for the concepts scored
-    later.  Counts are integers throughout, so results are exact for any
-    lattice size.
+    subset-partition identity: every subset of ``A`` closes to exactly one
+    concept inside ``A``.  The subsets of the largest lower cover ``A_k``
+    (``lattice.children[i][0]``) close inside ``A_k``, ``2^|A_k|`` of them,
+    so ``q = 2^|A| - 2^|A_k| - sum of q(d)`` over the concepts ``d`` below
+    the concept whose extents are not inside ``A_k``.  These are found by a
+    walk down the lower covers from the other covers that stops at every
+    concept inside ``A_k``.  The counts the walk reads are settled first,
+    with an explicit stack rather than recursion, and kept for the
+    concepts scored later.  Counts are integers throughout, so results are
+    exact for any lattice size.
 
     The closed form costs a few mask operations per gap and builds no
-    cover.  The first concept it does not settle walks its down-set, which
+    cover.  The first concept it does not settle walks the covers, which
     builds every lower cover in one pass (``lattice.children``); from then
     on ``lattice.gaps(i)`` reads each concept's gaps off its covers.
     """
     masks = lattice.extent_masks
     counts: list[int | None] = [None] * len(masks)
 
+    def walk(i: int) -> tuple[int, set[int]]:
+        """The largest lower cover ``k`` of ``i``, and the concepts below
+        ``i`` that hold an object of ``A \\ A_k``."""
+        children = lattice.children
+        k, *rest = children[i]
+        outside = masks[i] & ~masks[k]
+        seen = {d for d in rest if masks[d] & outside}
+        stack = list(seen)
+        while stack:
+            for d in children[stack.pop()]:
+                if d not in seen and masks[d] & outside:
+                    seen.add(d)
+                    stack.append(d)
+        return k, seen
+
     def count(i: int) -> int:
-        q = counts[i]
-        if q is not None:
-            return q
-        mask = masks[i]
-        gaps = lattice.gaps(i)
-        forced = 0
-        for gap in gaps:
-            if gap & (gap - 1) == 0:  # gaps are non-empty: one object
-                forced |= gap
-        if all(gap & forced for gap in gaps):
-            q = 1 << (mask.bit_count() - forced.bit_count())
-        else:
-            seen = lattice.down_set(i)
-            # from the largest index down, every count that a member's own
-            # walk reads is already known, so the recursion stays shallow
-            for d in sorted((d for d in seen if counts[d] is None), reverse=True):
-                count(d)
-            q = (1 << mask.bit_count()) - sum(map(counts.__getitem__, seen))
-        counts[i] = q
-        return q
+        # a walked concept goes back on the stack with its walk, under the
+        # unknown counts the walk reads; they lie below it, so each is
+        # settled (or itself walked and put back) before it is popped again
+        todo: list[tuple[int, tuple[int, set[int]] | None]] = [(i, None)]
+        while todo:
+            j, walked = todo.pop()
+            if walked is not None:
+                k, below = walked
+                counts[j] = ((1 << masks[j].bit_count()) - (1 << masks[k].bit_count())
+                             - sum(map(counts.__getitem__, below)))
+            elif counts[j] is None:
+                gaps = lattice.gaps(j)
+                forced = 0
+                for gap in gaps:
+                    if gap & (gap - 1) == 0:  # gaps are non-empty: one object
+                        forced |= gap
+                if all(gap & forced for gap in gaps):
+                    counts[j] = 1 << (masks[j].bit_count() - forced.bit_count())
+                else:
+                    walked = walk(j)
+                    todo.append((j, walked))
+                    todo += [(d, None) for d in walked[1] if counts[d] is None]
+        return counts[i]  # type: ignore[return-value]
 
     return {i: StabilityScore.from_exact_count("lattice-dp", masks[i].bit_count(), count(i))
             for i in range(frequent_count(lattice, min_support))}

@@ -30,6 +30,7 @@ from spindlemine.intervals import (
     interval_meet,
     subsumes,
 )
+from spindlemine.selection import _equal_width_bins
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +225,39 @@ def reference_correlation_prune(ctx, threshold: float) -> tuple[list[str], list[
         dropped.append({"attribute": ctx.attributes[j], "partner": ctx.attributes[i],
                         "abs_r": abs_r})
     return [ctx.attributes[j] for j in kept], dropped
+
+
+def _reference_entropy_bits(labels) -> float:
+    n = len(labels)
+    counts: dict[str, int] = {}
+    for item in labels:
+        counts[item] = counts.get(item, 0) + 1
+    h = 0.0
+    for c in counts.values():
+        p = c / n
+        h -= p * math.log2(p)
+    return h + 0.0
+
+
+def reference_information_gain_rank(ctx, bins: int = 5) -> list[tuple[str, float]]:
+    """Information-gain ranking that, per attribute and bin, collects the
+    bin's labels in object order and takes their entropy: the reference for
+    the ranking that counts (bin, label) pairs in one pass.  The binning is
+    the package's own."""
+    if ctx.labels is None:
+        raise InputError("information gain requires class labels")
+    base = _reference_entropy_bits(ctx.labels)
+    n = ctx.n_objects
+    gains: list[tuple[str, float]] = []
+    for j, name in enumerate(ctx.attributes):
+        binned = _equal_width_bins(ctx.values[:, j], bins)
+        conditional = 0.0
+        for b in np.unique(binned):
+            members = [ctx.labels[i] for i in np.flatnonzero(binned == b)]
+            conditional += len(members) / n * _reference_entropy_bits(members)
+        gains.append((name, max(base - conditional, 0.0) + 0.0))
+    order = sorted(range(len(gains)), key=lambda j: (-gains[j][1], j))
+    return [gains[j] for j in order]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -527,26 +528,50 @@ CSV_INPUTS = [
 ]
 
 
+def _outputs_of_a_bom_copy(stage_inputs, tmp_path, command, flag, rest):
+    """The outputs of ``command`` run on the file of ``flag`` and on a
+    copy that starts with a UTF-8 byte-order mark, as Excel's "CSV UTF-8"
+    and Notepad's "UTF-8 with BOM" saves do.  Both runs take one input
+    path and one output directory, which a report's config block records."""
+    plain = Path(stage_inputs[flag[2:]]).read_bytes()
+    path, out = tmp_path / "input", tmp_path / "out"
+    args = [stage_inputs.get(arg, arg) for arg in rest]
+    outputs = []
+    for data in (plain, b"\xef\xbb\xbf" + plain):
+        path.write_bytes(data)
+        assert run([command, flag, path, *args, "--output", out]) == 0
+        # a report's generated block holds its timings
+        outputs.append({p.name: p.read_bytes().split(b'"generated"')[0]
+                        for p in sorted(out.iterdir())})
+        shutil.rmtree(out)
+    return outputs
+
+
 @pytest.mark.parametrize("command, flag, rest", CSV_INPUTS,
                          ids=[f"{command}-{flag}" for command, flag, _ in CSV_INPUTS])
 def test_a_byte_order_mark_before_a_csv_header_is_ignored(stage_inputs, tmp_path, command,
                                                           flag, rest):
-    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark;
-    # both copies take one path, which a report's config block records
-    plain = Path(stage_inputs[flag[2:]]).read_bytes()
-    path = tmp_path / "input.csv"
-    args = [stage_inputs.get(arg, arg) for arg in rest]
-    outputs = []
-    for name, data in (("plain", plain), ("bom", b"\xef\xbb\xbf" + plain)):
-        path.write_bytes(data)
-        assert run([command, flag, path, *args, "--output", tmp_path / name]) == 0
-        # a report's generated block holds its timings
-        outputs.append({p.name: p.read_bytes().split(b'"generated"')[0]
-                        for p in sorted((tmp_path / name).iterdir())})
-    assert outputs[0] and outputs[0] == outputs[1]
+    plain, bom = _outputs_of_a_bom_copy(stage_inputs, tmp_path, command, flag, rest)
+    assert plain and plain == bom
     if command == "extract":
-        segments = json.loads((tmp_path / "bom" / "segments.json").read_text())
+        segments = json.loads(bom["segments.json"])
         assert [s["sample_rate"] for s in segments] == [pytest.approx(200.0)] * len(segments)
+
+
+#: subcommand, the flag of a JSON input, the other arguments
+JSON_INPUTS = [
+    ("extract", "--annotations", ["--recording", "recording"]),
+    ("features", "--segments", []),
+    ("pipeline", "--config", []),
+]
+
+
+@pytest.mark.parametrize("command, flag, rest", JSON_INPUTS,
+                         ids=[f"{command}-{flag}" for command, flag, _ in JSON_INPUTS])
+def test_a_byte_order_mark_before_a_json_input_is_ignored(stage_inputs, tmp_path, command,
+                                                          flag, rest):
+    plain, bom = _outputs_of_a_bom_copy(stage_inputs, tmp_path, command, flag, rest)
+    assert plain and plain == bom
 
 
 @pytest.mark.parametrize("flags, setting", [

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spindlemine.errors import CapacityError
-from spindlemine.fca import FormalContext, build_lattice, enumerate_closed_extents
+from spindlemine.fca import (
+    FormalContext,
+    assemble_lattice,
+    build_lattice,
+    enumerate_closed_extents,
+)
 from spindlemine.intervals import build_pattern_lattice
 
 from conftest import (
@@ -24,9 +29,10 @@ from conftest import (
 @st.composite
 def binary_contexts(draw):
     """Random binary contexts whose rows repeat often; zero objects and
-    zero attributes included."""
-    n = draw(st.integers(0, 8))
-    m = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 17]))
+    zero attributes included.  7 to 9 attributes, the byte borders of the
+    tables that map intents to extents, come with up to 12 objects."""
+    m = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 17]))
+    n = draw(st.integers(0, 12 if 7 <= m <= 9 else 8))
     row = st.lists(st.integers(0, 1), min_size=m, max_size=m)
     pool = draw(st.lists(row, min_size=1, max_size=4))
     rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
@@ -67,6 +73,18 @@ def test_pruned_enumeration_matches_plain_close_by_one_on_binary_contexts(ctx):
     _check_pruned_against_reference(
         ctx.n_objects, lambda a: oracle_binary_closure(ctx, a), ctx.chains,
         oracle_binary_closed_extents(ctx))
+
+
+@settings(deadline=None, max_examples=300)
+@given(binary_contexts())
+def test_binary_lattice_matches_the_object_side_and_the_oracle(ctx):
+    # with fewer attributes than objects, build_lattice enumerates the
+    # transposed context and maps each closed intent to its extent
+    lattice = build_lattice(ctx)
+    chains = ctx.chains
+    assert lattice == assemble_lattice(ctx, enumerate_closed_extents(chains.up, chains.close_hull))
+    assert {frozenset(g for g in range(ctx.n_objects) if m >> g & 1)
+            for m in lattice.extent_masks} == oracle_binary_closed_extents(ctx)
 
 
 @settings(deadline=None, max_examples=300)

@@ -71,9 +71,8 @@ def _reprs(intent):
 
 
 def _check_lazy_lattice(build, structure, closed, payload, same, order, rng):
-    """Read ``children[i]``, ``concepts[i]`` and ``down_set(i)`` in
-    ``order`` on a fresh lattice, then ``covers``; and ``covers`` first on
-    another."""
+    """Read ``children[i]`` and ``concepts[i]`` in ``order`` on a fresh
+    lattice, then ``covers``; and ``covers`` first on another."""
     lat = build(structure)
     assert {frozenset(_bits(m)) for m in lat.extent_masks} == closed
     n = len(lat)
@@ -84,7 +83,6 @@ def _check_lazy_lattice(build, structure, closed, payload, same, order, rng):
         kids = lat.children[i]
         assert list(kids) == sorted(j for p, j in want_covers if p == i)
         assert same(lat.concepts[i], payload(extents[i]))
-        assert lat.down_set(i) == {j for j, e in enumerate(extents) if e < extents[i]}
     assert lat.covers == tuple(sorted(want_covers))
 
     fresh = build(structure)

@@ -24,7 +24,7 @@ from spindlemine.selection import (
 )
 from spindlemine.signals import feature_columns, feature_row
 
-from conftest import reference_correlation_prune, sine
+from conftest import reference_correlation_prune, reference_information_gain_rank, sine
 
 
 def ctx_from_columns(columns: dict[str, list[float]], labels=None) -> NumericContext:
@@ -362,6 +362,35 @@ def test_ig_gains_of_a_subnormal_column_equal_its_scaled_copy(steps, labels, bin
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert information_gain_rank(tiny, bins) == information_gain_rank(normal, bins)
+
+
+@st.composite
+def labelled_contexts(draw) -> NumericContext:
+    """Contexts of 1-30 objects with 1-3 distinct labels, whose columns are
+    drawn, flat, or drawn from a few tied values (with -0.0 and 0.0)."""
+    n = draw(st.integers(1, 30))
+    names = "xyz"[:draw(st.integers(1, 3))]
+    labels = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    cell = st.one_of(st.integers(-3, 3).map(float),
+                     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["drawn", "flat", "tied"]))
+        if kind == "flat":
+            columns.append([draw(cell)] * n)
+        elif kind == "tied":
+            tie = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+            columns.append(draw(st.lists(tie, min_size=n, max_size=n)))
+        else:
+            columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    return ctx_from_columns({f"c{k}": column for k, column in enumerate(columns)}, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_contexts(), st.one_of(st.integers(2, 12), st.integers(2, 2 ** 70)))
+def test_ig_ranking_matches_the_per_bin_reference(ctx, bins):
+    # == on the floats: the one-pass counts give every gain its exact bits
+    assert information_gain_rank(ctx, bins) == reference_information_gain_rank(ctx, bins)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,23 @@
 """Stability: exact counts, the log scale, bounds, and filtering."""
 
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spindlemine.errors import CapacityError, InputError
-from spindlemine.fca import FormalContext, build_lattice
+from spindlemine.fca import (
+    FormalContext,
+    assemble_lattice,
+    build_lattice,
+    enumerate_closed_extents,
+    read_object_table,
+)
 from spindlemine.intervals import (
     IntervalDescription,
     IntervalPatternStructure,
@@ -33,6 +43,7 @@ from conftest import (
     oracle_subset_counts,
     random_context,
     random_interval_structure,
+    tie_heavy_structures,
 )
 
 
@@ -184,11 +195,12 @@ def _needs_down_set(lattice, index):
 
 
 def _assert_dp_matches_oracle(lattice):
+    """Every exact-dp count equals the pair oracle's; returns the concepts
+    the closed form does not settle, by their number of lower covers."""
     dp = stability_lattice_dp(lattice)
     assert {i: s.exact_count for i, s in dp.items()} == oracle_subset_counts(lattice)
-    walked = sum(_needs_down_set(lattice, i) for i in range(len(lattice)))
-    # both the closed form and the down-set walk must be exercised
-    assert 0 < walked < len(lattice)
+    return Counter(len(lattice.children[i]) for i in range(len(lattice))
+                   if _needs_down_set(lattice, i))
 
 
 def test_dp_matches_pair_oracle_on_binary_context_with_duplicate_rows():
@@ -198,7 +210,59 @@ def test_dp_matches_pair_oracle_on_binary_context_with_duplicate_rows():
     ctx = FormalContext.from_rows(
         [f"g{i}" for i in range(50)], [f"m{j}" for j in range(18)], rows
     )
-    _assert_dp_matches_oracle(build_lattice(ctx))
+    lattice = build_lattice(ctx)
+    # built over the 18 attributes, mapped through three byte tables
+    chains = ctx.chains
+    assert lattice.extent_masks == assemble_lattice(
+        ctx, enumerate_closed_extents(chains.up, chains.close_hull)).extent_masks
+    walked = _assert_dp_matches_oracle(lattice)
+    # both the closed form and the walk must be exercised
+    assert 0 < sum(walked.values()) < len(lattice)
+
+
+@st.composite
+def binary_contexts_with_repeated_rows(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)) for _ in range(n)]
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))]
+    return FormalContext.from_rows(
+        [f"g{i}" for i in range(len(rows))], [f"m{j}" for j in range(m)], rows)
+
+
+def test_dp_matches_pair_oracle_on_drawn_structures():
+    walked = Counter()
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(tie_heavy_structures().map(build_pattern_lattice),
+                     binary_contexts_with_repeated_rows().map(build_lattice)))
+    def check(lattice):
+        walked.update(_assert_dp_matches_oracle(lattice))
+
+    check()
+    # the draws walk concepts with one lower cover (no walk is needed
+    # beyond the largest cover) and with several, whose walks stop at
+    # the concepts inside the largest cover's extent
+    assert walked[1] > 0 and sum(n for covers, n in walked.items() if covers > 1) > 0
+
+
+BINARY_DP = Path(__file__).parent / "fixtures" / "binary_dp"
+
+
+def test_binary_lattice_and_exact_dp_match_committed_outputs():
+    # a 30 x 12 context drawn at density 0.45; lattice.json was written by
+    # the object-side Close-by-One and the full down-set walk, so this pins
+    # the transposed enumeration, its two intent tables and the pruned walk
+    objects, attributes, table = read_object_table(
+        str(BINARY_DP / "context.csv"), int, "context")
+    lattice = build_lattice(FormalContext.from_rows(objects, attributes, table))
+    scores = score_lattice(lattice, "exact-dp")
+    want = json.loads((BINARY_DP / "lattice.json").read_text())
+    assert [[g for g in range(len(objects)) if m >> g & 1]
+            for m in lattice.extent_masks] == want["extents"]
+    assert [list(pair) for pair in lattice.covers] == want["covers"]
+    assert [scores[i].exact_count for i in range(len(lattice))] == want["exact_counts"]
+    assert filter_concepts(lattice, scores, min_support=0.05, min_lstab=1.0) == want["kept"]
 
 
 def test_dp_matches_pair_oracle_on_integer_ties():
@@ -212,7 +276,9 @@ def test_dp_matches_pair_oracle_on_integer_ties():
             for _ in range(n)
         ),
     )
-    _assert_dp_matches_oracle(build_pattern_lattice(ps))
+    lattice = build_pattern_lattice(ps)
+    walked = _assert_dp_matches_oracle(lattice)
+    assert 0 < sum(walked.values()) < len(lattice)
 
 
 def test_bruteforce_capacity():
