@@ -41,11 +41,11 @@ enumeration keeps each extent's hull and closes the extension by ``g``
 from the hull OR ``g``'s word: one OR and the folds.
 
 Enumeration is Fast Close-by-One (:func:`enumerate_closed_extents`),
-which branches once per object.  A binary context with fewer attributes
-than objects is enumerated on its transpose, whose chains are
-``[M, row]`` per object and whose fixpoints are the closed intents; each
-intent ``B`` is then mapped to its extent ``B'`` through per-byte tables
-of column intersections (:func:`build_lattice`).  A lattice holds its
+which branches once per object.  A binary context with at least 2.5
+times as many objects as attributes is enumerated on its transpose, whose
+chains are ``[M, row]`` per object and whose fixpoints are the closed
+intents; each intent ``B`` is then mapped to its extent ``B'``, the AND of
+its columns (:func:`build_lattice`).  A lattice holds its
 structure and the closed extents, sorted largest first, so the concepts
 of at least a given support are a prefix of it (the iceberg of Stumme
 et al., DKE 2002).  The structure's ``concept`` and
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count
 from operator import and_, or_
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 import csv
@@ -442,40 +442,30 @@ def build_lattice(
     closures, deduplicated.  Raises :class:`CapacityError` when the number
     of concepts exceeds ``concept_cap``.
 
-    Fast Close-by-One runs over the smaller side.  With at least as many
-    attributes as objects it closes object sets on ``context.chains``.
-    With fewer attributes it closes attribute sets on the transposed
-    context, one chain ``[M, row]`` per object, which gives each concept's
-    closed intent once, and maps each intent to its extent
-    (:func:`_extents_of`).  The extents are the same set either way, so the
-    lattice, its order and the concept count the cap is checked against do
-    not change.
+    Fast Close-by-One closes object sets on ``context.chains``, except
+    when there are at least 2.5 times as many objects as attributes: then
+    it closes attribute sets on the transposed context, one chain
+    ``[M, row]`` per object, which gives each concept's closed intent
+    once, and maps each intent to its extent, the AND of its columns.
+    The extents are the same set either way, so the lattice, its order
+    and the concept count the cap is checked against do not change.  The
+    2.5 keeps the switch where the transposed side measured faster on
+    random contexts of density 0.45 (0.5 to 0.98 times the object side's
+    time from 30 x 12 to 60 x 20); near-square ones (16 x 8, 18 x 18,
+    30 x 25) took it 1.1 to 1.4 times as long.  Contexts smaller than
+    30 x 12 lose a few tens of microseconds on that side.
     """
-    if context.n_attributes < context.n_objects:
+    if 2 * context.n_objects >= 5 * context.n_attributes:
         # the transposed context: one chain [M, row] per object
         full = (1 << context.n_attributes) - 1
         chains = NestedChains(context.n_attributes, [[full, row] for row in context.row_masks])
         intents = enumerate_closed_extents(chains.up, chains.close_hull, concept_cap)
-        return assemble_lattice(context, _extents_of(context, intents))
+        columns, objects = context.column_masks, context.object_mask
+        return assemble_lattice(context, [
+            reduce(and_, compress(columns, _bit_flags(intent)), objects) for intent in intents])
     chains = context.chains
     return assemble_lattice(
         context, enumerate_closed_extents(chains.up, chains.close_hull, concept_cap))
-
-
-def _extents_of(context: FormalContext, intents: list[int]) -> list[int]:
-    """The extent ``B'`` of each attribute mask ``B``.  Per byte of
-    attributes, a table holds the AND of the columns of each of its 256
-    values (one AND per entry), so an extent is one lookup per byte."""
-    columns = context.column_masks
-    width = (len(columns) + 7) // 8
-    data = b"".join(map(int.to_bytes, intents, repeat(width), repeat("little")))
-    extents: Iterable[int] = [context.object_mask] * len(intents)
-    for j in range(width):
-        table = [context.object_mask]
-        for column in columns[8 * j:8 * j + 8]:
-            table += [t & column for t in table]
-        extents = map(and_, extents, map(table.__getitem__, data[j::width]))
-    return list(extents)
 
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:

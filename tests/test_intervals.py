@@ -338,10 +338,13 @@ def test_builders_run_through_a_counting_closure(monkeypatch):
     rows = [[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]]
     ctx = FormalContext.from_rows([f"g{i}" for i in range(6)], ["a", "b", "c", "d"], rows)
     dual = FormalContext.from_rows(ctx.attributes, ctx.objects, [list(c) for c in zip(*rows)])
-    square = FormalContext.from_rows([f"g{i}" for i in range(4)], ["a", "b", "c", "d"], rows[:4])
+    tall_rows = rows + [[1, 0, 0, 1], [0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]]
+    tall = FormalContext.from_rows([f"g{i}" for i in range(10)], ["a", "b", "c", "d"], tall_rows)
+    tall_dual = FormalContext.from_rows(
+        tall.attributes, tall.objects, [list(c) for c in zip(*tall_rows)])
     # (context, the context whose objects Close-by-One runs over): the
-    # transposed one when there are fewer attributes than objects
-    binary = [(ctx, dual), (dual, dual), (square, square)]
+    # transposed one from 2.5 objects per attribute, as 10 x 4 has
+    binary = [(ctx, ctx), (dual, dual), (tall, tall_dual)]
     rng = random.Random(2024)
     structures = [five] + [random_interval_structure(rng, max_objects=7, max_attributes=3, hi=3)
                            for _ in range(20)]
@@ -356,9 +359,12 @@ def test_builders_run_through_a_counting_closure(monkeypatch):
         assert binary_calls == _oracle_closures(
             side.n_objects, lambda a: oracle_binary_closure(side, a))
         if context is ctx:
-            # over its 6 objects, plain Close-by-One made 21 calls and the
-            # inherited failures of Fast Close-by-One skipped 6; over its 4
-            # attributes, plain Close-by-One makes 15 and none is skipped
+            # plain Close-by-One makes 21 calls over its 6 objects; the
+            # inherited failures of Fast Close-by-One skip 6 of them
+            assert len(binary_calls) == 15
+        if context is tall:
+            # 11 concepts: over its 4 attributes 15 calls, 4 of them
+            # failing; over its 10 objects it would take 19
             assert len(binary_calls) == 15
     for ps, lattice in zip(structures, plain):
         pattern_calls.clear()

@@ -211,7 +211,7 @@ def test_dp_matches_pair_oracle_on_binary_context_with_duplicate_rows():
         [f"g{i}" for i in range(50)], [f"m{j}" for j in range(18)], rows
     )
     lattice = build_lattice(ctx)
-    # built over the 18 attributes, mapped through three byte tables
+    # built over the 18 attributes
     chains = ctx.chains
     assert lattice.extent_masks == assemble_lattice(
         ctx, enumerate_closed_extents(chains.up, chains.close_hull)).extent_masks
@@ -252,7 +252,8 @@ BINARY_DP = Path(__file__).parent / "fixtures" / "binary_dp"
 def test_binary_lattice_and_exact_dp_match_committed_outputs():
     # a 30 x 12 context drawn at density 0.45; lattice.json was written by
     # the object-side Close-by-One and the full down-set walk, so this pins
-    # the transposed enumeration, its two intent tables and the pruned walk
+    # the transposed enumeration (2.5 objects per attribute) and the pruned
+    # walk
     objects, attributes, table = read_object_table(
         str(BINARY_DP / "context.csv"), int, "context")
     lattice = build_lattice(FormalContext.from_rows(objects, attributes, table))
