@@ -9,6 +9,10 @@ file and independently testable:
 ``mine``      context.csv -> patterns.json + summary.csv
 ``pipeline``  everything in one go -> report.json + summary.csv
 
+A command checks its settings, ``--output`` and ``--dot`` before it reads
+an input; ``mine`` and ``pipeline`` export the report of their run
+(:func:`pipeline.run_mine`, :func:`pipeline.run_pipeline`).
+
 Exit codes: 0 success, 2 input error, 3 capacity limit exceeded.
 """
 
@@ -17,21 +21,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from time import perf_counter
 
 from .errors import CapacityError, InputError, StageError
-from .intervals import read_interval_csv
 from .pipeline import (
-    MINING_KEYS,
-    PatternReport,
     PipelineConfig,
+    check_dot_path,
     check_mining_settings,
     check_output_dir,
     export_report,
     extract,
     feature_rows,
-    generated,
-    mine,
+    run_mine,
     run_pipeline,
 )
 from .selection import (
@@ -170,29 +170,11 @@ def cmd_context(args) -> int:
 def cmd_mine(args) -> int:
     check_mining_settings(args)
     check_output_dir(args.output)
-    timings: dict[str, float] = {}
-    total_start = perf_counter()
-    structure = read_interval_csv(args.context)
+    check_dot_path(args.dot, args.output, "patterns.json")
     paths = []
-
-    def export(lattice, patterns):
-        report = PatternReport(
-            config={"context": args.context, **{k: getattr(args, k) for k in MINING_KEYS}},
-            stages={
-                "context_objects": structure.n_objects,
-                "context_attributes": len(structure.attributes),
-                "concepts": len(lattice),
-                "patterns_kept": len(patterns),
-            },
-            selection={},
-            attributes=structure.attributes,
-            patterns=patterns,
-            generated=generated(timings, total_start),
-        )
-        paths.extend(export_report(report, args.output, json_name="patterns.json"))
-
-    lattice, patterns = mine(structure, timings, args, export)
-    print(f"kept {len(patterns)}/{len(lattice)} concepts -> {paths[0]}")
+    report = run_mine(args.context, args, lambda report: paths.extend(
+        export_report(report, args.output, json_name="patterns.json")))
+    print(f"kept {len(report.patterns)}/{report.stages['concepts']} concepts -> {paths[0]}")
     return 0
 
 
@@ -203,6 +185,7 @@ def cmd_pipeline(args) -> int:
     config = (PipelineConfig.from_file(args.config, overrides) if args.config
               else PipelineConfig.from_mapping(overrides))
     check_output_dir(config.output_dir)
+    check_dot_path(config.dot, config.output_dir)
     paths = []
     report = run_pipeline(config, lambda report: paths.extend(
         export_report(report, config.output_dir)))

@@ -10,6 +10,10 @@ Stages (each independently available through the CLI):
 4. score the concepts of at least the minimum relative support with the
    chosen stability method and keep those of at least the minimum LStab.
 
+Stages 3 and 4 are :func:`mine`, which writes nothing.  The ``pipeline``
+and ``mine`` commands' runs, :func:`run_pipeline` and :func:`run_mine`,
+write their report before the optional DOT (:func:`_write_outputs`).
+
 A failure is re-raised as :class:`StageError` carrying the stage name and
 the offending record; no output files are written for a failed run.  The
 report is deterministic for fixed inputs and config — the only volatile
@@ -33,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InputError, SpindlemineError, StageError, read_json
 from .fca import DEFAULT_CONCEPT_CAP, ConceptLattice, lattice_to_dot, names_in
-from .intervals import IntervalPatternStructure, build_pattern_lattice
+from .intervals import IntervalPatternStructure, build_pattern_lattice, read_interval_csv
 from .selection import (
     build_numeric_context,
     check_selection_settings,
@@ -217,8 +221,6 @@ def _run_stage(name: str, timings: dict[str, float], fn: Callable[[], T]) -> T:
     start = perf_counter()
     try:
         result = fn()
-    except StageError:
-        raise
     except SpindlemineError as exc:
         raise StageError(name, str(exc), cause=exc) from exc
     timings[name] = perf_counter() - start
@@ -264,22 +266,16 @@ def feature_rows(
 
 
 def mine(
-    structure: IntervalPatternStructure,
-    timings: dict[str, float],
-    settings: Any,
-    export: Callable[[ConceptLattice, tuple[dict[str, Any], ...]], Any] | None = None,
+    structure: IntervalPatternStructure, timings: dict[str, float], settings: Any
 ) -> tuple[ConceptLattice, tuple[dict[str, Any], ...]]:
     """Run the ``lattice``, ``stability`` (which scores the concepts of at
     least ``min_support``) and ``filter`` stages on ``structure``, each
     timed into ``timings``; return the lattice and the kept pattern
-    entries.  ``settings`` (a :class:`PipelineConfig` or parsed ``mine``
-    flags) gives the :data:`MINING_KEYS` and ``dot``.  Once every stage has
-    succeeded, ``export`` (if given) is called with the lattice and the
-    entries, and then, with ``dot`` set, the cover relation is written
-    there, parent directories included: a failed export leaves no DOT
-    behind.  With ``dot`` set the lattice stage builds the lower covers,
-    so scoring reads its gaps off the covers that the DOT needs anyway.
-    Callers check ``settings`` first."""
+    entries.  Nothing is written.  ``settings`` (a :class:`PipelineConfig`
+    or parsed ``mine`` flags) gives the :data:`MINING_KEYS` and ``dot``.
+    With ``dot`` set the lattice stage builds the lower covers, so scoring
+    reads its gaps off the covers that the DOT needs anyway.  Callers
+    check ``settings`` first."""
     def _lattice() -> ConceptLattice:
         lattice = build_pattern_lattice(structure, concept_cap=settings.concept_cap)
         if settings.dot:
@@ -292,26 +288,43 @@ def mine(
     kept = _run_stage("filter", timings, lambda: filter_concepts(
         lattice, scores, min_support=settings.min_support, min_lstab=settings.min_lstab,
         bound_policy=settings.bound_policy))
-    patterns = tuple(pattern_entry(lattice, scores, i) for i in kept)
-    if export is not None:
-        export(lattice, patterns)
-    if settings.dot:
-        os.makedirs(os.path.dirname(settings.dot) or ".", exist_ok=True)
-        with open(settings.dot, "w") as fh:
-            fh.write(lattice_to_dot(lattice))
-            fh.write("\n")
-    return lattice, patterns
+    return lattice, tuple(pattern_entry(lattice, scores, i) for i in kept)
+
+
+def run_mine(
+    context: str, settings: Any, export: Callable[[PatternReport], Any] | None = None
+) -> PatternReport:
+    """The ``mine`` command's run: :func:`mine` the interval context CSV
+    ``context`` with ``settings`` (parsed ``mine`` flags, checked by the
+    caller); write and return the report as :func:`run_pipeline` does."""
+    timings: dict[str, float] = {}
+    total_start = perf_counter()
+    structure = read_interval_csv(context)
+    lattice, patterns = mine(structure, timings, settings)
+    report = PatternReport(
+        config={"context": context, **{k: getattr(settings, k) for k in MINING_KEYS}},
+        stages={
+            "context_objects": structure.n_objects,
+            "context_attributes": len(structure.attributes),
+            "concepts": len(lattice),
+            "patterns_kept": len(patterns),
+        },
+        selection={},
+        attributes=structure.attributes,
+        patterns=patterns,
+        generated=generated(timings, total_start),
+    )
+    return _write_outputs(report, lattice, settings.dot, export)
 
 
 def run_pipeline(
     config: PipelineConfig, export: Callable[[PatternReport], Any] | None = None
 ) -> PatternReport:
-    """Execute all stages and assemble the report.
+    """Execute all stages and return the report.
 
     Raises :class:`StageError` on any failure.  Once every stage has
-    succeeded, ``export`` (if given) is called with the report, and then
-    the optional DOT export of the cover relation (``config.dot``) is
-    written; nothing else is written.
+    succeeded, the report and the optional DOT (``config.dot``) are
+    written by :func:`_write_outputs`; nothing else is written.
     """
     timings: dict[str, float] = {}
     total_start = perf_counter()
@@ -323,38 +336,43 @@ def run_pipeline(
         ((ann, sample_rate, samples) for ann, samples in segments),
         config.bands, config.dominant_band, config.detrend))
 
-    def _context():
-        labels = read_labels_csv(config.labels) if config.labels else None
-        return build_numeric_context(rows, labels=labels)
-
-    context = _run_stage("context", timings, _context)
+    context = _run_stage("context", timings, lambda: build_numeric_context(
+        rows, labels=read_labels_csv(config.labels) if config.labels else None))
     selected, selection_report = _run_stage("selection", timings, lambda: select_attributes(
         context, corr_threshold=config.corr_threshold, ig_bins=config.ig_bins,
         ig_top_k=config.ig_top_k))
-    report = None
+    lattice, patterns = mine(to_pattern_structure(selected), timings, config)
+    report = PatternReport(
+        config=_echo_config(config),
+        stages={
+            "annotations": len(annotations),
+            "segments": len(segments),
+            "context_objects": context.n_objects,
+            "context_attributes": context.n_attributes,
+            "selected_attributes": selected.n_attributes,
+            "concepts": len(lattice),
+            "patterns_kept": len(patterns),
+        },
+        selection=selection_report,
+        attributes=selected.attributes,
+        patterns=patterns,
+        generated=generated(timings, total_start),
+    )
+    return _write_outputs(report, lattice, config.dot, export)
 
-    def _report(lattice: ConceptLattice, patterns: tuple[dict[str, Any], ...]) -> None:
-        nonlocal report
-        report = PatternReport(
-            config=_echo_config(config),
-            stages={
-                "annotations": len(annotations),
-                "segments": len(segments),
-                "context_objects": context.n_objects,
-                "context_attributes": context.n_attributes,
-                "selected_attributes": selected.n_attributes,
-                "concepts": len(lattice),
-                "patterns_kept": len(patterns),
-            },
-            selection=selection_report,
-            attributes=selected.attributes,
-            patterns=patterns,
-            generated=generated(timings, total_start),
-        )
-        if export is not None:
-            export(report)
 
-    mine(to_pattern_structure(selected), timings, config, _report)
+def _write_outputs(report: PatternReport, lattice: ConceptLattice, dot: str | None,
+                   export: Callable[[PatternReport], Any] | None) -> PatternReport:
+    """Pass ``report`` to ``export`` (if given) and only then, with ``dot``
+    set, write the lattice's cover relation there, parent directories
+    included: a failed export leaves no DOT behind.  Return ``report``."""
+    if export is not None:
+        export(report)
+    if dot:
+        os.makedirs(os.path.dirname(dot) or ".", exist_ok=True)
+        with open(dot, "w") as fh:
+            fh.write(lattice_to_dot(lattice))
+            fh.write("\n")
     return report
 
 
@@ -410,6 +428,26 @@ def check_output_dir(path: str) -> None:
     if not os.path.isdir(probe):
         raise InputError(f"output directory {path!r} cannot be made: "
                          f"{probe!r} is not a directory")
+
+
+def check_dot_path(dot: str | None, output_dir: str, json_name: str = "report.json") -> None:
+    """Raise :class:`InputError` naming the DOT path ``dot`` (if set) unless
+    a run can write it after :func:`export_report` has written to
+    ``output_dir``: its directory must pass :func:`check_output_dir`, and it
+    must not be a directory, nor hold or lie inside a file of the report."""
+    if not dot:  # an empty path writes no DOT
+        return
+    try:
+        check_output_dir(os.path.dirname(dot) or ".")
+    except InputError as exc:
+        raise InputError(f"dot {dot!r}: {exc}") from exc
+    if os.path.isdir(dot):
+        raise InputError(f"dot {dot!r} is a directory")
+    path = os.path.realpath(dot)
+    for name in (json_name, "summary.csv"):
+        output = os.path.realpath(os.path.join(output_dir, name))
+        if os.path.commonpath([path, output]) in (path, output):
+            raise InputError(f"dot {dot!r} clashes with the output file {output!r}")
 
 
 def export_report(

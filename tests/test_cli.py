@@ -222,7 +222,7 @@ STAGE_ARGV = {
 }
 #: the functions that read a command's input files, and the lattice builder
 INPUT_WORK = [(cli, "read_segments_json"), (cli, "read_numeric_csv"), (cli, "read_labels_csv"),
-              (cli, "read_interval_csv"), (pipeline, "read_annotations_json"),
+              (pipeline, "read_interval_csv"), (pipeline, "read_annotations_json"),
               (pipeline, "read_recording_segments"), (pipeline, "read_labels_csv"),
               (pipeline, "build_pattern_lattice")]
 
@@ -245,6 +245,46 @@ def test_an_output_that_cannot_be_a_directory_exits_2_before_mining(
     assert f"output directory {str(output)!r}" in capsys.readouterr().err
     assert done == []
     assert not dot.parent.exists()
+
+
+#: ``--dot`` paths a run cannot write after its report, and the ``--output``
+#: directory, under a directory holding the file ``afile`` and the
+#: directories ``adir`` and ``out``; ``{report}`` is the run's JSON report
+UNWRITABLE_DOTS = {
+    "below-a-file": ("afile/l.dot", "out"),
+    "a-directory": ("adir", "out"),
+    "the-report": ("out/{report}", "out"),
+    "the-summary": ("out/summary.csv", "out"),
+    "above-the-output": ("new.dot", "new.dot/out"),
+}
+
+
+@pytest.mark.parametrize("command", ["mine", "pipeline", "config"])
+@pytest.mark.parametrize("case", UNWRITABLE_DOTS)
+def test_a_dot_that_cannot_be_written_exits_2_before_mining(
+        stage_inputs, tmp_path, capsys, monkeypatch, command, case):
+    done = []
+    for module, name in INPUT_WORK:
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=getattr(module, name),
+                            **kwargs: done.append(name) or real(*args, **kwargs))
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "out").mkdir()
+    dot, output = (str(tmp_path / path).format(
+        report="patterns.json" if command == "mine" else "report.json")
+        for path in UNWRITABLE_DOTS[case])
+    if command == "config":  # the DOT path and the output directory come from the file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(stage_inputs["config"].read_text()),
+                                      "dot": dot, "output_dir": output}))
+        argv = ["pipeline", "--config", config]
+    else:
+        argv = [*_dot_run_argv(command, stage_inputs), "--dot", dot, "--output", output]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    assert f"dot {dot!r}" in capsys.readouterr().err
+    assert done == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command", ["mine", "pipeline"])

@@ -17,7 +17,7 @@ from spindlemine.intervals import (
     IntervalPatternStructure,
     build_pattern_lattice,
 )
-from spindlemine.pipeline import mine, pattern_entry
+from spindlemine.pipeline import _write_outputs as write_outputs, mine, pattern_entry
 from spindlemine.stability import (
     BOUND_POLICIES,
     STABILITY_METHODS,
@@ -319,5 +319,7 @@ def test_scores_on_a_tie_free_structure_build_no_cover_relation(tmp_path):
     by_extent = {e: i for i, e in enumerate(extents)}
     assert set(lattice.covers) == {(by_extent[big], by_extent[small])
                                    for big, small in oracle_covers(set(extents))}
+    # the run's writer draws the DOT from the covers the lattice stage built
+    write_outputs(None, lattice, str(dot), None)
     assert dot.read_text() == reference_lattice_to_dot(lattice) + "\n"
 

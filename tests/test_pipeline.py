@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -16,6 +18,7 @@ from spindlemine.intervals import (
     IntervalDescription,
     IntervalPatternStructure,
     build_pattern_lattice,
+    read_interval_csv,
 )
 from spindlemine.pipeline import (
     PatternReport,
@@ -171,6 +174,21 @@ def test_seed_is_echoed_but_unused(two_cluster_files, tmp_path):
         fixture_config(two_cluster_files, tmp_path / "s", seed=1234)
     )
     assert report.config["seed"] == 1234
+
+
+def test_mine_writes_no_dot_and_returns_the_committed_entries(tmp_path, monkeypatch):
+    # with dot set, mine builds the cover relation but leaves the DOT to the
+    # run; its entries are those of the committed ``mine --dot`` report
+    mine_dot = Path(__file__).parent / "fixtures" / "mine_dot"
+    monkeypatch.chdir(tmp_path)
+    settings = SimpleNamespace(min_support=0.5, min_lstab=1.0, stability_method="bounds",
+                               bound_policy="upper", concept_cap=10**7, dot="lattice.dot")
+    lattice, patterns = pipeline.mine(read_interval_csv(str(mine_dot / "context.csv")), {},
+                                      settings)
+    assert list(tmp_path.iterdir()) == []
+    assert "children" in vars(lattice)
+    want = json.loads((mine_dot / "patterns.json").read_text())["patterns"]
+    assert json.dumps(patterns, indent=2) == json.dumps(want, indent=2)
 
 
 # ---------------------------------------------------------------------------
