@@ -9,9 +9,9 @@ file and independently testable:
 ``mine``      context.csv -> patterns.json + summary.csv
 ``pipeline``  everything in one go -> report.json + summary.csv
 
-A command checks its settings, ``--output`` and ``--dot`` before it reads
-an input; ``mine`` and ``pipeline`` export the report of their run
-(:func:`pipeline.run_mine`, :func:`pipeline.run_pipeline`).
+A command checks its settings, then every file it writes, before it
+reads an input (:func:`pipeline.check_outputs`); ``mine`` and ``pipeline``
+export their run's report (:func:`pipeline.run_mine`, :func:`pipeline.run_pipeline`).
 
 Exit codes: 0 success, 2 input error, 3 capacity limit exceeded.
 """
@@ -25,12 +25,12 @@ import sys
 from .errors import CapacityError, InputError, StageError
 from .pipeline import (
     PipelineConfig,
-    check_dot_path,
     check_mining_settings,
-    check_output_dir,
+    check_outputs,
     export_report,
     extract,
     feature_rows,
+    report_names,
     run_mine,
     run_pipeline,
 )
@@ -122,17 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_extract(args) -> int:
     if args.fs is not None:
         check_sample_rate(args.fs)
-    check_output_dir(args.output)
+    [path] = check_outputs(args.output, ["segments.json"],
+                           inputs=[args.recording, args.annotations])
     sample_rate, _, segments = extract(args.recording, args.annotations, args.fs)
     os.makedirs(args.output, exist_ok=True)
-    path = os.path.join(args.output, "segments.json")
     write_segments_json(path, segments, sample_rate)
     print(f"extracted {len(segments)} segments -> {path}")
     return 0
 
 
 def cmd_features(args) -> int:
-    check_output_dir(args.output)
+    [path] = check_outputs(args.output, ["features.csv"], inputs=[args.segments])
     triples = read_segments_json(args.segments)
     if not triples:
         raise InputError("no segments in input")
@@ -140,7 +140,6 @@ def cmd_features(args) -> int:
                         args.detrend)
     ctx = build_numeric_context(rows)
     os.makedirs(args.output, exist_ok=True)
-    path = os.path.join(args.output, "features.csv")
     write_numeric_csv(ctx, path)
     print(f"computed {ctx.n_objects} x {ctx.n_attributes} features -> {path}")
     return 0
@@ -148,7 +147,8 @@ def cmd_features(args) -> int:
 
 def cmd_context(args) -> int:
     check_selection_settings(args.corr_threshold, args.ig_bins, args.ig_top_k, bool(args.labels))
-    check_output_dir(args.output)
+    context_path, selection_path = check_outputs(
+        args.output, ["context.csv", "selection.json"], inputs=[args.features, args.labels])
     ctx = read_numeric_csv(args.features)
     if args.labels:
         ctx = ctx.with_labels(read_labels_csv(args.labels))
@@ -159,8 +159,6 @@ def cmd_context(args) -> int:
         ig_top_k=args.ig_top_k,
     )
     os.makedirs(args.output, exist_ok=True)
-    context_path = os.path.join(args.output, "context.csv")
-    selection_path = os.path.join(args.output, "selection.json")
     write_numeric_csv(selected, context_path)
     write_selection_json(report, selection_path)
     print(f"retained {selected.n_attributes}/{ctx.n_attributes} attributes -> {context_path}")
@@ -169,12 +167,10 @@ def cmd_context(args) -> int:
 
 def cmd_mine(args) -> int:
     check_mining_settings(args)
-    check_output_dir(args.output)
-    check_dot_path(args.dot, args.output, "patterns.json")
-    paths = []
-    report = run_mine(args.context, args, lambda report: paths.extend(
-        export_report(report, args.output, json_name="patterns.json")))
-    print(f"kept {len(report.patterns)}/{report.stages['concepts']} concepts -> {paths[0]}")
+    json_name = "patterns.json"
+    json_path, _ = check_outputs(args.output, report_names(json_name), args.dot, [args.context])
+    report = run_mine(args.context, args, lambda r: export_report(r, args.output, json_name))
+    print(f"kept {len(report.patterns)}/{report.stages['concepts']} concepts -> {json_path}")
     return 0
 
 
@@ -184,12 +180,10 @@ def cmd_pipeline(args) -> int:
                  if k in PipelineConfig.__dataclass_fields__ and v is not None}
     config = (PipelineConfig.from_file(args.config, overrides) if args.config
               else PipelineConfig.from_mapping(overrides))
-    check_output_dir(config.output_dir)
-    check_dot_path(config.dot, config.output_dir)
-    paths = []
-    report = run_pipeline(config, lambda report: paths.extend(
-        export_report(report, config.output_dir)))
-    print(f"{len(report.patterns)} patterns -> {paths[0]}, {paths[1]}")
+    paths = check_outputs(config.output_dir, report_names(), config.dot,
+                          [args.config, config.recording, config.annotations, config.labels])
+    report = run_pipeline(config, lambda report: export_report(report, config.output_dir))
+    print(f"{len(report.patterns)} patterns -> {', '.join(paths)}")
     return 0
 
 

@@ -418,48 +418,53 @@ def pattern_entry(
 # ---------------------------------------------------------------------------
 
 
-def check_output_dir(path: str) -> None:
-    """Raise :class:`InputError` naming the output directory ``path`` unless
-    it is a directory or can be made one: its nearest existing ancestor
-    must be a directory."""
-    probe = os.path.abspath(path)
-    while not os.path.exists(probe):
-        probe = os.path.dirname(probe)
-    if not os.path.isdir(probe):
-        raise InputError(f"output directory {path!r} cannot be made: "
-                         f"{probe!r} is not a directory")
+def report_names(json_name: str = "report.json") -> tuple[str, str]:
+    """The files :func:`export_report` writes: the JSON ``json_name``, the summary."""
+    return json_name, "summary.csv"
 
 
-def check_dot_path(dot: str | None, output_dir: str, json_name: str = "report.json") -> None:
-    """Raise :class:`InputError` naming the DOT path ``dot`` (if set) unless
-    a run can write it after :func:`export_report` has written to
-    ``output_dir``: its directory must pass :func:`check_output_dir`, and it
-    must not be a directory, nor hold or lie inside a file of the report."""
-    if not dot:  # an empty path writes no DOT
-        return
-    try:
-        check_output_dir(os.path.dirname(dot) or ".")
-    except InputError as exc:
-        raise InputError(f"dot {dot!r}: {exc}") from exc
-    if os.path.isdir(dot):
-        raise InputError(f"dot {dot!r} is a directory")
-    path = os.path.realpath(dot)
-    for name in (json_name, "summary.csv"):
-        output = os.path.realpath(os.path.join(output_dir, name))
-        if os.path.commonpath([path, output]) in (path, output):
-            raise InputError(f"dot {dot!r} clashes with the output file {output!r}")
+def check_outputs(output_dir: str, names: Iterable[str], dot: str | None = None,
+                  inputs: Iterable[str | None] = ()) -> list[str]:
+    """The paths of the files ``names`` in ``output_dir``, checked before a
+    command reads its ``inputs``: raise :class:`InputError` naming a path
+    unless the nearest existing path (a dangling symlink too) to the output
+    directory and to the DOT path ``dot``'s directory is a directory, and
+    no output file or DOT is a directory or is, holds or lies inside an
+    input or another output (compared by :func:`os.path.realpath`)."""
+    paths = [os.path.join(output_dir, name) for name in names]
+    directories = {"": output_dir}
+    files = [(path, f"output file {path!r}") for path in paths]
+    if dot:  # an empty path writes no DOT
+        directories[f"dot {dot!r}: "] = os.path.dirname(dot) or "."
+        files.append((dot, f"dot {dot!r}"))
+    for what, directory in directories.items():
+        probe = os.path.abspath(directory)
+        while not os.path.lexists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            raise InputError(f"{what}output directory {directory!r} cannot be made: "
+                             f"{probe!r} is not a directory")
+    taken = [(os.path.realpath(path), f"the input {path!r}") for path in inputs if path]
+    for path, what in files:
+        if os.path.isdir(path):
+            raise InputError(f"{what} is a directory")
+        real = os.path.realpath(path)
+        for other, whose in taken:
+            if os.path.commonpath([real, other]) in (real, other):
+                raise InputError(f"{what} clashes with {whose}")
+        taken.append((real, f"the output file {real!r}"))
+    return paths
 
 
 def export_report(
     report: PatternReport,
     output_dir: str,
-    json_name: str = "report.json",
+    json_name: str = report_names()[0],
 ) -> tuple[str, str]:
-    """Write the full JSON report and a one-row-per-pattern CSV summary,
-    rendering each float once for both."""
+    """Write the full JSON report and a one-row-per-pattern CSV summary
+    (:func:`report_names`), rendering each float once for both."""
     os.makedirs(output_dir, exist_ok=True)
-    json_path = os.path.join(output_dir, json_name)
-    csv_path = os.path.join(output_dir, "summary.csv")
+    json_path, csv_path = (os.path.join(output_dir, name) for name in report_names(json_name))
     texts = _JsonText()
     with open(json_path, "w") as fh:
         fh.writelines(_report_pieces(report, texts))

@@ -227,31 +227,46 @@ INPUT_WORK = [(cli, "read_segments_json"), (cli, "read_numeric_csv"), (cli, "rea
               (pipeline, "build_pattern_lattice")]
 
 
-@pytest.mark.parametrize("command", [*STAGE_ARGV, "mine", "pipeline"])
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
-def test_an_output_that_cannot_be_a_directory_exits_2_before_mining(
-        stage_inputs, tmp_path, capsys, monkeypatch, command, below):
+@pytest.fixture
+def input_work(monkeypatch):
+    """The names of the ``INPUT_WORK`` functions called so far."""
     done = []
     for module, name in INPUT_WORK:
         monkeypatch.setattr(module, name, lambda *args, name=name, real=getattr(module, name),
                             **kwargs: done.append(name) or real(*args, **kwargs))
+    return done
+
+
+def snapshot(root):
+    """Every path below ``root``, with a file's bytes."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command", [*STAGE_ARGV, "mine", "pipeline"])
+@pytest.mark.parametrize("case", ["file", "below-a-file", "dangling-link"])
+def test_an_output_that_cannot_be_a_directory_exits_2_before_mining(
+        stage_inputs, tmp_path, capsys, input_work, command, case):
     afile = tmp_path / "afile"
     afile.write_text("")
-    output = afile / "sub" if below else afile
+    os.symlink(tmp_path / "missing", tmp_path / "dangling")
+    output = {"file": afile, "below-a-file": afile / "sub",
+              "dangling-link": tmp_path / "dangling"}[case]
     dot = tmp_path / "o2" / "l.dot"
     argv = ([command, *(stage_inputs.get(a, a) for a in STAGE_ARGV[command])]
             if command in STAGE_ARGV else [*_dot_run_argv(command, stage_inputs), "--dot", dot])
     assert run([*argv, "--output", output]) == 2
     assert f"output directory {str(output)!r}" in capsys.readouterr().err
-    assert done == []
+    assert input_work == []
     assert not dot.parent.exists()
 
 
 #: ``--dot`` paths a run cannot write after its report, and the ``--output``
-#: directory, under a directory holding the file ``afile`` and the
-#: directories ``adir`` and ``out``; ``{report}`` is the run's JSON report
+#: directory, under a directory holding the file ``afile``, the directories
+#: ``adir`` and ``out`` and the symlink ``dangling`` to a missing path;
+#: ``{report}`` is the run's JSON report
 UNWRITABLE_DOTS = {
     "below-a-file": ("afile/l.dot", "out"),
+    "below-a-dangling-link": ("dangling/l.dot", "out"),
     "a-directory": ("adir", "out"),
     "the-report": ("out/{report}", "out"),
     "the-summary": ("out/summary.csv", "out"),
@@ -262,14 +277,11 @@ UNWRITABLE_DOTS = {
 @pytest.mark.parametrize("command", ["mine", "pipeline", "config"])
 @pytest.mark.parametrize("case", UNWRITABLE_DOTS)
 def test_a_dot_that_cannot_be_written_exits_2_before_mining(
-        stage_inputs, tmp_path, capsys, monkeypatch, command, case):
-    done = []
-    for module, name in INPUT_WORK:
-        monkeypatch.setattr(module, name, lambda *args, name=name, real=getattr(module, name),
-                            **kwargs: done.append(name) or real(*args, **kwargs))
+        stage_inputs, tmp_path, capsys, input_work, command, case):
     (tmp_path / "afile").write_text("")
     (tmp_path / "adir").mkdir()
     (tmp_path / "out").mkdir()
+    os.symlink(tmp_path / "missing", tmp_path / "dangling")
     dot, output = (str(tmp_path / path).format(
         report="patterns.json" if command == "mine" else "report.json")
         for path in UNWRITABLE_DOTS[case])
@@ -280,16 +292,72 @@ def test_a_dot_that_cannot_be_written_exits_2_before_mining(
         argv = ["pipeline", "--config", config]
     else:
         argv = [*_dot_run_argv(command, stage_inputs), "--dot", dot, "--output", output]
-    before = sorted(tmp_path.rglob("*"))
+    before = snapshot(tmp_path)
     assert run(argv) == 2
     assert f"dot {dot!r}" in capsys.readouterr().err
-    assert done == []
-    assert sorted(tmp_path.rglob("*")) == before
+    assert input_work == []
+    assert snapshot(tmp_path) == before
+
+
+#: a run's arguments besides ``--output`` and ``--dot`` (keys of
+#: ``stage_inputs`` stand for their files; the first flag's file is the
+#: input that an "is-an-input" case puts at the output file's path), and
+#: the files it writes into ``--output``; ``l.dot`` stands for its
+#: ``--dot`` path.  In ``config-recording`` the config file names the
+#: moved recording.
+OUTPUT_RUNS = {
+    "extract": (["extract", *STAGE_ARGV["extract"]], ["segments.json"]),
+    "features": (["features", *STAGE_ARGV["features"]], ["features.csv"]),
+    "context": (["context", *STAGE_ARGV["context"]], ["context.csv", "selection.json"]),
+    "mine": (["mine", "--context", "context", "--min-support", "0.3", "--min-lstab", "1"],
+             ["patterns.json", "summary.csv", "l.dot"]),
+    "pipeline": (["pipeline", "--recording", "recording", "--annotations", "annotations",
+                  "--min-support", "0.3", "--min-lstab", "1"],
+                 ["report.json", "summary.csv", "l.dot"]),
+    "config": (["pipeline", "--config", "config"], ["report.json", "summary.csv", "l.dot"]),
+    "config-recording": (["pipeline", "--config", "config"],
+                         ["report.json", "summary.csv", "l.dot"]),
+}
+#: (run, output file, case); a DOT path that is a directory is a case of
+#: ``UNWRITABLE_DOTS``, and ``config-recording`` differs from ``config``
+#: only in its input
+OUTPUT_CASES = [(run_name, name, case) for run_name, (_, names) in OUTPUT_RUNS.items()
+                for name in names for case in ("is-a-directory", "is-an-input")
+                if not (case == "is-a-directory"
+                        and (name == "l.dot" or run_name == "config-recording"))]
+
+
+@pytest.mark.parametrize("run_name, name, case", OUTPUT_CASES,
+                         ids=["-".join(case) for case in OUTPUT_CASES])
+def test_an_output_file_that_is_a_directory_or_an_input_exits_2_before_mining(
+        stage_inputs, tmp_path, capsys, input_work, run_name, name, case):
+    (command, *flags), names = OUTPUT_RUNS[run_name]
+    argv = [command, *(stage_inputs.get(a, a) for a in flags)]
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / name
+    if case == "is-a-directory":
+        path.mkdir()
+    elif run_name == "config-recording":
+        shutil.copy(stage_inputs["recording"], path)
+        argv[2] = tmp_path / "config.json"
+        argv[2].write_text(json.dumps({**json.loads(stage_inputs["config"].read_text()),
+                                       "recording": str(path)}))
+    else:
+        shutil.copy(argv[2], path)
+        argv[2] = path
+    dot = ["--dot", out / "l.dot"] if "l.dot" in names else []
+    before = snapshot(tmp_path)
+    assert run([*argv, *dot, "--output", out]) == 2
+    what = "dot" if name == "l.dot" else "output file"
+    assert f"{what} {str(path)!r} " in capsys.readouterr().err
+    assert input_work == []
+    assert snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["mine", "pipeline"])
 def test_a_failed_export_leaves_no_dot_behind(two_cluster_files, tmp_path, capsys, command):
-    # the report's own path is a directory: the export fails after mining
+    # the report's own path is a directory: the pre-flight check refuses it
     out = tmp_path / "out"
     (out / ("patterns.json" if command == "mine" else "report.json")).mkdir(parents=True)
     dot = tmp_path / "o2" / "l.dot"
@@ -297,6 +365,27 @@ def test_a_failed_export_leaves_no_dot_behind(two_cluster_files, tmp_path, capsy
                 "--output", out]) == 2
     assert "error:" in capsys.readouterr().err
     assert not dot.parent.exists()
+
+
+def test_the_dot_is_written_only_after_the_export(tmp_path):
+    lattice = build_pattern_lattice(IntervalPatternStructure(
+        objects=("g1", "g2"), attributes=("a",),
+        descriptions=(IntervalDescription.from_point((1.0,)),
+                      IntervalDescription.from_point((2.0,)))))
+    dot = tmp_path / "o2" / "l.dot"
+
+    def failing_export(report):
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        pipeline._write_outputs("report", lattice, str(dot), failing_export)
+    assert not dot.parent.exists()
+    seen = []
+    assert pipeline._write_outputs("report", lattice, str(dot),
+                                   lambda report: seen.append((report, dot.parent.exists()))
+                                   ) == "report"
+    assert seen == [("report", False)]
+    assert dot.read_text().startswith("digraph lattice {")
 
 
 # ---------------------------------------------------------------------------
