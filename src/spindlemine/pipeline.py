@@ -50,7 +50,7 @@ from .signals import (
     DEFAULT_DOMINANT_BAND,
     FeatureRow,
     SpindleAnnotation,
-    check_bands,
+    check_band_settings,
     check_sample_rate,
     feature_row,
     read_annotations_json,
@@ -87,9 +87,9 @@ def check_mining_settings(settings: Any) -> None:
 
 
 _JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool}
-#: The JSON type of each :class:`PipelineConfig` field annotation; a band
-#: is a ``[low, high]`` pair of numbers.
-_JSON_KINDS = {"str": "string", "float": "number", "int": "integer", "bool": "boolean",
+#: The JSON type of each :class:`PipelineConfig` field annotation (``T |
+#: None`` has ``T``'s); a band is a ``[low, high]`` pair of numbers.
+JSON_KINDS = {"str": "string", "float": "number", "int": "integer", "bool": "boolean",
                "tuple[float, float]": "band", "tuple[tuple[float, float], ...]": "bands"}
 
 
@@ -99,7 +99,7 @@ def _config_value(key: str, value: Any) -> Any:
     :class:`InputError` naming the key.  A field annotated ``T | None`` may
     be null."""
     annotation = PipelineConfig.__dataclass_fields__[key].type
-    kind = _JSON_KINDS[annotation.removesuffix(" | None")]
+    kind = JSON_KINDS[annotation.removesuffix(" | None")]
     try:
         if value is None and annotation.endswith(" | None"):
             return None
@@ -154,24 +154,11 @@ class PipelineConfig:
         check_mining_settings(self)
         check_selection_settings(self.corr_threshold, self.ig_bins, self.ig_top_k,
                                  bool(self.labels))
-        lo, hi = self.dominant_band
-        if not 0.0 <= lo < hi:
-            raise InputError(f"invalid dominant_band [{lo}, {hi}]")
-        previous_hi = None
-        for lo, hi in self.bands:
-            if not 0.0 <= lo < hi:
-                raise InputError(f"invalid band [{lo}, {hi}]")
-            if previous_hi is not None and lo < previous_hi:
-                raise InputError("bands must be sorted and non-overlapping")
-            previous_hi = hi
-        if self.sample_rate is not None:
-            # an explicit rate fixes Nyquist before any file is read
-            check_bands([self.dominant_band, *self.bands], self.sample_rate)
+        check_band_settings(self.dominant_band, self.bands, self.sample_rate)
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "PipelineConfig":
-        fields = cls.__dataclass_fields__
-        unknown = set(data) - set(fields)
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         coerced = {key: _config_value(key, value) for key, value in data.items()}
@@ -188,11 +175,8 @@ class PipelineConfig:
         data = read_json(path, "config")
         if not isinstance(data, dict):
             raise InputError(f"{path}: config must be a JSON object")
-        merged = dict(data)
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                merged[key] = value
-        return cls.from_mapping(merged)
+        given = {key: value for key, value in (overrides or {}).items() if value is not None}
+        return cls.from_mapping({**data, **given})
 
 
 @dataclass(frozen=True)
@@ -426,11 +410,13 @@ def report_names(json_name: str = "report.json") -> tuple[str, str]:
 def check_outputs(output_dir: str, names: Iterable[str], dot: str | None = None,
                   inputs: Iterable[str | None] = ()) -> list[str]:
     """The paths of the files ``names`` in ``output_dir``, checked before a
-    command reads its ``inputs``: raise :class:`InputError` naming a path
-    unless the nearest existing path (a dangling symlink too) to the output
-    directory and to the DOT path ``dot``'s directory is a directory, and
-    no output file or DOT is a directory or is, holds or lies inside an
-    input or another output (compared by :func:`os.path.realpath`)."""
+    command reads its ``inputs``: raise :class:`InputError` naming a path unless
+    ``output_dir`` is not empty, the nearest existing path (a dangling symlink
+    too) to it and to the DOT path ``dot``'s directory is a directory, and no
+    output file or DOT is a directory or is, holds or lies inside an input or
+    another output (compared by :func:`os.path.realpath`)."""
+    if not output_dir:  # abspath("") is the working directory, makedirs("") fails
+        raise InputError("output directory '' names no directory")
     paths = [os.path.join(output_dir, name) for name in names]
     directories = {"": output_dir}
     files = [(path, f"output file {path!r}") for path in paths]

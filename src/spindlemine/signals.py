@@ -707,6 +707,24 @@ def check_bands(bands: Iterable[tuple[float, float]], sample_rate: float) -> Non
             raise InputError(f"invalid band [{lo}, {hi}] for Nyquist {sample_rate / 2.0} Hz")
 
 
+def check_band_settings(dominant_band: tuple[float, float], bands: Sequence[tuple[float, float]],
+                        sample_rate: float | None = None) -> None:
+    """Reject a ``dominant_band`` or band outside ``0 <= lo < hi``, unsorted or overlapping
+    ``bands``, and, with a ``sample_rate``, any band above Nyquist (:func:`check_bands`)."""
+    lo, hi = dominant_band
+    if not 0.0 <= lo < hi:
+        raise InputError(f"invalid dominant_band [{lo}, {hi}]")
+    previous_hi = 0.0
+    for lo, hi in bands:
+        if not 0.0 <= lo < hi:
+            raise InputError(f"invalid band [{lo}, {hi}]")
+        if lo < previous_hi:
+            raise InputError("bands must be sorted and non-overlapping")
+        previous_hi = hi
+    if sample_rate is not None:
+        check_bands([dominant_band, *bands], sample_rate)
+
+
 def _band_powers(energy, cell_lo, cell_hi, bands) -> np.ndarray:
     """Rectangle-rule power of every band at once.
 

@@ -243,21 +243,37 @@ def snapshot(root):
 
 
 @pytest.mark.parametrize("command", [*STAGE_ARGV, "mine", "pipeline"])
-@pytest.mark.parametrize("case", ["file", "below-a-file", "dangling-link"])
+@pytest.mark.parametrize("case", ["file", "below-a-file", "dangling-link", "empty"])
 def test_an_output_that_cannot_be_a_directory_exits_2_before_mining(
-        stage_inputs, tmp_path, capsys, input_work, command, case):
+        stage_inputs, tmp_path, capsys, monkeypatch, input_work, command, case):
+    monkeypatch.chdir(tmp_path)  # where an empty output directory would write
     afile = tmp_path / "afile"
     afile.write_text("")
     os.symlink(tmp_path / "missing", tmp_path / "dangling")
     output = {"file": afile, "below-a-file": afile / "sub",
-              "dangling-link": tmp_path / "dangling"}[case]
+              "dangling-link": tmp_path / "dangling", "empty": ""}[case]
     dot = tmp_path / "o2" / "l.dot"
     argv = ([command, *(stage_inputs.get(a, a) for a in STAGE_ARGV[command])]
             if command in STAGE_ARGV else [*_dot_run_argv(command, stage_inputs), "--dot", dot])
+    before = snapshot(tmp_path)
     assert run([*argv, "--output", output]) == 2
-    assert f"output directory {str(output)!r}" in capsys.readouterr().err
+    assert f"error: output directory {str(output)!r}" in capsys.readouterr().err
     assert input_work == []
     assert not dot.parent.exists()
+    assert snapshot(tmp_path) == before
+
+
+def test_an_empty_output_dir_in_a_config_exits_2_before_reading_an_input(
+        stage_inputs, tmp_path, capsys, monkeypatch, input_work):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(stage_inputs["config"].read_text()),
+                                  "output_dir": ""}))
+    before = snapshot(tmp_path)
+    assert run(["pipeline", "--config", config]) == 2
+    assert capsys.readouterr().err.startswith("error: output directory '' ")
+    assert input_work == []
+    assert snapshot(tmp_path) == before
 
 
 #: ``--dot`` paths a run cannot write after its report, and the ``--output``
@@ -783,12 +799,13 @@ def test_pipeline_config_rejects_ig_bins_beyond_the_float_range(stage_inputs, tm
 
 
 @pytest.mark.parametrize("argv, keys", [
+    (["extract", "--recording", "rec.csv", "--annotations", "anns.json"], {"sample_rate"}),
     (["features", "--segments", "segments.json"], {"detrend"}),
     (["context", "--features", "features.csv"],
      {"labels", "corr_threshold", "ig_bins", "ig_top_k"}),
     (["mine", "--context", "context.csv", "--min-support", "0", "--min-lstab", "0"],
      {"stability_method", "bound_policy", "concept_cap", "dot"}),
-], ids=["features", "context", "mine"])
+], ids=["extract", "features", "context", "mine"])
 def test_stage_flag_defaults_are_the_config_defaults(argv, keys):
     args = vars(spindlemine.cli.build_parser().parse_args([*argv, "--output", "out"]))
     defaults = {f.name: f.default for f in dataclasses.fields(pipeline.PipelineConfig)
@@ -796,6 +813,50 @@ def test_stage_flag_defaults_are_the_config_defaults(argv, keys):
     shared = args.keys() & defaults.keys()
     assert shared == keys
     assert {k: args[k] for k in shared} == {k: defaults[k] for k in shared}
+
+
+def test_every_setting_but_the_bands_is_a_pipeline_flag_stored_under_its_field():
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    settings = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+    settings -= {"dominant_band", "bands"}
+    assert {a.dest for a in commands["pipeline"]._actions} == {"help", "config", *settings}
+    args = vars(commands["pipeline"].parse_args(
+        ["--ig-top-k", "3", "--fs", "250", "--seed", "7", "--concept-cap", "9", "--detrend"]))
+    given = {"ig_top_k": 3, "sample_rate": 250.0, "seed": 7, "concept_cap": 9, "detrend": True}
+    assert {k: (args[k], type(args[k])) for k in settings if args[k] is not None} == {
+        k: (v, type(v)) for k, v in given.items()}
+    # the config takes each parsed value as it is
+    config = pipeline.PipelineConfig.from_mapping({
+        "recording": "r.csv", "annotations": "a.json", "output_dir": "out",
+        "min_support": 0.5, "min_lstab": 1.0, "labels": "l.csv", **given})
+    assert {k: getattr(config, k) for k in given} == given
+
+
+def test_pipeline_flags_and_config_keys_write_the_same_report(stage_inputs, tmp_path):
+    files = {k: str(stage_inputs[k]) for k in ("recording", "annotations", "labels")}
+    out, dot = tmp_path / "out", tmp_path / "out" / "l.dot"
+    settings = {"min_support": 0.3, "min_lstab": 0.5, "sample_rate": 200.0,
+                "stability_method": "bounds", "bound_policy": "mid", "corr_threshold": 0.9,
+                "ig_bins": 4, "ig_top_k": 3, "concept_cap": 1000, "detrend": True, "seed": 7}
+    flags = ["--recording", files["recording"], "--annotations", files["annotations"],
+             "--labels", files["labels"], "--min-support", 0.3, "--min-lstab", 0.5,
+             "--fs", 200, "--stability", "bounds", "--bound-policy", "mid",
+             "--corr-threshold", 0.9, "--ig-bins", 4, "--ig-top-k", 3, "--concept-cap", 1000,
+             "--detrend", "--seed", 7, "--dot", dot, "--output", out]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**files, **settings, "dot": str(dot), "output_dir": str(out)}))
+    written, echoed = [], []
+    for argv in (["pipeline", *flags], ["pipeline", "--config", config]):
+        assert run(argv) == 0
+        written.append({path.name: path.read_bytes().split(b'"generated"')[0]
+                        for path in out.iterdir()})
+        echoed.append(json.loads((out / "report.json").read_text())["config"])
+        shutil.rmtree(out)
+    assert written[0] == written[1]
+    assert written[0].keys() == {"report.json", "summary.csv", "l.dot"}
+    # every setting was given, and each reached the run
+    assert {k: v for k, v in echoed[0].items() if k not in ("dominant_band", "bands")} == {
+        **files, **settings, "dot": str(dot), "output_dir": str(out)}
 
 
 def test_scoring_and_report_decisions_have_one_owner(two_cluster_files, tmp_path):
