@@ -51,9 +51,10 @@ of at least a given support are a prefix of it (the iceberg of Stumme
 et al., DKE 2002).  The structure's ``concept`` and
 ``chains`` give any extent's payload and gaps, so a run that reports only
 a few concepts reads only theirs; the list of every payload and the lower
-covers are each built in one pass on their first read.  Once the covers
-are built, a concept's gaps are read off them instead of the chains, so
-a run that needs the covers anyway (DOT output) pays for one cover pass.
+covers are each built in one pass, the covers on their first read or by
+exact-dp's count pass.  Once the covers are built, a concept's gaps are
+read off them instead of the chains, so a run that needs the covers
+anyway (DOT output) pays for one cover pass.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress, count
 from operator import and_, or_
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 import csv
+import io
 
 from .errors import CapacityError, InputError, check_unique, input_file
 
@@ -200,15 +202,16 @@ class ConceptLattice:
     of at least a given support are a prefix; it is the only part computed
     up front.  ``concepts[i]`` (the payload
     ``structure.concept(extent_masks[i])``: a :class:`Concept` or a
-    :class:`spindlemine.intervals.PatternConcept`) and ``children[i]`` (the
-    lower covers, ascending) are each built for every concept in one pass
-    on the first read; a caller that needs a few payloads asks the
-    structure for them.  ``gaps(i)`` is computed on every call: from the
-    structure's :meth:`NestedChains.gaps` until ``children`` has been
-    read, and as ``extent - child`` over the covers after that (the same
-    set, in cover order).  ``covers`` holds every ``(parent_index,
-    child_index)`` pair, sorted ascending, i.e. the transitive reduction
-    of the extent-inclusion order.
+    :class:`spindlemine.intervals.PatternConcept`) is built for every
+    concept in one pass on the first read; a caller that needs a few
+    payloads asks the structure for them.  ``children[i]`` (the lower
+    covers, ascending) is built for every concept by :func:`lower_covers`,
+    on the first read or by exact-dp's count pass.  ``gaps(i)`` is
+    computed on every call: from the structure's :meth:`NestedChains.gaps`
+    until ``children`` is built, and as ``extent - child`` over the covers
+    after that (the same set, in cover order).  ``covers`` holds every
+    ``(parent_index, child_index)`` pair, sorted ascending, i.e. the
+    transitive reduction of the extent-inclusion order.
     """
 
     def __init__(self, structure: Any, extent_masks: Sequence[int]):
@@ -234,9 +237,9 @@ class ConceptLattice:
 
     @cached_property
     def children(self) -> list[tuple[int, ...]]:
-        gaps = self.structure.chains.gaps
-        index = {m: i for i, m in enumerate(self.extent_masks)}
-        return [tuple(sorted(index[m & ~g] for g in gaps(m))) for m in self.extent_masks]
+        for _ in lower_covers(self):
+            pass
+        return vars(self)["children"]  # stored by the pass
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -263,6 +266,28 @@ class ConceptLattice:
         if not 0 <= index < len(self):
             raise InputError(f"concept index {index} out of range")
         return tuple(names_in(self.object_names, self.extent_masks[index]))
+
+
+def lower_covers(lattice: ConceptLattice) -> Iterator[tuple[int, list[int], list[Any]]]:
+    """From the last concept to the first, yield each one's index, its gaps
+    (``lattice.gaps(i)``) and the list of lower covers (ascending), filled
+    for it and every concept below it: ``lattice.children`` if built, else
+    built here from the gaps off the chains and stored as
+    ``lattice.children`` once full."""
+    masks = lattice.extent_masks
+    built = "children" in vars(lattice)
+    children = lattice.children if built else [()] * len(masks)
+    index = {} if built else {m: i for i, m in enumerate(masks)}
+    gaps_of = lattice.structure.chains.gaps
+    for i in reversed(range(len(masks))):
+        if built:
+            gaps = lattice.gaps(i)
+        else:
+            mask = masks[i]
+            gaps = gaps_of(mask)
+            children[i] = tuple(sorted([index[mask & ~gap] for gap in gaps]))
+        yield i, gaps, children
+    lattice.children = children
 
 
 class NestedChains:
@@ -468,22 +493,25 @@ def build_lattice(
         context, enumerate_closed_extents(chains.up, chains.close_hull, concept_cap))
 
 
-def lattice_to_dot(lattice: ConceptLattice) -> str:
+def lattice_to_dot(lattice: ConceptLattice, out: TextIO | None = None) -> str | None:
     """Render the cover relation as a Graphviz digraph (debugging aid);
     each node is labelled with its extent.  A backslash or double quote
-    in an object name is escaped, so every label stays one DOT string."""
+    in an object name is escaped, so every label stays one DOT string.
+
+    Returns the text, or writes it to the text file ``out`` and returns
+    ``None``: in two parts, the node lines and then the edge lines, each
+    dropped once written, so the whole text is never held at once."""
+    fh = io.StringIO() if out is None else out
     names = [name.replace("\\", "\\\\").replace('"', '\\"')
              for name in lattice.object_names]
     ids = [f"n{i}" for i in range(len(lattice))]
-    lines = ["digraph lattice {", "  rankdir=BT;"]
-    for node, mask in zip(ids, lattice.extent_masks):
-        extent = ",".join(names_in(names, mask))
-        lines.append(f'  {node} [label="{{{extent}}}"];')
+    fh.write("\n".join(["digraph lattice {", "  rankdir=BT;",
+                        *[f'  {node} [label="{{{",".join(names_in(names, mask))}}}"];'
+                          for node, mask in zip(ids, lattice.extent_masks)], ""]))
     # children ascend and are read in parent order: the order of covers
-    lines += [f"  {ids[child]} -> {parent};"
-              for parent, kids in zip(ids, lattice.children) for child in kids]
-    lines.append("}")
-    return "\n".join(lines)
+    fh.write("\n".join([*[f"  {ids[child]} -> {parent};"
+                          for parent, kids in zip(ids, lattice.children) for child in kids], "}"]))
+    return fh.getvalue() if out is None else None
 
 
 # ---------------------------------------------------------------------------

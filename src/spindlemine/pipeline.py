@@ -355,7 +355,7 @@ def _write_outputs(report: PatternReport, lattice: ConceptLattice, dot: str | No
     if dot:
         os.makedirs(os.path.dirname(dot) or ".", exist_ok=True)
         with open(dot, "w") as fh:
-            fh.write(lattice_to_dot(lattice))
+            lattice_to_dot(lattice, fh)
             fh.write("\n")
     return report
 

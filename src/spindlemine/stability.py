@@ -12,23 +12,22 @@ It measures how robust the concept is to removing objects.  Because
 ``+inf`` sentinel.
 
 Exact stability is computed one way, by :func:`stability_lattice_dp`,
-which reads each concept's gaps ``A \\ child`` to its lower covers off
-the chains, or off the covers once they are built
-(``ConceptLattice.gaps(i)``): a subset of ``A`` closes to ``A`` exactly
-when it lies inside no lower cover, i.e. when it
-meets every gap.  When the one-object gaps already meet every gap, the
-count is the closed form ``q = 2^(|A| - |F|)``, with ``F`` the union of
-the one-object gaps; with continuous features every gap is one object,
-so this is the common case.  Otherwise every subset of ``A`` closes to
-exactly one concept with extent inside ``A``, so
+from each concept's gaps ``A \\ child`` to its lower covers: a subset of
+``A`` closes to ``A`` exactly when it lies inside no lower cover, i.e.
+when it meets every gap.  When the one-object gaps already meet every
+gap, the count is the closed form ``q = 2^(|A| - |F|)``, with ``F`` the
+union of the one-object gaps; with continuous features every gap is one
+object, so this is the common case.  Otherwise every subset of ``A``
+closes to exactly one concept with extent inside ``A``, so
 ``q(c) = 2^|A| - sum of q(e) over the strict down-set of c`` (the
 down-set count of Roth, Obiedkov & Kourie, 2008).  The subsets of the
 largest lower cover ``A_k`` are ``2^|A_k|`` of those, all closing inside
 ``A_k``, so the walk over the cover relation starts from the other lower
 covers and skips every concept inside ``A_k``:
-``q(c) = 2^|A| - 2^|A_k| - sum of q(e)`` over the rest.  Counts are
-kept as arbitrary-precision integers, so the identity ``sum of q over
-all concepts = 2^|G|`` is exact at any size.
+``q(c) = 2^|A| - 2^|A_k| - sum of q(e)`` over the rest.  The counts are
+settled in one pass from the last concept to the first, so every count a
+walk reads is already known; they are arbitrary-precision integers, so
+the identity ``sum of q over all concepts = 2^|G|`` is exact at any size.
 :func:`stability_bruteforce` enumerates the subsets of one concept's
 extent (capped, since there are ``2^|A|``); it is the reference the
 exact counts are checked against, not a mining method.
@@ -61,11 +60,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import CapacityError, InputError
-from .fca import Concept, ConceptLattice, FormalContext
+from .fca import Concept, ConceptLattice, FormalContext, lower_covers
 from .intervals import IntervalPatternStructure, PatternConcept, interval_meet
 
 METHOD_TAGS = ("brute-force", "lattice-dp", "bounds")
@@ -131,8 +130,17 @@ class StabilityScore:
             lstab = math.inf
         else:
             lstab = extent_size - math.log2(total - count) + 0.0
-        return cls(method=method, extent_size=extent_size, stab=stab,
-                   lstab=lstab, exact_count=count)
+        return cls._checked(method, extent_size, stab=stab, lstab=lstab, exact_count=count)
+
+    @classmethod
+    def _checked(cls, method: str, extent_size: int, **values: Any) -> "StabilityScore":
+        """``cls(method, extent_size, **values)``, checked the same, with the
+        fields put in the instance dict at once: the frozen ``__init__``'s one
+        ``object.__setattr__`` call per field was half an exact score's cost."""
+        score = object.__new__(cls)
+        vars(score).update(_NO_VALUES, method=method, extent_size=extent_size, **values)
+        score.__post_init__()
+        return score
 
     def gate_value(self, bound_policy: str = "upper") -> float:
         """The number an LStab threshold is compared against."""
@@ -143,6 +151,10 @@ class StabilityScore:
         if value is None:
             raise InputError("score carries neither lstab nor bounds")
         return value
+
+
+#: Every :class:`StabilityScore` field, in order, unset.
+_NO_VALUES = dict.fromkeys(field.name for field in fields(StabilityScore))
 
 
 def lstab(stab: float) -> float:
@@ -237,72 +249,66 @@ def stability_lattice_dp(
     at least ``min_support`` (every concept by default), from its gaps to
     its lower covers.
 
-    A subset ``C`` of an extent ``A`` closes to ``A`` exactly when it lies
-    inside no lower cover, i.e. when it meets every gap ``A \\ child``
-    (``lattice.gaps(i)``).  One-object gaps force their object into ``C``;
-    when every gap meets the union ``F`` of those objects, forcing ``F``
-    suffices and ``q = 2^(|A| - |F|)``.  Otherwise ``q`` follows from the
-    subset-partition identity: every subset of ``A`` closes to exactly one
-    concept inside ``A``.  The subsets of the largest lower cover ``A_k``
-    (``lattice.children[i][0]``) close inside ``A_k``, ``2^|A_k|`` of them,
-    so ``q = 2^|A| - 2^|A_k| - sum of q(d)`` over the concepts ``d`` below
-    the concept whose extents are not inside ``A_k``.  These are found by a
-    walk down the lower covers from the other covers that stops at every
-    concept inside ``A_k``.  The counts the walk reads are settled first,
-    with an explicit stack rather than recursion, and kept for the
-    concepts scored later.  Counts are integers throughout, so results are
-    exact for any lattice size.
-
-    The closed form costs a few mask operations per gap and builds no
-    cover.  The first concept it does not settle walks the covers, which
-    builds every lower cover in one pass (``lattice.children``); from then
-    on ``lattice.gaps(i)`` reads each concept's gaps off its covers.
+    The closed form (see the module docstring) runs first, over the
+    frequent concepts in order, on their gaps (``lattice.gaps(i)``), and
+    builds no cover.  At the first concept it does not settle, one pass
+    (:func:`~spindlemine.fca.lower_covers`) goes from the last concept to
+    the first: it takes each concept's gaps once, records its lower covers
+    (stored as ``lattice.children``, or read from there when already
+    built) and settles its count, by the closed form or by the walk from
+    the covers other than the first, the largest.  Every concept the walk
+    reaches comes later in the lattice, so its count is settled.
     """
     masks = lattice.extent_masks
-    counts: list[int | None] = [None] * len(masks)
+    frequent = frequent_count(lattice, min_support)
+    counts: list[int] = []
+    for i in range(frequent):
+        count = _closed_form(masks[i], lattice.gaps(i))
+        if count is None:
+            counts = _down_set_counts(lattice, counts)
+            break
+        counts.append(count)
+    score = StabilityScore.from_exact_count
+    return {i: score("lattice-dp", masks[i].bit_count(), counts[i]) for i in range(frequent)}
 
-    def walk(i: int) -> tuple[int, set[int]]:
-        """The largest lower cover ``k`` of ``i``, and the concepts below
-        ``i`` that hold an object of ``A \\ A_k``."""
-        children = lattice.children
-        k, *rest = children[i]
-        outside = masks[i] & ~masks[k]
-        seen = {d for d in rest if masks[d] & outside}
-        stack = list(seen)
-        while stack:
-            for d in children[stack.pop()]:
-                if d not in seen and masks[d] & outside:
-                    seen.add(d)
-                    stack.append(d)
-        return k, seen
 
-    def count(i: int) -> int:
-        # a walked concept goes back on the stack with its walk, under the
-        # unknown counts the walk reads; they lie below it, so each is
-        # settled (or itself walked and put back) before it is popped again
-        todo: list[tuple[int, tuple[int, set[int]] | None]] = [(i, None)]
-        while todo:
-            j, walked = todo.pop()
-            if walked is not None:
-                k, below = walked
-                counts[j] = ((1 << masks[j].bit_count()) - (1 << masks[k].bit_count())
-                             - sum(map(counts.__getitem__, below)))
-            elif counts[j] is None:
-                gaps = lattice.gaps(j)
-                forced = 0
-                for gap in gaps:
-                    if gap & (gap - 1) == 0:  # gaps are non-empty: one object
-                        forced |= gap
-                if all(gap & forced for gap in gaps):
-                    counts[j] = 1 << (masks[j].bit_count() - forced.bit_count())
-                else:
-                    walked = walk(j)
-                    todo.append((j, walked))
-                    todo += [(d, None) for d in walked[1] if counts[d] is None]
-        return counts[i]  # type: ignore[return-value]
+def _closed_form(mask: int, gaps: list[int]) -> int | None:
+    """``2^(|A| - |F|)`` for the extent ``mask`` with ``gaps``, or ``None``
+    when some gap misses ``F``, the union of the one-object gaps."""
+    forced = 0
+    for gap in gaps:
+        if gap & (gap - 1) == 0:  # gaps are non-empty: one object
+            forced |= gap
+    for gap in gaps:
+        if not gap & forced:
+            return None
+    return 1 << (mask.bit_count() - forced.bit_count())
 
-    return {i: StabilityScore.from_exact_count("lattice-dp", masks[i].bit_count(), count(i))
-            for i in range(frequent_count(lattice, min_support))}
+
+def _down_set_counts(lattice: ConceptLattice, settled: list[int]) -> list[int]:
+    """Every concept's count, in one pass from the last concept to the
+    first; the first counts are ``settled`` already."""
+    masks = lattice.extent_masks
+    counts = settled + [0] * (len(masks) - len(settled))
+    for i, gaps, children in lower_covers(lattice):
+        if i < len(settled):
+            continue
+        mask = masks[i]
+        count = _closed_form(mask, gaps)
+        if count is None:
+            k, *rest = children[i]
+            outside = mask & ~masks[k]
+            below = {d for d in rest if masks[d] & outside}
+            stack = list(below)
+            while stack:
+                for d in children[stack.pop()]:
+                    if d not in below and masks[d] & outside:
+                        below.add(d)
+                        stack.append(d)
+            count = ((1 << mask.bit_count()) - (1 << masks[k].bit_count())
+                     - sum(map(counts.__getitem__, below)))
+        counts[i] = count
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +348,14 @@ def _bounds(size: int, gaps: list[int], attribute_count: int) -> StabilityScore:
     """:func:`lstab_bounds` of an extent of ``size`` objects with ``gaps``."""
     deltas = [gap.bit_count() for gap in gaps]
     if not deltas:
-        return StabilityScore(method="bounds", extent_size=size, stab=1.0, lstab=math.inf)
+        return StabilityScore._checked("bounds", size, stab=1.0, lstab=math.inf)
     dmin = min(deltas)
     dmax = max(deltas)
     # sum of 2^-d written as (sum of 2^(dmax-d)) / 2^dmax keeps it integral
     numerator = sum([1 << (dmax - d) for d in deltas])
-    return StabilityScore(
-        method="bounds",
-        extent_size=size,
-        lower_bound=dmin - math.log2(attribute_count) + 0.0,
-        mid_bound=dmax - math.log2(numerator) + 0.0,
-        upper_bound=float(dmin),
-    )
+    return StabilityScore._checked(
+        "bounds", size, lower_bound=dmin - math.log2(attribute_count) + 0.0,
+        mid_bound=dmax - math.log2(numerator) + 0.0, upper_bound=float(dmin))
 
 
 def score_lattice(

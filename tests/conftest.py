@@ -142,6 +142,19 @@ def oracle_subset_counts(lattice) -> dict[int, int]:
     return counts
 
 
+def needs_down_set(lattice, index) -> bool:
+    """True when some gap to a lower cover misses every one-object gap,
+    so the closed form ``2^(|A| - |F|)`` does not settle the concept and
+    its count comes from the down-set walk."""
+    mask = lattice.extent_masks[index]
+    gaps = [mask & ~lattice.extent_masks[j] for j in lattice.children[index]]
+    forced = 0
+    for gap in gaps:
+        if gap.bit_count() == 1:
+            forced |= gap
+    return any(gap & forced == 0 for gap in gaps)
+
+
 def oracle_covers(closed: set[frozenset[int]]) -> set[tuple[frozenset, frozenset]]:
     """Transitive reduction of extent inclusion, by trying every triple."""
     return {

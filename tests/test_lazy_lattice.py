@@ -28,6 +28,7 @@ from spindlemine.stability import (
 )
 
 from conftest import (
+    needs_down_set,
     oracle_binary_closed_extents,
     oracle_binary_intent,
     oracle_covers,
@@ -116,18 +117,6 @@ def test_pattern_lattice_read_in_any_order_matches_oracles(order, ps, seed):
                         order, random.Random(seed))
 
 
-def _needs_down_set(lattice, index):
-    """True when the closed form ``2^(|A| - |F|)`` does not settle the
-    concept, so its count comes from the down-set walk."""
-    mask = lattice.extent_masks[index]
-    gaps = [mask & ~lattice.extent_masks[j] for j in lattice.children[index]]
-    forced = 0
-    for gap in gaps:
-        if gap.bit_count() == 1:
-            forced |= gap
-    return any(gap & forced == 0 for gap in gaps)
-
-
 def _count_structures():
     rng = random.Random(4096)
     out = []
@@ -153,7 +142,7 @@ def test_exact_dp_counts_read_in_any_order_match_the_oracle(order):
         scores = stability_lattice_dp(lat)
         for i in _read_order(order, len(lat), rng):
             assert scores[i].exact_count == want[i]
-        walks = sum(_needs_down_set(lat, i) for i in range(len(lat)))
+        walks = sum(needs_down_set(lat, i) for i in range(len(lat)))
         walked += walks
         closed_form += len(lat) - walks
     # both the closed form and the down-set walk are exercised

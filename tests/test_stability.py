@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from spindlemine.errors import CapacityError, InputError
 from spindlemine.fca import (
+    ConceptLattice,
     FormalContext,
     assemble_lattice,
     build_lattice,
@@ -26,6 +27,7 @@ from spindlemine.intervals import (
 from spindlemine.stability import (
     StabilityScore,
     filter_concepts,
+    frequent_count,
     lstab,
     lstab_bounds,
     score_fields,
@@ -37,6 +39,7 @@ from spindlemine.stability import (
 
 from conftest import (
     make_three_point_structure,
+    needs_down_set,
     oracle_binary_closure,
     oracle_interval_closure,
     oracle_stability,
@@ -182,25 +185,13 @@ def test_counts_partition_the_powerset():
         assert sum(s.exact_count for s in counts.values()) == 1 << ps.n_objects
 
 
-def _needs_down_set(lattice, index):
-    """True when some gap to a lower cover misses every one-object gap,
-    so the closed form ``2^(|A| - |F|)`` does not apply."""
-    mask = lattice.extent_masks[index]
-    gaps = [mask & ~lattice.extent_masks[j] for j in lattice.children[index]]
-    forced = 0
-    for gap in gaps:
-        if gap.bit_count() == 1:
-            forced |= gap
-    return any(gap & forced == 0 for gap in gaps)
-
-
 def _assert_dp_matches_oracle(lattice):
     """Every exact-dp count equals the pair oracle's; returns the concepts
     the closed form does not settle, by their number of lower covers."""
     dp = stability_lattice_dp(lattice)
     assert {i: s.exact_count for i, s in dp.items()} == oracle_subset_counts(lattice)
     return Counter(len(lattice.children[i]) for i in range(len(lattice))
-                   if _needs_down_set(lattice, i))
+                   if needs_down_set(lattice, i))
 
 
 def test_dp_matches_pair_oracle_on_binary_context_with_duplicate_rows():
@@ -244,6 +235,27 @@ def test_dp_matches_pair_oracle_on_drawn_structures():
     # beyond the largest cover) and with several, whose walks stop at
     # the concepts inside the largest cover's extent
     assert walked[1] > 0 and sum(n for covers, n in walked.items() if covers > 1) > 0
+
+
+@settings(deadline=None, max_examples=300)
+@given(structure=st.one_of(tie_heavy_structures(), binary_contexts_with_repeated_rows()),
+       min_support=st.floats(0.0, 1.0), prebuilt=st.booleans())
+def test_exact_dp_pass_counts_and_leaves_the_covers(structure, min_support, prebuilt):
+    # prebuilt: the covers are read before scoring, as a --dot run does
+    build = build_lattice if isinstance(structure, FormalContext) else build_pattern_lattice
+    lattice = build(structure)
+    if prebuilt:
+        lattice.children
+    scores = stability_lattice_dp(lattice, min_support)
+    frequent = frequent_count(lattice, min_support)
+    want = oracle_subset_counts(lattice)
+    assert {i: s.exact_count for i, s in scores.items()} == {i: want[i] for i in range(frequent)}
+    # the pass leaves every concept's covers; the closed form alone, none
+    fresh = ConceptLattice(structure, lattice.extent_masks)
+    walked = any(needs_down_set(fresh, i) for i in range(frequent))
+    assert ("children" in vars(lattice)) == (prebuilt or walked)
+    if prebuilt or walked:
+        assert lattice.children == fresh.children
 
 
 BINARY_DP = Path(__file__).parent / "fixtures" / "binary_dp"
