@@ -15,6 +15,14 @@ channel (the whole recording, no time column), and
 :func:`read_recording_segments` keeps only the annotated spans, so its
 memory grows with the spindles, not with the recording.
 
+A long recording's rows are parsed in parts, one per usable CPU and cut
+at block borders: this process parses the first part, and a child made
+with ``os.fork`` each other one, which sends back its checks and the
+rows it copied through a pipe.  The parts are merged in file order, so
+the result and the first error are those of a one-part pass.  The pass
+stays in one part without ``os.fork``, with another thread alive, on
+one usable CPU or for a short recording; no option selects it.
+
 Each segment is then summarized into a feature row:
 
 * mean and maximum of the absolute amplitude (microvolts); the mean is of
@@ -47,11 +55,13 @@ import csv
 import json
 import math
 import numbers
+import os
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, check_unique, input_file, lazy_import, read_json
 
@@ -148,9 +158,10 @@ def read_recording_csv(path: str, sample_rate: float | None = None) -> Recording
     file line.  An explicit
     ``sample_rate`` is checked before the file is opened.
 
-    The file is read in one pass (see :func:`_read_recording`) into a
-    preallocated C-contiguous ``(channels, samples)`` array; no time
-    column and no parsed block outlives the pass.
+    The file is read in one pass (see :func:`_read_recording`), in parts
+    on a machine with several usable CPUs, into a preallocated
+    C-contiguous ``(channels, samples)`` array; no time column and no
+    parsed block outlives the pass.
     """
     def whole_channels(channels, n_rows, rate):
         data = np.empty((len(channels), n_rows))
@@ -174,6 +185,12 @@ def read_recording_segments(
     no channel columns, no rows, the rate inference), then the first
     annotation whose span :func:`extract_segments` rejects.  A rejected
     span is never allocated: once one is found, the pass keeps nothing.
+
+    A long recording is parsed in parts, one per usable CPU, by this
+    process and by children made with ``os.fork`` (see
+    :func:`_read_recording`); a child sends back only the rows of the
+    spans in its part.  The checks and their order are those of a
+    one-part pass, and so is every sample.
     """
     annotations = list(annotations)
 
@@ -206,11 +223,24 @@ def _read_recording(path: str, sample_rate: float | None, plan):
     or when the file's size cannot hold its rows as numbers (a valid row
     takes at least two bytes per column): such a file fails a check.
 
+    The sample rows are then parsed in parts, one per usable CPU (see
+    :func:`_part_starts`): this process parses the first part, a child
+    made with ``os.fork`` each other one (see :func:`_parse_body`).  Parts
+    are cut only at multiples of ``_BLOCK``, so the blocks, and the
+    ``rows X to Y`` of a bad-row message, are those of a one-part pass.
+    The pass stays in one part without ``os.fork``, with another thread
+    alive, on one usable CPU, when a fork fails, or below
+    ``2 * _PART_ROWS`` rows.  Nothing selects the parts but the file and
+    the machine: there is no option.
+
     The rows are checked as the docstring of :func:`read_recording_csv`
-    says; uniform time steps are checked from their running minimum and
-    maximum, the step across each block border included.  A pass that
-    reads other rows than the pre-pass counted, or infers another rate,
-    raises :class:`InputError`: the file changed while it was read.
+    says, and the first error in file order is raised; uniform time steps
+    are checked from their running minimum and maximum, the step across
+    each block border and each cut included.  A pass that reads other
+    rows than the pre-pass counted, or infers another rate, raises
+    :class:`InputError`: the file changed while it was read.  These
+    checks come after all parts are merged, in the order of a one-part
+    pass.
     """
     if sample_rate is not None:
         sample_rate = check_sample_rate(sample_rate)
@@ -232,42 +262,14 @@ def _read_recording(path: str, sample_rate: float | None, plan):
         if rate is not None and 2 * len(header) * n_rows <= size:
             windows, kept = plan(channel_names, n_rows, rate)
             windows.sort(key=lambda window: window[0])
-        pending, active = iter(windows), []
-        upcoming = next(pending, None)
-        infer = sample_rate is None and has_time
-        t_first, t_tail = None, np.empty(0)  # the time of the first and of the last row read
-        step_min, step_max = math.inf, -math.inf
-        lines = chain([first] if first else [], fh)
-        index, row = 0, 2  # rows read so far; the file line of the block's first line
-        while block := list(islice(lines, _BLOCK)):
-            if not channel_names:
-                raise InputError(f"{path}: no channel columns")
-            matrix = None if "\n" in block else _parse_rows(block, len(header))
-            if matrix is None:
-                raise _bad_row_error(path, header, block, row)
-            stop = index + len(block)
-            if stop > n_rows:
-                raise _changed(path)
-            if infer:
-                steps = np.diff(np.concatenate((t_tail, matrix[:, 0])))
-                if steps.size:
-                    step_min, step_max = min(step_min, steps.min()), max(step_max, steps.max())
-                t_first = t_first if index else matrix[0, 0]
-                t_tail = matrix[-1:, 0]
-            while upcoming is not None and upcoming[0] < stop:
-                active.append(upcoming)
-                upcoming = next(pending, None)
-            for first_row, stop_row, channel, out in active:
-                lo, hi = max(first_row, index), min(stop_row, stop)
-                out[lo - first_row:hi - first_row] = matrix[lo - index:hi - index,
-                                                            channel + has_time]
-            active = [window for window in active if window[1] > stop]
-            index, row = stop, row + len(block)
+        body = _Body(path, header, has_time, sample_rate is None and has_time, n_rows, windows)
+        index, t_first, t_last, step_min, step_max = _parse_body(
+            body, chain([first] if first else [], fh))
     if not index:
         raise InputError(f"{path}: recording needs a header and at least one sample row")
     if index != n_rows:
         raise _changed(path)
-    if infer:
+    if body.infer:
         if index < 2:
             raise InputError(f"{path}: cannot infer sample rate from a single sample")
         # as Python floats, inf - inf is nan without a warning, and an inf
@@ -275,7 +277,7 @@ def _read_recording(path: str, sample_rate: float | None, plan):
         if step_min <= 0 or float(step_max) - float(step_min) > 1e-6 * step_max:
             raise InputError(f"{path}: time column is not uniformly increasing")
         try:
-            sample_rate = check_sample_rate(_rate(index, t_first, t_tail[0]))
+            sample_rate = check_sample_rate(_rate(index, t_first, t_last))
         except InputError as exc:
             raise InputError(f"{path}: inferred from the time column, {exc}") from exc
     elif sample_rate is None:
@@ -283,6 +285,216 @@ def _read_recording(path: str, sample_rate: float | None, plan):
     if kept is None or rate != sample_rate:
         raise _changed(path)
     return channel_names, sample_rate, kept
+
+
+class _Part(NamedTuple):
+    """What the pass learnt from a run of rows: the row after the last one
+    read (``end``), the times of the first and the last row read and the
+    smallest and the largest step between consecutive rows.  The times
+    are None and the steps inf and -inf where no row was read or the
+    steps are not checked."""
+
+    end: int
+    t_first: float | None
+    t_last: float | None
+    step_min: float
+    step_max: float
+
+
+@dataclass(frozen=True)
+class _Body:
+    """The sample rows of one recording CSV as each part of its pass
+    sees them: the file, its header, whether it has a time column and
+    whether the time steps are checked (``infer``), the pre-pass row
+    count and the windows of ``plan``, sorted by first row."""
+
+    path: str
+    header: list[str]
+    has_time: bool
+    infer: bool
+    n_rows: int
+    windows: list
+
+    def parse(self, lines: Iterator[str], start: int, stop: int | None) -> _Part:
+        """Check rows ``[start, stop)`` of the body, to its end where
+        ``stop`` is None, and copy them into the windows.  ``lines``
+        yields those rows; they are read, parsed and dropped ``_BLOCK``
+        lines at a time, and the first bad block raises."""
+        path, header, has_time = self.path, self.header, self.has_time
+        pending = (window for window in self.windows if window[1] > start)
+        active, upcoming = [], next(pending, None)
+        t_first, t_tail = None, np.empty(0)  # the time of the first and of the last row read
+        step_min, step_max = math.inf, -math.inf
+        index, row = start, start + 2  # rows read so far; the file line of the block's first line
+        while block := list(islice(lines, _BLOCK if stop is None else min(_BLOCK, stop - index))):
+            if len(header) == has_time:
+                raise InputError(f"{path}: no channel columns")
+            matrix = None if "\n" in block else _parse_rows(block, len(header))
+            if matrix is None:
+                raise _bad_row_error(path, header, block, row)
+            end = index + len(block)
+            if end > self.n_rows:
+                raise _changed(path)
+            if self.infer:
+                steps = np.diff(np.concatenate((t_tail, matrix[:, 0])))
+                if steps.size:
+                    step_min, step_max = min(step_min, steps.min()), max(step_max, steps.max())
+                t_first = matrix[0, 0] if t_first is None else t_first
+                t_tail = matrix[-1:, 0]
+            while upcoming is not None and upcoming[0] < end:
+                active.append(upcoming)
+                upcoming = next(pending, None)
+            for first_row, stop_row, channel, out in active:
+                lo, hi = max(first_row, index), min(stop_row, end)
+                out[lo - first_row:hi - first_row] = matrix[lo - index:hi - index,
+                                                            channel + has_time]
+            active = [window for window in active if window[1] > end]
+            index, row = end, row + len(block)
+        return _Part(index, t_first, t_tail[0] if t_tail.size else None, step_min, step_max)
+
+    def parse_alone(self, start: int, stop: int | None) -> _Part:
+        """:meth:`parse` of rows ``[start, stop)`` through a file handle of
+        its own.  The handle reads and drops the header and the rows
+        before ``start`` in text mode, with the decoder of a one-part
+        pass, so lines end and fail to decode where they do there."""
+        with input_file(self.path, "recording") as fh:
+            return self.parse(islice(fh, start + 1, None), start, stop)
+
+    def filled(self, start: int, end: int) -> list:
+        """The stretches of the windows' arrays that rows ``[start, end)`` fill."""
+        return [out[max(first_row, start) - first_row:min(stop_row, end) - first_row]
+                for first_row, stop_row, _, out in self.windows
+                if first_row < end and stop_row > start]
+
+
+#: Fewest sample rows a part of a recording's pass gets: below twice this
+#: many, the rows are parsed in one part.
+_PART_ROWS = 8192
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _part_starts(n_rows: int) -> list[int]:
+    """The first rows of the parts after the first of a body of
+    ``n_rows`` rows: one part per usable CPU, each of at least
+    ``_PART_ROWS`` rows, cut at multiples of ``_BLOCK``.  Empty (one
+    part) without ``os.fork``, with another thread alive (a child of
+    ``fork`` would hold only the forking thread) or with too few rows."""
+    blocks = n_rows // _BLOCK
+    n_parts = min(_usable_cpus(), blocks // -(-_PART_ROWS // _BLOCK))
+    if n_parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return []
+    return [-(-k * blocks // n_parts) * _BLOCK for k in range(1, n_parts)]
+
+
+def _parse_body(body: _Body, lines: Iterator[str]) -> _Part:
+    """:meth:`_Body.parse` of every row of ``body``, in the parts of
+    :func:`_part_starts`.  ``lines`` yields the rows from the first one.
+
+    Each part but the first goes to a child made with ``os.fork``, from
+    the last part down; where a fork fails, this process takes over that
+    part and every one before it.  The child sends the report of its
+    part through a pipe (see :func:`_send_part`) and ends with
+    ``os._exit``.  Meanwhile this process parses its own part from
+    ``lines``, then reads the reports in file order and merges them: the
+    first error raises, and the step across each cut joins the running
+    minimum and maximum.  A part whose report is missing or cannot be
+    read is parsed here.  Every child is killed and waited for before
+    this returns or raises.
+    """
+    children = []  # (start, stop, pid, read end of its pipe), from the last part down
+    parent = os.getpid()
+    try:
+        stop = None
+        for start in reversed(_part_starts(body.n_rows)):
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if not pid:
+                _send_part(body, start, stop, write_end)
+                os._exit(0)  # no exit handler runs, no buffer shared with the parent is flushed
+            os.close(write_end)
+            children.append((start, stop, pid, read_end))
+            stop = start
+        part = body.parse(lines, 0, stop)
+        for start, stop, _, read_end in reversed(children):
+            if part.end != start:
+                raise _changed(body.path)
+            report = _receive(body, start, read_end) or body.parse_alone(start, stop)
+            if report.t_first is None:
+                part = part._replace(end=report.end)
+                continue
+            step = np.float64(report.t_first) - np.float64(part.t_last)  # across the cut
+            part = _Part(report.end, part.t_first, report.t_last,
+                         min(part.step_min, step, report.step_min),
+                         max(part.step_max, step, report.step_max))
+        return part
+    finally:
+        if os.getpid() != parent:
+            os._exit(1)  # a child leaves this frame only here, whatever stopped it
+        if children:
+            from signal import SIGKILL
+            for *_, pid, read_end in children:
+                os.close(read_end)
+                os.kill(pid, SIGKILL)  # one whose report was read has nothing left to do
+                os.waitpid(pid, 0)
+
+
+def _send_part(body: _Body, start: int, stop: int | None, write_end: int) -> None:
+    """Parse rows ``[start, stop)`` of ``body`` alone and send the report
+    through the pipe ``write_end``: what a child of :func:`_parse_body`
+    does before it ends.
+
+    The report is an 8-byte little-endian length, then that many bytes
+    of JSON, ``{"error": message}`` for an :class:`InputError` and
+    ``{"part": [end, t_first, t_last, step_min, step_max]}`` otherwise;
+    after a part come the float64 bytes of :meth:`_Body.filled` for its
+    rows, in window order.
+    """
+    import gc
+    gc.disable()  # the finalizers of the parent's garbage are the parent's to run
+    try:
+        part = body.parse_alone(start, stop)
+        head, filled = {"part": part}, body.filled(start, part.end)
+    except InputError as exc:
+        head, filled = {"error": str(exc)}, []
+    head = json.dumps(head).encode()
+    for data in [len(head).to_bytes(8, "little") + head, *filled]:
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(write_end, view):]
+
+
+def _receive(body: _Body, start: int, read_end: int) -> _Part | None:
+    """The part from row ``start`` as :func:`_send_part` reported it
+    through ``read_end``, with its rows copied into the windows; the
+    :class:`InputError` it reported is raised.  None where the report is
+    missing or cannot be read."""
+    try:
+        with open(read_end, "rb", closefd=False) as pipe:
+            report = json.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
+            if "error" in report:
+                raise InputError(report["error"])
+            part = _Part(*report["part"])
+            for out in body.filled(start, part.end):
+                view = memoryview(out).cast("B")
+                if pipe.readinto(view) != view.nbytes:
+                    return None
+            return part
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
 
 
 def _rate(n_rows: int, t_first: float, t_last: float) -> float:
@@ -360,6 +572,10 @@ def _scan_lines(path: str, encoding: str) -> tuple[int, int, str | None]:
 #: optionally double-quoted, no comment syntax, always a 2-D result.
 _ROW_FORMAT = dict(delimiter=",", dtype=float, comments=None, ndmin=2, quotechar='"')
 
+#: ``_ROW_FORMAT`` without quote handling, which parses lines that hold
+#: no ``"`` to the same values or the same error, faster.
+_PLAIN_FORMAT = {**_ROW_FORMAT, "quotechar": None}
+
 #: Sample lines read and parsed at a time.
 _BLOCK = 4096
 
@@ -371,8 +587,9 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
     caller rules out blank lines first: ``np.loadtxt`` skips them, and
     warns when a body of blank lines holds no data.
     """
+    row_format = _ROW_FORMAT if '"' in "".join(lines) else _PLAIN_FORMAT
     try:
-        matrix = np.loadtxt(lines, **_ROW_FORMAT)
+        matrix = np.loadtxt(lines, **row_format)
     except ValueError:
         return None
     if matrix.shape != (len(lines), width) or not np.isfinite(matrix).all():

@@ -1,10 +1,12 @@
 """Recording / annotation IO and segment extraction."""
 
+import contextlib
 import csv
 import json
 import os
 import re
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -213,10 +215,10 @@ CELLS = st.tuples(
 
 
 @st.composite
-def recording_texts(draw):
+def recording_texts(draw, min_rows=2, max_rows=10):
     """CSV text of a random finite recording, and whether it has a time column."""
     n_channels = draw(st.integers(1, 4))
-    n_rows = draw(st.integers(2, 10))
+    n_rows = draw(st.integers(min_rows, max_rows))
     has_time = draw(st.booleans())
     dt = draw(st.sampled_from([1 / 256, 0.004, 0.5]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
@@ -444,6 +446,282 @@ def test_read_recording_segments_raises_what_reading_then_cutting_raises(
         got = outcome(lambda: read_recording_segments(str(path), annotations))
     want = outcome(lambda: reference_segments(str(path), annotations, None))
     assert isinstance(got, str) and got == want
+
+
+# ---------------------------------------------------------------------------
+# parts: rows parsed by this process and by children made with os.fork
+# ---------------------------------------------------------------------------
+
+
+def assert_no_children():
+    # every child of the reads was waited for: none is left, running or not
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def parts(n_parts, part_rows, block):
+    """Reads inside cut their rows as on ``n_parts`` usable CPUs, into
+    parts of at least ``part_rows`` rows and blocks of ``block`` lines;
+    yields the pids of the children forked meanwhile."""
+    forks, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.multiple(signals, _BLOCK=block, _PART_ROWS=part_rows,
+                             _usable_cpus=lambda: n_parts), \
+            mock.patch.object(os, "fork", spy):
+        yield forks
+
+
+def recording_outcome(path, sample_rate=None):
+    """``read_recording_csv``'s channels, rate and data bits (signs of
+    zeros included) and whether the data is C-contiguous, or its error."""
+    got = outcome(lambda: read_recording_csv(path, sample_rate=sample_rate))
+    if isinstance(got, str):
+        return got
+    return got.channels, got.sample_rate, got.data.shape, got.data.tobytes(), \
+        got.data.flags.c_contiguous
+
+
+def one_part(read, block):
+    """``read()`` in one part, in blocks of ``block`` lines."""
+    with parts(1, 1, block) as forks:
+        got = read()
+    assert forks == []
+    return got
+
+
+def in_parts(read, setting, n_forks):
+    """``read()`` with the parts of ``setting``; ``n_forks`` children did the
+    other parts, and none is left."""
+    with parts(*setting) as forks:
+        got = read()
+    assert len(forks) == n_forks
+    assert_no_children()
+    return got
+
+
+def draw_parts(data, n_rows):
+    """Part settings that cut ``n_rows`` rows in 2 or 3 parts, and how
+    many parts they cut."""
+    block = data.draw(st.integers(1, 3), label="block")
+    n_blocks = n_rows // block
+    part_rows = data.draw(st.integers(1, n_blocks // 2 * block), label="part_rows")
+    n_parts = data.draw(st.integers(2, 3), label="n_parts")
+    return (n_parts, part_rows, block), min(n_parts, n_blocks // -(-part_rows // block))
+
+
+def write_text(tmp, text):
+    path = os.path.join(tmp, "rec.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@settings(deadline=None, max_examples=100)
+@given(recording_texts(min_rows=6, max_rows=24), st.data())
+def test_parts_do_not_change_a_recording(drawn, data):
+    # the rows of every part land in the one matrix as in one part
+    text, has_time = drawn
+    setting, n_parts = draw_parts(data, len(text.splitlines()) - 1)
+    rate = None if has_time else 256.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_text(tmp, text)
+        want = one_part(lambda: recording_outcome(path, rate), setting[2])
+        got = in_parts(lambda: recording_outcome(path, rate), setting, n_parts - 1)
+    assert not isinstance(want, str) and want[-1]
+    assert got == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(recording_texts(min_rows=6, max_rows=24), st.data())
+def test_parts_do_not_change_the_segments(drawn, data):
+    # spans inside one part, across a cut, or rejected by extract_segments
+    text, has_time = drawn
+    setting, n_parts = draw_parts(data, len(text.splitlines()) - 1)
+    rate = None if has_time else 256.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_text(tmp, text)
+        rec = read_recording_csv(path, sample_rate=rate)
+        n, fs = rec.n_samples, rec.sample_rate
+        rows = st.integers(0, n)
+        annotations = [
+            SpindleAnnotation(id=f"s{k}", start_s=i0 / fs + shift, end_s=i1 / fs + shift,
+                              channel=data.draw(st.sampled_from(rec.channels + ("Oz",))))
+            for k, (i0, i1, shift) in enumerate(data.draw(st.lists(
+                st.tuples(rows, rows, st.sampled_from([0.0, 0.0, 0.25 / fs, -1e-9])),
+                min_size=1, max_size=5)))]
+
+        def read():
+            return segments_outcome(lambda: read_recording_segments(path, annotations, rate))
+
+        want = one_part(read, setting[2])
+        got = in_parts(read, setting, n_parts - 1)
+    assert got == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(6, 24), st.data(), st.lists(st.sampled_from(BAD_LINES), min_size=1, max_size=2),
+       st.sampled_from(["\n", "\r\n"]))
+def test_parts_do_not_change_the_bad_row(n_rows, data, bad, newline):
+    # the first bad line in the file is reported, whichever part holds it
+    rows = data.draw(st.lists(st.integers(2, n_rows + 1), min_size=len(bad), max_size=len(bad),
+                              unique=True), label="rows")
+    lines = ["time,C3,C4"] + [f"{i / 4},1.0,2.0" for i in range(n_rows)]
+    for row, line in zip(rows, bad):
+        lines[row - 1] = line
+    setting, n_parts = draw_parts(data, n_rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_text(tmp, newline.join(lines) + newline)
+        want = one_part(lambda: outcome(lambda: read_recording_csv(path)), setting[2])
+        got = in_parts(lambda: outcome(lambda: read_recording_csv(path)), setting, n_parts - 1)
+    assert re.search(rf"\brow {min(rows)}\b", want)
+    assert got == want
+
+
+#: 12 rows at 4 Hz.  ``THREE_PARTS`` cuts them in blocks of 2 rows at rows
+#: 4 and 8: this process parses file lines 2-5, the children lines 6-9
+#: and 10-13.
+_PARTED = ["time,C3,C4"] + [f"{i / 4},{i}.5,-{i}" for i in range(12)]
+THREE_PARTS = (3, 2, 2)
+
+
+def parted_outcomes(tmp_path, lines, newline, read=recording_outcome):
+    """``read(path)`` of ``lines`` in one part and in ``THREE_PARTS``."""
+    path = write_text(tmp_path, newline.join(lines) + newline)
+    return (one_part(lambda: read(path), THREE_PARTS[2]),
+            in_parts(lambda: read(path), THREE_PARTS, 2))
+
+
+NEWLINES = pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+
+
+@NEWLINES
+def test_three_parts_read_what_one_part_reads(tmp_path, newline):
+    want, got = parted_outcomes(tmp_path, _PARTED, newline)
+    assert got == want and want[1] == 4.0
+
+
+@NEWLINES
+@pytest.mark.parametrize("bad_rows", [(3, 11), (7, 12), (5, 6), (9, 10), (11,)],
+                         ids=["parent-and-child", "two-children", "at-the-first-cut",
+                              "at-the-second-cut", "last-child"])
+def test_the_first_bad_row_of_any_part_is_reported(tmp_path, newline, bad_rows):
+    lines = list(_PARTED)
+    for row, bad in zip(bad_rows, ["2.0,high,7", "2.0,7"]):
+        lines[row - 1] = bad
+    want, got = parted_outcomes(tmp_path, lines, newline)
+    assert re.search(rf"\brow {bad_rows[0]}\b", want)
+    assert got == want
+
+
+@NEWLINES
+@pytest.mark.parametrize("row", [5, 6, 9, 10], ids=["before-cut-1", "after-cut-1",
+                                                    "before-cut-2", "after-cut-2"])
+def test_a_blank_line_at_a_cut(tmp_path, newline, row):
+    lines = list(_PARTED)
+    lines[row - 1] = ""
+    want, got = parted_outcomes(tmp_path, lines, newline)
+    assert f"row {row} has 0 cells, expected 3" in want
+    assert got == want
+
+
+@NEWLINES
+@pytest.mark.parametrize("cut", [4, 8])
+def test_a_time_step_that_changes_exactly_at_a_cut(tmp_path, newline, cut):
+    # inside each part every step is 0.25 s; only the step across the cut is not
+    lines = _PARTED[:cut + 1] + [f"{i / 4 + 0.1},{i}.5,-{i}" for i in range(cut, 12)]
+    want, got = parted_outcomes(tmp_path, lines, newline)
+    assert want.endswith("time column is not uniformly increasing")
+    assert got == want
+
+
+def test_a_decode_error_in_a_childs_part(tmp_path):
+    # about 40 kB, so the text layer decodes it in several chunks: the
+    # byte that does not decode sits in a chunk only the child reads
+    lines = ["time,C3,C4"] + [f"{i / 4},{i}.5,-{i}" for i in range(2000)]
+    data = ("\n".join(lines) + "\n").encode()
+    at = data.index(b"\n450.0,")  # the end of row 1799
+    path = tmp_path / "rec.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    setting = (2, 512, 64)  # cut at row 1024
+    want = one_part(lambda: recording_outcome(str(path)), 64)
+    got = in_parts(lambda: recording_outcome(str(path)), setting, 1)
+    assert want.startswith(f"cannot read recording {path}: 'utf-8' codec can't decode")
+    assert got == want
+
+
+@pytest.mark.parametrize("case", ["thread", "no-fork"])
+def test_a_live_thread_or_no_fork_keeps_one_part(tmp_path, monkeypatch, case):
+    path = write_text(tmp_path, "\n".join(_PARTED) + "\n")
+    want = one_part(lambda: recording_outcome(path), THREE_PARTS[2])
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+        with mock.patch.multiple(signals, _BLOCK=2, _PART_ROWS=2, _usable_cpus=lambda: 3):
+            got = recording_outcome(path)
+    else:
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            with parts(*THREE_PARTS) as forks:
+                got = recording_outcome(path)
+        finally:
+            done.set()
+            thread.join()
+        assert forks == []
+    assert got == want
+    assert_no_children()
+
+
+@pytest.mark.parametrize("bad_row", [None, 3, 11])
+def test_a_child_that_sends_no_report(tmp_path, monkeypatch, bad_row):
+    # its part is parsed in process instead: same data, same first error
+    lines = list(_PARTED)
+    if bad_row:
+        lines[bad_row - 1] = "2.0,high,7"
+    monkeypatch.setattr(signals, "_send_part", lambda *args: os._exit(1))
+    want, got = parted_outcomes(tmp_path, lines, "\n")
+    assert got == want
+
+
+def test_an_interrupted_read_leaves_no_child(tmp_path, monkeypatch):
+    path = write_text(tmp_path, "\n".join(_PARTED) + "\n")
+    parse, reader = signals._Body.parse, os.getpid()
+
+    def interrupted(body, lines, start, stop):
+        if os.getpid() == reader:
+            raise KeyboardInterrupt
+        return parse(body, lines, start, stop)
+
+    monkeypatch.setattr(signals._Body, "parse", interrupted)
+    with parts(*THREE_PARTS) as forks, pytest.raises(KeyboardInterrupt):
+        read_recording_csv(path)
+    assert len(forks) == 2
+    assert_no_children()
+
+
+QUOTE_FREE_CELLS = [" 1.5", "1.5 ", "\t1.5", "1.5\t", " ", "", "1,,2", "0x1", "1_0", "inf",
+                    "-Infinity", "nan", "1.", ".5", "-0", "+1", "1e5", "1E-5", "e5",
+                    "١٢", "１２"]
+
+
+@pytest.mark.parametrize("newline", ["", "\n", "\r\n"])
+@pytest.mark.parametrize("cell", QUOTE_FREE_CELLS)
+def test_quote_handling_changes_nothing_on_a_quote_free_line(cell, newline):
+    def parsed(row_format):
+        try:
+            matrix = np.loadtxt([f"0.5,{cell}{newline}"], **row_format)
+        except ValueError as exc:
+            return str(exc)
+        return matrix.shape, matrix.tobytes()
+
+    assert parsed(signals._PLAIN_FORMAT) == parsed(signals._ROW_FORMAT)
 
 
 @pytest.mark.parametrize("miscount", [-1, 1])
