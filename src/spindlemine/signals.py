@@ -51,6 +51,7 @@ contribute fractionally when a band cuts through their cell.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -404,10 +405,11 @@ def _parse_body(body: _Body, lines: Iterator[str]) -> _Part:
     ``lines``, then reads the reports in file order and merges them: the
     first error raises, and the step across each cut joins the running
     minimum and maximum.  A part whose report is missing or cannot be
-    read is parsed here.  Every child is killed and waited for before
-    this returns or raises.
+    read is parsed here.  Every child is waited for before this returns
+    or raises, and killed first unless its whole report was read.
     """
     children = []  # (start, stop, pid, read end of its pipe), from the last part down
+    reported = set()  # the pids whose report was read whole: they end by themselves
     parent = os.getpid()
     try:
         stop = None
@@ -429,10 +431,14 @@ def _parse_body(body: _Body, lines: Iterator[str]) -> _Part:
             children.append((start, stop, pid, read_end))
             stop = start
         part = body.parse(lines, 0, stop)
-        for start, stop, _, read_end in reversed(children):
+        for start, stop, pid, read_end in reversed(children):
             if part.end != start:
                 raise _changed(body.path)
-            report = _receive(body, start, read_end) or body.parse_alone(start, stop)
+            report = _receive(body, start, read_end)
+            if report is None:
+                report = body.parse_alone(start, stop)
+            else:
+                reported.add(pid)
             if report.t_first is None:
                 part = part._replace(end=report.end)
                 continue
@@ -444,11 +450,13 @@ def _parse_body(body: _Body, lines: Iterator[str]) -> _Part:
     finally:
         if os.getpid() != parent:
             os._exit(1)  # a child leaves this frame only here, whatever stopped it
-        if children:
-            from signal import SIGKILL
-            for *_, pid, read_end in children:
-                os.close(read_end)
-                os.kill(pid, SIGKILL)  # one whose report was read has nothing left to do
+        for *_, pid, read_end in children:
+            os.close(read_end)
+            # where SIGCHLD is ignored, the kernel reaps each child as it ends
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                if pid not in reported:
+                    from signal import SIGKILL
+                    os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
 
 

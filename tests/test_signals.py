@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import re
+import signal
 import tempfile
 import threading
 import tracemalloc
@@ -687,6 +688,20 @@ def test_a_child_that_sends_no_report(tmp_path, monkeypatch, bad_row):
         lines[bad_row - 1] = "2.0,high,7"
     monkeypatch.setattr(signals, "_send_part", lambda *args: os._exit(1))
     want, got = parted_outcomes(tmp_path, lines, "\n")
+    assert got == want
+
+
+@pytest.mark.parametrize("bad_row", [None, 3, 11])
+def test_parts_where_sigchld_is_ignored(tmp_path, bad_row):
+    # the kernel then reaps each child as it ends, and waitpid finds none
+    lines = list(_PARTED)
+    if bad_row:
+        lines[bad_row - 1] = "2.0,high,7"
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        want, got = parted_outcomes(tmp_path, lines, "\n")
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
     assert got == want
 
 
