@@ -302,8 +302,7 @@ class _Part(NamedTuple):
     step_max: float
 
 
-@dataclass(frozen=True)
-class _Body:
+class _Body(NamedTuple):
     """The sample rows of one recording CSV as each part of its pass
     sees them: the file, its header, whether it has a time column and
     whether the time steps are checked (``infer``), the pre-pass row
