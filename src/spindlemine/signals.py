@@ -15,13 +15,14 @@ channel (the whole recording, no time column), and
 :func:`read_recording_segments` keeps only the annotated spans, so its
 memory grows with the spindles, not with the recording.
 
-A long recording's rows are parsed in parts, one per usable CPU and cut
-at block borders: this process parses the first part, and a child made
-with ``os.fork`` each other one, which sends back its checks and the
-rows it copied through a pipe.  The parts are merged in file order, so
-the result and the first error are those of a one-part pass.  The pass
-stays in one part without ``os.fork``, with another thread alive, on
-one usable CPU or for a short recording; no option selects it.
+A long recording's rows are parsed in two parts where two CPUs are
+usable, cut at a block border: this process parses the first part, and
+a child made with ``os.fork`` the second, which sends back its checks
+and the rows it copied through a pipe.  The parts are merged in file
+order, so the result and the first error are those of a one-part pass.
+The pass stays in one part without ``os.fork``, with another Python
+thread alive, on one usable CPU or for a short recording; no option
+selects it.
 
 Each segment is then summarized into a feature row:
 
@@ -187,9 +188,9 @@ def read_recording_segments(
     annotation whose span :func:`extract_segments` rejects.  A rejected
     span is never allocated: once one is found, the pass keeps nothing.
 
-    A long recording is parsed in parts, one per usable CPU, by this
-    process and by children made with ``os.fork`` (see
-    :func:`_read_recording`); a child sends back only the rows of the
+    A long recording is parsed in two parts, by this process and by a
+    child made with ``os.fork``, where two CPUs are usable (see
+    :func:`_read_recording`); the child sends back only the rows of the
     spans in its part.  The checks and their order are those of a
     one-part pass, and so is every sample.
     """
@@ -224,13 +225,14 @@ def _read_recording(path: str, sample_rate: float | None, plan):
     or when the file's size cannot hold its rows as numbers (a valid row
     takes at least two bytes per column): such a file fails a check.
 
-    The sample rows are then parsed in parts, one per usable CPU (see
-    :func:`_part_starts`): this process parses the first part, a child
-    made with ``os.fork`` each other one (see :func:`_parse_body`).  Parts
-    are cut only at multiples of ``_BLOCK``, so the blocks, and the
-    ``rows X to Y`` of a bad-row message, are those of a one-part pass.
-    The pass stays in one part without ``os.fork``, with another thread
-    alive, on one usable CPU, when a fork fails, or below
+    The sample rows are then parsed in parts, one per usable CPU and at
+    most ``_MAX_PARTS`` (see :func:`_part_starts`): this process parses
+    the first part, a child made with ``os.fork`` each other one (see
+    :func:`_parse_body`).  Parts are cut only at multiples of
+    ``_BLOCK``, so the blocks, and the ``rows X to Y`` of a bad-row
+    message, are those of a one-part pass.
+    The pass stays in one part without ``os.fork``, with another Python
+    thread alive, on one usable CPU, when a fork fails, or below
     ``2 * _PART_ROWS`` rows.  Nothing selects the parts but the file and
     the machine: there is no option.
 
@@ -371,6 +373,12 @@ class _Body(NamedTuple):
 #: many, the rows are parsed in one part.
 _PART_ROWS = 8192
 
+#: Most parts a recording's pass is cut into, whatever the CPU count.
+#: Each child first decodes and drops every line before its part, and the
+#: affinity mask does not show a cgroup's CPU quota: more parts than two
+#: read slower where their CPUs are not free (see CHANGES.md).
+_MAX_PARTS = 2
+
 
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -381,12 +389,20 @@ def _usable_cpus() -> int:
 
 def _part_starts(n_rows: int) -> list[int]:
     """The first rows of the parts after the first of a body of
-    ``n_rows`` rows: one part per usable CPU, each of at least
-    ``_PART_ROWS`` rows, cut at multiples of ``_BLOCK``.  Empty (one
-    part) without ``os.fork``, with another thread alive (a child of
-    ``fork`` would hold only the forking thread) or with too few rows."""
+    ``n_rows`` rows: one part per usable CPU, at most ``_MAX_PARTS``,
+    each of at least ``_PART_ROWS`` rows, cut at multiples of
+    ``_BLOCK``.  Empty (one part) without ``os.fork``, with another
+    Python thread alive (a child of ``fork`` would hold only the forking
+    thread, and any lock another held stays taken) or with too few rows.
+
+    Native threads that Python does not run, such as the BLAS pool numpy
+    starts, are not counted: the child only parses text with numpy,
+    writes to a pipe and ends with ``os._exit``, and calls into no such
+    library.  Python 3.12 and later count them, and a fork beside them
+    issues a ``DeprecationWarning``, which a warnings filter can show but
+    not turn into an error."""
     blocks = n_rows // _BLOCK
-    n_parts = min(_usable_cpus(), blocks // -(-_PART_ROWS // _BLOCK))
+    n_parts = min(_MAX_PARTS, _usable_cpus(), blocks // -(-_PART_ROWS // _BLOCK))
     if n_parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return []
     return [-(-k * blocks // n_parts) * _BLOCK for k in range(1, n_parts)]

@@ -461,10 +461,11 @@ def assert_no_children():
 
 
 @contextlib.contextmanager
-def parts(n_parts, part_rows, block):
+def parts(n_parts, part_rows, block, max_parts=None):
     """Reads inside cut their rows as on ``n_parts`` usable CPUs, into
-    parts of at least ``part_rows`` rows and blocks of ``block`` lines;
-    yields the pids of the children forked meanwhile."""
+    parts of at least ``part_rows`` rows, at most ``max_parts`` of them
+    (``n_parts`` when None), and blocks of ``block`` lines; yields the
+    pids of the children forked meanwhile."""
     forks, fork = [], os.fork
 
     def spy():
@@ -474,6 +475,7 @@ def parts(n_parts, part_rows, block):
         return pid
 
     with mock.patch.multiple(signals, _BLOCK=block, _PART_ROWS=part_rows,
+                             _MAX_PARTS=max_parts or n_parts,
                              _usable_cpus=lambda: n_parts), \
             mock.patch.object(os, "fork", spy):
         yield forks
@@ -663,7 +665,8 @@ def test_a_live_thread_or_no_fork_keeps_one_part(tmp_path, monkeypatch, case):
     want = one_part(lambda: recording_outcome(path), THREE_PARTS[2])
     if case == "no-fork":
         monkeypatch.delattr(os, "fork")
-        with mock.patch.multiple(signals, _BLOCK=2, _PART_ROWS=2, _usable_cpus=lambda: 3):
+        with mock.patch.multiple(signals, _BLOCK=2, _PART_ROWS=2, _MAX_PARTS=3,
+                                 _usable_cpus=lambda: 3):
             got = recording_outcome(path)
     else:
         done = threading.Event()
@@ -678,6 +681,18 @@ def test_a_live_thread_or_no_fork_keeps_one_part(tmp_path, monkeypatch, case):
         assert forks == []
     assert got == want
     assert_no_children()
+
+
+@pytest.mark.parametrize("bad_row", [None, 3, 11])
+def test_many_cpus_cut_two_parts(tmp_path, bad_row):
+    # more parts were not measured to pay off: one child, whatever the CPU count
+    lines = list(_PARTED)
+    if bad_row:
+        lines[bad_row - 1] = "2.0,high,7"
+    path = write_text(tmp_path, "\n".join(lines) + "\n")
+    want = one_part(lambda: recording_outcome(path), THREE_PARTS[2])
+    got = in_parts(lambda: recording_outcome(path), (16, 2, 2, signals._MAX_PARTS), 1)
+    assert got == want
 
 
 @pytest.mark.parametrize("bad_row", [None, 3, 11])
