@@ -375,8 +375,8 @@ _PART_ROWS = 8192
 
 #: Most parts a recording's pass is cut into, whatever the CPU count.
 #: Each child first decodes and drops every line before its part, and the
-#: affinity mask does not show a cgroup's CPU quota: more parts than two
-#: read slower where their CPUs are not free (see CHANGES.md).
+#: affinity mask does not show a cgroup's CPU quota.  On a 2-CPU machine,
+#: 4 and 8 parts read slower than 2; more CPUs were not measured.
 _MAX_PARTS = 2
 
 
